@@ -8,15 +8,18 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
 #include "apps/common.h"
 #include "apps/mpeg.h"
+#include "arch/platform.h"
 #include "ctg/activation.h"
 #include "dvfs/path_engine.h"
 #include "dvfs/paths.h"
 #include "dvfs/policy.h"
+#include "dvfs/stretch.h"
 #include "experiments.h"
 #include "obs/setup.h"
 #include "profiling/window.h"
@@ -206,6 +209,37 @@ void BM_MpegFullPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpegFullPipeline)->Unit(benchmark::kMillisecond);
+
+void BM_RescheduleMpegOnePe(benchmark::State& state) {
+  // The path-explosion case: MPEG on one surviving PE (the fault
+  // ladder's degraded fallback) has ~400k paths against 671 on all three
+  // PEs. DLS, then the enumeration, then the online stretch on that
+  // enumeration, through one persistent engine.
+  const apps::MpegModel model = apps::MakeMpegModel();
+  const ctg::ActivationAnalysis analysis(model.graph);
+  const auto probs = apps::UniformProbabilities(model.graph);
+  dvfs::PathEngine engine(model.graph, analysis, model.platform);
+  sched::DlsOptions dls;
+  dls.available_pes = arch::PeMask::WithoutBits(0b110);
+  dvfs::StretchWarmStart stretch_enumerated;
+  stretch_enumerated.reuse_enumeration = true;
+  const dvfs::Policy& online = dvfs::GetPolicy("online");
+  for (auto _ : state) {
+    sched::Schedule s = sched::RunDls(model.graph, analysis, model.platform,
+                                      probs, dls, &engine.dls_workspace());
+    engine.Enumerate(s);
+    dvfs::PolicyContext ctx;
+    ctx.schedule = &s;
+    ctx.probs = &probs;
+    ctx.warm = &stretch_enumerated;
+    const auto stats = online.Apply(engine, ctx);
+    benchmark::DoNotOptimize(stats.total_extension_ms);
+  }
+  // A label, not a user counter: the CSV reporter fixes its counter
+  // columns at the first benchmark, which has none.
+  state.SetLabel(std::to_string(engine.size()) + " paths");
+}
+BENCHMARK(BM_RescheduleMpegOnePe)->Unit(benchmark::kMillisecond);
 
 void BM_GuardProbability(benchmark::State& state) {
   const apps::MpegModel model = apps::MakeMpegModel();

@@ -1,12 +1,25 @@
 #include "dvfs/path_engine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/trace.h"
 #include "runtime/metrics.h"
 #include "util/error.h"
 
 namespace actg::dvfs {
+
+namespace {
+
+/// Largest pool size the store's 32-bit offsets can address.
+constexpr std::size_t kMaxPoolSize =
+    std::numeric_limits<std::uint32_t>::max();
+
+std::uint32_t Offset(std::size_t size) {
+  return static_cast<std::uint32_t>(size);
+}
+
+}  // namespace
 
 PathEngine::PathEngine(const ctg::Ctg& graph,
                        const ctg::ActivationAnalysis& analysis,
@@ -21,10 +34,16 @@ PathEngine::PathEngine(const ctg::Ctg& graph,
   use_bitset_ = !options_.force_dnf && analysis.space().valid();
   if (!options_.force_dnf && !use_bitset_) ctg::CountDnfFallback();
 
+  edge_has_cond_.assign(graph.edge_count(), 0);
+  for (EdgeId eid : graph.EdgeIds()) {
+    if (graph.edge(eid).condition.has_value()) {
+      edge_has_cond_[eid.index()] = 1;
+    }
+  }
+
   if (use_bitset_) {
     const ctg::ConditionSpace& space = analysis.space();
     edge_cond_bits_.resize(graph.edge_count());
-    edge_has_cond_.assign(graph.edge_count(), false);
     for (EdgeId eid : graph.EdgeIds()) {
       const auto& cond = graph.edge(eid).condition;
       if (!cond.has_value()) continue;
@@ -34,22 +53,40 @@ PathEngine::PathEngine(const ctg::Ctg& graph,
         // compiled layer entirely so all guards use one representation.
         use_bitset_ = false;
         edge_cond_bits_.clear();
-        edge_has_cond_.clear();
         ctg::CountDnfFallback();
         break;
       }
       edge_cond_bits_[eid.index()] = bm;
-      edge_has_cond_[eid.index()] = true;
     }
   }
 
   const std::size_t n = graph.task_count();
-  by_task_.resize(n);
   if (use_bitset_) {
     bit_stack_.resize(n + 1);
   } else {
     dnf_stack_.resize(n + 1);
   }
+  ClearPaths();
+}
+
+void PathEngine::ClearPaths() {
+  task_begin_.assign(1, 0);
+  task_pool_.clear();
+  cond_begin_.assign(1, 0);
+  cond_pool_.clear();
+  guard_begin_.assign(1, 0);
+  guard_pool_.clear();
+  dnf_guards_.clear();
+  comm_.clear();
+  delay_.clear();
+  unlocked_.clear();
+  nominal_delay_.clear();
+  nominal_unlocked_.clear();
+  edge_prob_.clear();
+  // All-zero row offsets make every spanning list empty; span_pool_
+  // keeps its stale entries so BuildSpanning() overwrites instead of
+  // re-initializing them.
+  span_begin_.assign(graph_->task_count() + 1, 0);
 }
 
 void PathEngine::Enumerate(const sched::Schedule& schedule,
@@ -62,50 +99,59 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
   obs::ScopedSpan span(obs::TraceSession::Current(), "dvfs.enumerate",
                        "dvfs");
 
-  paths_.clear();
-  task_pool_.clear();
-  edge_pool_.clear();
-  guard_pool_.clear();
-  dnf_guards_.clear();
-  for (auto& spanning : by_task_) spanning.clear();
+  // Invalidate the previous enumeration before the DFS: if it throws, a
+  // caller still holding the old id must not rewind what is left.
+  ++enumeration_id_;
+  ClearPaths();
   task_stack_.clear();
   edge_stack_.clear();
 
-  schedule.BuildDagAdjacency(adj_);
   const std::size_t n = graph_->task_count();
+  task_exec_ms_.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    task_exec_ms_[t] = schedule.ScaledWcet(TaskId{static_cast<int>(t)});
+  }
+  edge_comm_ms_.resize(graph_->edge_count());
+  for (std::size_t e = 0; e < edge_comm_ms_.size(); ++e) {
+    edge_comm_ms_[e] = schedule.EdgeCommTime(EdgeId{static_cast<int>(e)});
+  }
+
+  schedule.BuildDagAdjacency(adj_);
   has_pred_.assign(n, false);
   for (const auto& out : adj_) {
     for (const auto& [dst, eid] : out) has_pred_[dst.index()] = true;
   }
 
-  for (std::size_t s = 0; s < n; ++s) {
-    if (has_pred_[s]) continue;
-    const TaskId source{static_cast<int>(s)};
-    if (use_bitset_) {
-      bit_stack_[0] = analysis_->BitActivationGuard(source);
-      if (drop_unrealizable && bit_stack_[0].IsFalse()) continue;
-      VisitBit(schedule, source, 0, drop_unrealizable);
-    } else {
-      dnf_stack_[0] = analysis_->ActivationGuard(source);
-      if (drop_unrealizable && dnf_stack_[0].IsFalse()) continue;
-      VisitDnf(schedule, source, 0, drop_unrealizable);
+  try {
+    for (std::size_t s = 0; s < n; ++s) {
+      if (has_pred_[s]) continue;
+      const TaskId source{static_cast<int>(s)};
+      if (use_bitset_) {
+        bit_stack_[0] = analysis_->BitActivationGuard(source);
+        if (drop_unrealizable && bit_stack_[0].IsFalse()) continue;
+        VisitBit(source, 0, drop_unrealizable);
+      } else {
+        dnf_stack_[0] = analysis_->ActivationGuard(source);
+        if (drop_unrealizable && dnf_stack_[0].IsFalse()) continue;
+        VisitDnf(source, 0, drop_unrealizable);
+      }
     }
+  } catch (...) {
+    ClearPaths();
+    throw;
   }
-  nominal_state_.resize(paths_.size());
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    nominal_state_[i] = {paths_[i].delay_ms, paths_[i].unlocked_ms};
-  }
-  ++enumeration_id_;
-  runtime::Metrics::Global().Increment("engine.paths", paths_.size());
+  nominal_delay_ = delay_;
+  nominal_unlocked_ = unlocked_;
+  BuildSpanning();
+  runtime::Metrics::Global().Increment("engine.paths", size());
   if (span.enabled()) {
-    span.AddArg(obs::IntArg("paths",
-                            static_cast<std::int64_t>(paths_.size())));
+    span.AddArg(obs::IntArg("paths", static_cast<std::int64_t>(size())));
     span.AddArg(obs::IntArg("bitset", use_bitset_ ? 1 : 0));
   }
 }
 
-void PathEngine::VisitBit(const sched::Schedule& schedule, TaskId task,
-                          std::size_t depth, bool drop_unrealizable) {
+void PathEngine::VisitBit(TaskId task, std::size_t depth,
+                          bool drop_unrealizable) {
   task_stack_.push_back(task);
   bool extended = false;
   for (const auto& [dst, eid] : adj_[task.index()]) {
@@ -117,16 +163,16 @@ void PathEngine::VisitBit(const sched::Schedule& schedule, TaskId task,
     }
     if (drop_unrealizable && next.IsFalse()) continue;
     extended = true;
-    edge_stack_.push_back(eid);
-    VisitBit(schedule, dst, depth + 1, drop_unrealizable);
+    edge_stack_.push_back(eid.value_or(EdgeId{}));
+    VisitBit(dst, depth + 1, drop_unrealizable);
     edge_stack_.pop_back();
   }
-  if (!extended) Emit(schedule, depth);
+  if (!extended) Emit(depth);
   task_stack_.pop_back();
 }
 
-void PathEngine::VisitDnf(const sched::Schedule& schedule, TaskId task,
-                          std::size_t depth, bool drop_unrealizable) {
+void PathEngine::VisitDnf(TaskId task, std::size_t depth,
+                          bool drop_unrealizable) {
   const auto arity = graph_->ArityFn();
   task_stack_.push_back(task);
   bool extended = false;
@@ -140,86 +186,129 @@ void PathEngine::VisitDnf(const sched::Schedule& schedule, TaskId task,
     if (drop_unrealizable && next.IsFalse()) continue;
     extended = true;
     dnf_stack_[depth + 1] = std::move(next);
-    edge_stack_.push_back(eid);
-    VisitDnf(schedule, dst, depth + 1, drop_unrealizable);
+    edge_stack_.push_back(eid.value_or(EdgeId{}));
+    VisitDnf(dst, depth + 1, drop_unrealizable);
     edge_stack_.pop_back();
   }
-  if (!extended) Emit(schedule, depth);
+  if (!extended) Emit(depth);
   task_stack_.pop_back();
 }
 
-void PathEngine::Emit(const sched::Schedule& schedule, std::size_t depth) {
-  ACTG_CHECK(paths_.size() < options_.max_paths,
+void PathEngine::Emit(std::size_t depth) {
+  ACTG_CHECK(size() < options_.max_paths,
              "Path enumeration exceeded max_paths");
-  PathRecord p;
-  p.task_begin = task_pool_.size();
-  p.task_count = task_stack_.size();
-  p.edge_begin = edge_pool_.size();
+  const std::vector<ctg::BitMinterm>* guard =
+      use_bitset_ ? &bit_stack_[depth].minterms() : nullptr;
+  ACTG_CHECK(task_pool_.size() + task_stack_.size() <= kMaxPoolSize &&
+                 (guard == nullptr ||
+                  guard_pool_.size() + guard->size() <= kMaxPoolSize),
+             "Path enumeration exceeded the path store's 32-bit offsets");
   task_pool_.insert(task_pool_.end(), task_stack_.begin(),
                     task_stack_.end());
-  edge_pool_.insert(edge_pool_.end(), edge_stack_.begin(),
-                    edge_stack_.end());
-  if (use_bitset_) {
-    const ctg::BitGuard& guard = bit_stack_[depth];
-    p.guard_begin = guard_pool_.size();
-    p.guard_count = guard.minterms().size();
-    guard_pool_.insert(guard_pool_.end(), guard.minterms().begin(),
-                       guard.minterms().end());
+  task_begin_.push_back(Offset(task_pool_.size()));
+  if (guard != nullptr) {
+    guard_pool_.insert(guard_pool_.end(), guard->begin(), guard->end());
+    guard_begin_.push_back(Offset(guard_pool_.size()));
   } else {
     dnf_guards_.push_back(dnf_stack_[depth]);
   }
   // Delay accumulation order matches PathSet::PathSet exactly (edges in
   // path order, then tasks in path order) so results stay bit-identical.
-  p.comm_ms = 0.0;
-  for (std::size_t k = 0; k < p.task_count - 1; ++k) {
-    const auto& eid = edge_pool_[p.edge_begin + k];
-    if (eid.has_value()) p.comm_ms += schedule.EdgeCommTime(*eid);
+  double comm = 0.0;
+  for (std::size_t k = 0; k < edge_stack_.size(); ++k) {
+    const EdgeId eid = edge_stack_[k];
+    if (!eid.valid()) continue;
+    comm += edge_comm_ms_[eid.index()];
+    if (edge_has_cond_[eid.index()]) {
+      cond_pool_.push_back(CondEdge{Offset(k), eid});
+    }
   }
-  p.delay_ms = p.comm_ms;
-  p.unlocked_ms = 0.0;
-  for (std::size_t k = 0; k < p.task_count; ++k) {
-    const double exec = schedule.ScaledWcet(task_pool_[p.task_begin + k]);
-    p.delay_ms += exec;
-    p.unlocked_ms += exec;
+  cond_begin_.push_back(Offset(cond_pool_.size()));
+  double delay = comm;
+  double unlocked = 0.0;
+  for (TaskId task : task_stack_) {
+    const double exec = task_exec_ms_[task.index()];
+    delay += exec;
+    unlocked += exec;
   }
-  const std::size_t index = paths_.size();
-  for (std::size_t k = 0; k < p.task_count; ++k) {
-    by_task_[task_pool_[p.task_begin + k].index()].push_back(index);
+  comm_.push_back(comm);
+  delay_.push_back(delay);
+  unlocked_.push_back(unlocked);
+}
+
+void PathEngine::BuildSpanning() {
+  // Counting sort of (path, position) by task; filling in increasing
+  // path order keeps every row in the order PathSet appends it.
+  const std::size_t n = graph_->task_count();
+  for (TaskId task : task_pool_) ++span_begin_[task.index() + 1];
+  for (std::size_t t = 0; t < n; ++t) span_begin_[t + 1] += span_begin_[t];
+  span_pool_.resize(task_pool_.size());
+  span_cursor_.assign(span_begin_.begin(), span_begin_.end() - 1);
+  for (std::size_t i = 0; i < size(); ++i) {
+    const std::uint32_t begin = task_begin_[i];
+    for (std::uint32_t k = begin; k < task_begin_[i + 1]; ++k) {
+      span_pool_[span_cursor_[task_pool_[k].index()]++] =
+          SpanEntry{static_cast<std::uint32_t>(i), k - begin};
+    }
   }
-  paths_.push_back(p);
+}
+
+void PathEngine::CheckPath(std::size_t i) const {
+  ACTG_CHECK(i < size(), "path index out of range");
 }
 
 std::span<const TaskId> PathEngine::TasksOf(std::size_t i) const {
-  const PathRecord& p = paths_.at(i);
-  return {task_pool_.data() + p.task_begin, p.task_count};
+  CheckPath(i);
+  return {task_pool_.data() + task_begin_[i],
+          task_begin_[i + 1] - task_begin_[i]};
 }
 
-std::span<const std::optional<EdgeId>> PathEngine::EdgesOf(
+std::span<const PathEngine::CondEdge> PathEngine::CondEdgesOf(
     std::size_t i) const {
-  const PathRecord& p = paths_.at(i);
-  return {edge_pool_.data() + p.edge_begin,
-          p.task_count > 0 ? p.task_count - 1 : 0};
+  CheckPath(i);
+  return {cond_pool_.data() + cond_begin_[i],
+          cond_begin_[i + 1] - cond_begin_[i]};
 }
 
 double PathEngine::SlackRatio(std::size_t i, double deadline_ms) const {
-  const PathRecord& p = paths_.at(i);
-  if (p.unlocked_ms <= 0.0) return 0.0;
-  return std::max(deadline_ms - p.delay_ms, 0.0) / p.unlocked_ms;
+  CheckPath(i);
+  return SlackRatioOf(i, deadline_ms);
+}
+
+double PathEngine::SlackRatioOf(std::size_t i, double deadline_ms) const {
+  if (unlocked_[i] <= 0.0) return 0.0;
+  return std::max(deadline_ms - delay_[i], 0.0) / unlocked_[i];
+}
+
+std::span<const PathEngine::SpanEntry> PathEngine::Spanning(
+    TaskId task) const {
+  ACTG_CHECK(task.valid() && task.index() < graph_->task_count(),
+             "task id out of range");
+  return {span_pool_.data() + span_begin_[task.index()],
+          span_begin_[task.index() + 1] - span_begin_[task.index()]};
+}
+
+PathEngine::MintermProbe PathEngine::Probe(const ctg::Minterm& m) const {
+  MintermProbe probe;
+  if (use_bitset_) {
+    const bool ok = analysis_->space().Encode(m, probe.bits);
+    ACTG_ASSERT(ok, "minterm outside the engine's condition space");
+  } else {
+    probe.minterm = &m;
+  }
+  return probe;
 }
 
 bool PathEngine::GuardCompatibleWith(std::size_t i,
-                                     const ctg::Minterm& m) const {
-  const PathRecord& p = paths_.at(i);
+                                     const MintermProbe& probe) const {
+  CheckPath(i);
   if (use_bitset_) {
-    ctg::BitMinterm bm;
-    const bool ok = analysis_->space().Encode(m, bm);
-    ACTG_ASSERT(ok, "minterm outside the engine's condition space");
-    for (std::size_t k = 0; k < p.guard_count; ++k) {
-      if (guard_pool_[p.guard_begin + k].CompatibleWith(bm)) return true;
+    for (std::uint32_t k = guard_begin_[i]; k < guard_begin_[i + 1]; ++k) {
+      if (guard_pool_[k].CompatibleWith(probe.bits)) return true;
     }
     return false;
   }
-  return dnf_guards_.at(i).CompatibleWith(m);
+  return dnf_guards_[i].CompatibleWith(*probe.minterm);
 }
 
 std::size_t PathEngine::PositionOf(std::size_t i, TaskId task) const {
@@ -232,38 +321,70 @@ std::size_t PathEngine::PositionOf(std::size_t i, TaskId task) const {
 double PathEngine::ProbAfter(std::size_t i, TaskId task,
                              const ctg::BranchProbabilities& probs) const {
   const std::size_t pos = PositionOf(i, task);
-  const std::span<const std::optional<EdgeId>> edges = EdgesOf(i);
   double joint = 1.0;
   // The edge between tasks[k] and tasks[k+1] has source position k; it
   // lies after the task when k >= pos.
-  for (std::size_t k = pos; k < edges.size(); ++k) {
-    if (!edges[k].has_value()) continue;  // pseudo/control: no condition
-    const auto& cond = graph_->edge(*edges[k]).condition;
-    if (cond.has_value()) joint *= probs.Of(*cond);
+  for (std::uint32_t c = cond_begin_[i]; c < cond_begin_[i + 1]; ++c) {
+    if (cond_pool_[c].position >= pos) {
+      joint *= probs.Of(*graph_->edge(cond_pool_[c].edge).condition);
+    }
   }
   return joint;
 }
 
+void PathEngine::BindProbabilities(const ctg::BranchProbabilities& probs) {
+  edge_prob_.assign(graph_->edge_count(), 1.0);
+  for (std::size_t e = 0; e < edge_prob_.size(); ++e) {
+    if (!edge_has_cond_[e]) continue;
+    edge_prob_[e] =
+        probs.Of(*graph_->edge(EdgeId{static_cast<int>(e)}).condition);
+  }
+}
+
+PathEngine::SpanningScan PathEngine::ScanSpanning(TaskId task,
+                                                  double deadline_ms) {
+  ACTG_ASSERT(edge_prob_.size() == graph_->edge_count(),
+              "ScanSpanning requires BindProbabilities");
+  const std::span<const SpanEntry> entries = Spanning(task);
+  scan_prob_after_.resize(entries.size());
+  scan_slack_ratio_.resize(entries.size());
+  for (std::size_t j = 0; j < entries.size(); ++j) {
+    const std::uint32_t i = entries[j].path;
+    // prob(p, τ) exactly as ProbAfter computes it: 1.0 times the
+    // probability of every conditional edge at or after the task's
+    // position, left to right.
+    double joint = 1.0;
+    for (std::uint32_t c = cond_begin_[i]; c < cond_begin_[i + 1]; ++c) {
+      if (cond_pool_[c].position >= entries[j].position) {
+        joint *= edge_prob_[cond_pool_[c].edge.index()];
+      }
+    }
+    scan_prob_after_[j] = joint;
+    scan_slack_ratio_[j] = SlackRatioOf(i, deadline_ms);
+  }
+  return {entries, scan_prob_after_, scan_slack_ratio_};
+}
+
 void PathEngine::CommitTask(TaskId task, double extra_ms,
                             double nominal_ms) {
-  for (std::size_t i : Spanning(task)) {
-    paths_[i].delay_ms += extra_ms;
-    paths_[i].unlocked_ms =
-        std::max(paths_[i].unlocked_ms - nominal_ms, 0.0);
+  for (const SpanEntry& entry : Spanning(task)) {
+    delay_[entry.path] += extra_ms;
+    unlocked_[entry.path] =
+        std::max(unlocked_[entry.path] - nominal_ms, 0.0);
   }
 }
 
 void PathEngine::RewindCommits() {
   runtime::Metrics::Global().Increment("engine.rewinds");
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    paths_[i].delay_ms = nominal_state_[i].first;
-    paths_[i].unlocked_ms = nominal_state_[i].second;
-  }
+  edge_prob_.clear();
+  std::copy(nominal_delay_.begin(), nominal_delay_.end(), delay_.begin());
+  std::copy(nominal_unlocked_.begin(), nominal_unlocked_.end(),
+            unlocked_.begin());
 }
 
 double PathEngine::MaxDelay() const {
   double best = 0.0;
-  for (const PathRecord& p : paths_) best = std::max(best, p.delay_ms);
+  for (double delay : delay_) best = std::max(best, delay);
   return best;
 }
 

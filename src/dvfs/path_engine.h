@@ -7,13 +7,22 @@
 /// lists — from scratch on every call, and carries a DNF guard per path
 /// whose conjunctions allocate at every DFS step. A PathEngine is
 /// constructed once per (graph, analysis, platform) and owns all of
-/// that storage: flat task/edge/guard pools, the scheduled-DAG
-/// adjacency, the DFS guard stack, per-task spanning lists, and a
-/// sched::DlsWorkspace for the scheduler's scratch buffers. Repeated
-/// Enumerate() calls reuse every buffer's capacity, and path guards are
-/// kept in the compiled bitset form of condition_bitset.h, so the
-/// realizability test at each DFS step and the guard-vs-minterm
-/// compatibility tests during stretching are word ops.
+/// that storage plus a sched::DlsWorkspace for the scheduler's scratch
+/// buffers. Repeated Enumerate() calls reuse every buffer's capacity,
+/// and path guards are kept in the compiled bitset form of
+/// condition_bitset.h, so the realizability test at each DFS step and
+/// the guard-vs-minterm compatibility tests during stretching are word
+/// ops.
+///
+/// The path store is compact and records at emit time what the DFS
+/// already knows: per-path tasks, conditional edges and guard minterms
+/// live in flat pools indexed by 32-bit offsets; the per-path
+/// comm/delay/unlocked values and their rewind copy are contiguous
+/// arrays; each task's spanning list is one CSR row of (path, position)
+/// entries. The stretch scan therefore never searches a path for a
+/// task, and prob(p, τ) walks only the path's conditional edges
+/// (ScanSpanning) — with the same factors in the same order as
+/// ProbAfter, so the results are bit-identical (DESIGN.md §8.1).
 ///
 /// The engine falls back to the DNF algebra (with the
 /// "guard.dnf_fallbacks" metrics counter) when the graph does not fit
@@ -34,9 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "arch/platform.h"
@@ -63,6 +70,37 @@ struct PathEngineOptions {
 /// for the lifetime rules.
 class PathEngine {
  public:
+  /// One entry of a task's spanning list: a path through the task and
+  /// the task's position on that path (index into TasksOf(path)).
+  struct SpanEntry {
+    std::uint32_t path = 0;
+    std::uint32_t position = 0;
+  };
+
+  /// One conditional edge of a path: the edge joins the tasks at
+  /// \p position and \p position + 1 of the path.
+  struct CondEdge {
+    std::uint32_t position = 0;
+    EdgeId edge;
+
+    friend bool operator==(const CondEdge&, const CondEdge&) = default;
+  };
+
+  /// A minterm compiled once for repeated GuardCompatibleWith() tests
+  /// (see Probe()).
+  struct MintermProbe {
+    ctg::BitMinterm bits;                   ///< bitset mode
+    const ctg::Minterm* minterm = nullptr;  ///< DNF mode; borrowed
+  };
+
+  /// prob(p, τ) and the slack ratio of every path spanning one task, in
+  /// Spanning() order (see ScanSpanning()).
+  struct SpanningScan {
+    std::span<const SpanEntry> entries;
+    std::span<const double> prob_after;
+    std::span<const double> slack_ratio;
+  };
+
   PathEngine(const ctg::Ctg& graph, const ctg::ActivationAnalysis& analysis,
              const arch::Platform& platform, PathEngineOptions options = {});
 
@@ -79,25 +117,25 @@ class PathEngine {
   /// The schedule must be over the engine's graph/analysis/platform.
   /// Semantics match PathSet: with \p drop_unrealizable, paths whose
   /// guard is false are skipped during the DFS; without it they are
-  /// kept (mutex-blind Reference Algorithm 1 analysis).
+  /// kept (mutex-blind Reference Algorithm 1 analysis). When the DFS
+  /// throws (max_paths), the engine is left empty and enumeration_id()
+  /// has still advanced, so no caller can rewind a half-built store.
   void Enumerate(const sched::Schedule& schedule,
                  bool drop_unrealizable = true);
 
   /// Number of paths of the current enumeration.
-  std::size_t size() const { return paths_.size(); }
+  std::size_t size() const { return delay_.size(); }
 
   /// Tasks of path \p i in path order.
   std::span<const TaskId> TasksOf(std::size_t i) const;
 
-  /// Edges of path \p i (between consecutive tasks; nullopt for
-  /// pseudo/control edges).
-  std::span<const std::optional<EdgeId>> EdgesOf(std::size_t i) const;
+  /// The conditional edges of path \p i, in path order. The store keeps
+  /// no other edges: comm time is summed at enumeration time.
+  std::span<const CondEdge> CondEdgesOf(std::size_t i) const;
 
-  double comm_ms(std::size_t i) const { return paths_.at(i).comm_ms; }
-  double delay_ms(std::size_t i) const { return paths_.at(i).delay_ms; }
-  double unlocked_ms(std::size_t i) const {
-    return paths_.at(i).unlocked_ms;
-  }
+  double comm_ms(std::size_t i) const { return comm_.at(i); }
+  double delay_ms(std::size_t i) const { return delay_.at(i); }
+  double unlocked_ms(std::size_t i) const { return unlocked_.at(i); }
 
   /// Remaining slack of path \p i against \p deadline_ms.
   double Slack(std::size_t i, double deadline_ms) const {
@@ -108,36 +146,57 @@ class PathEngine {
   /// Path::SlackRatio).
   double SlackRatio(std::size_t i, double deadline_ms) const;
 
-  /// Indices of the paths that span \p task.
-  const std::vector<std::size_t>& Spanning(TaskId task) const {
-    return by_task_.at(task.index());
-  }
+  /// The paths that span \p task, in increasing path order, each with
+  /// the task's position on it. Valid until the next Enumerate().
+  std::span<const SpanEntry> Spanning(TaskId task) const;
 
-  /// True when path \p i's guard and \p m can hold simultaneously
-  /// (satisfiability of the conjunction — the predicate the stretching
-  /// heuristic needs per Γ(τ) minterm).
-  bool GuardCompatibleWith(std::size_t i, const ctg::Minterm& m) const;
+  /// \p m compiled for GuardCompatibleWith(); throws InternalError when
+  /// the minterm lies outside the engine's condition space. The probe
+  /// borrows \p m in DNF mode.
+  MintermProbe Probe(const ctg::Minterm& m) const;
+
+  /// True when path \p i's guard and the probed minterm can hold
+  /// simultaneously (satisfiability of the conjunction — the predicate
+  /// the stretching heuristic needs per Γ(τ) minterm).
+  bool GuardCompatibleWith(std::size_t i, const MintermProbe& probe) const;
 
   /// prob(p, τ): joint probability of the conditional branches on path
-  /// \p i lying at or after \p task.
+  /// \p i lying at or after \p task. Throws when the path does not span
+  /// the task.
   double ProbAfter(std::size_t i, TaskId task,
                    const ctg::BranchProbabilities& probs) const;
+
+  /// Looks up every conditional edge's probability in \p probs once
+  /// (BranchProbabilities::Of, with its checks) for the ScanSpanning()
+  /// calls that follow. The binding lasts until the next Enumerate() or
+  /// RewindCommits(), so each stretch over a store binds its own
+  /// probabilities.
+  void BindProbabilities(const ctg::BranchProbabilities& probs);
+
+  /// prob(p, τ) and SlackRatio(p) for every path p spanning \p task,
+  /// computed into engine-owned scratch that the next call overwrites.
+  /// prob(p, τ) uses the probabilities bound since the last Enumerate()
+  /// or RewindCommits() (asserted) and is bit-identical to ProbAfter():
+  /// the same factors multiplied left to right from 1.0.
+  SpanningScan ScanSpanning(TaskId task, double deadline_ms);
 
   /// Commits a stretched-and-locked task (see PathSet::CommitTask).
   void CommitTask(TaskId task, double extra_ms, double nominal_ms);
 
   /// Restores every path's delay/unlocked state to its value right
-  /// after the last Enumerate(), undoing all CommitTask() calls since.
+  /// after the last Enumerate(), undoing all CommitTask() calls since,
+  /// and drops the BindProbabilities() binding.
   /// This is the delta re-enumeration primitive of the warm-start
   /// reschedule path: when the scheduled DAG's shape is unchanged from
   /// the last enumeration (same per-PE task sequences), a stretcher can
   /// rewind instead of re-running the DFS. No-op before the first
-  /// enumeration.
+  /// enumeration and after a failed one.
   void RewindCommits();
 
-  /// Monotonic count of Enumerate() calls, so callers can detect that
-  /// the enumeration they captured is still the engine's current one
-  /// (RewindCommits() would otherwise rewind to a different shape).
+  /// Monotonic count of Enumerate() calls, failed ones included, so
+  /// callers can detect that the enumeration they captured is still
+  /// the engine's current one (RewindCommits() would otherwise rewind
+  /// to a different shape).
   std::uint64_t enumeration_id() const { return enumeration_id_; }
 
   /// Largest delay over all paths of the current enumeration.
@@ -152,23 +211,16 @@ class PathEngine {
   sched::DlsWorkspace& dls_workspace() { return dls_workspace_; }
 
  private:
-  struct PathRecord {
-    std::size_t task_begin = 0;
-    std::size_t task_count = 0;
-    std::size_t edge_begin = 0;  // task_count - 1 entries
-    std::size_t guard_begin = 0;  // bitset mode: into guard_pool_
-    std::size_t guard_count = 0;
-    double comm_ms = 0.0;
-    double delay_ms = 0.0;
-    double unlocked_ms = 0.0;
-  };
-
-  void VisitBit(const sched::Schedule& schedule, TaskId task,
-                std::size_t depth, bool drop_unrealizable);
-  void VisitDnf(const sched::Schedule& schedule, TaskId task,
-                std::size_t depth, bool drop_unrealizable);
-  void Emit(const sched::Schedule& schedule, std::size_t depth);
+  void VisitBit(TaskId task, std::size_t depth, bool drop_unrealizable);
+  void VisitDnf(TaskId task, std::size_t depth, bool drop_unrealizable);
+  void Emit(std::size_t depth);
+  void ClearPaths();
+  void BuildSpanning();
   std::size_t PositionOf(std::size_t i, TaskId task) const;
+  /// Throws unless \p i names a path of the current enumeration.
+  void CheckPath(std::size_t i) const;
+  /// SlackRatio() without the index check.
+  double SlackRatioOf(std::size_t i, double deadline_ms) const;
 
   const ctg::Ctg* graph_;
   const ctg::ActivationAnalysis* analysis_;
@@ -176,9 +228,9 @@ class PathEngine {
   PathEngineOptions options_;
   bool use_bitset_ = false;
 
-  // Compiled once at construction (bitset mode).
-  std::vector<ctg::BitMinterm> edge_cond_bits_;  // dense by edge index
-  std::vector<bool> edge_has_cond_;
+  // Compiled once at construction.
+  std::vector<ctg::BitMinterm> edge_cond_bits_;  // bitset mode, by edge
+  std::vector<char> edge_has_cond_;              // by edge index
 
   // Reused across Enumerate() calls.
   sched::Schedule::DagAdjacency adj_;
@@ -187,19 +239,43 @@ class PathEngine {
   std::vector<ctg::Guard> dnf_stack_;      // DNF mode
   ctg::BitGuard and_scratch_;
   std::vector<TaskId> task_stack_;
-  std::vector<std::optional<EdgeId>> edge_stack_;
+  std::vector<EdgeId> edge_stack_;
+  // Per-enumeration inputs of Emit(): scaled WCET by task, comm time
+  // by edge, read from the schedule once instead of once per path.
+  std::vector<double> task_exec_ms_;
+  std::vector<double> edge_comm_ms_;
 
-  // Current enumeration (flat pools; cleared keeping capacity).
-  std::vector<PathRecord> paths_;
-  /// Post-enumeration (delay_ms, unlocked_ms) per path, the rewind
-  /// target of RewindCommits().
-  std::vector<std::pair<double, double>> nominal_state_;
-  std::uint64_t enumeration_id_ = 0;
+  // Current enumeration, in CSR form with 32-bit offsets (all cleared
+  // keeping capacity). Path i's tasks are task_pool_[task_begin_[i],
+  // task_begin_[i + 1]); its conditional edges are
+  // cond_pool_[cond_begin_[i], cond_begin_[i + 1]).
+  std::vector<std::uint32_t> task_begin_;
   std::vector<TaskId> task_pool_;
-  std::vector<std::optional<EdgeId>> edge_pool_;
+  std::vector<std::uint32_t> cond_begin_;
+  std::vector<CondEdge> cond_pool_;
+  std::vector<std::uint32_t> guard_begin_;  // bitset mode
   std::vector<ctg::BitMinterm> guard_pool_;
-  std::vector<ctg::Guard> dnf_guards_;
-  std::vector<std::vector<std::size_t>> by_task_;
+  std::vector<ctg::Guard> dnf_guards_;      // DNF mode
+  std::vector<double> comm_;
+  std::vector<double> delay_;
+  std::vector<double> unlocked_;
+  /// Post-enumeration delay/unlocked per path, the rewind target of
+  /// RewindCommits().
+  std::vector<double> nominal_delay_;
+  std::vector<double> nominal_unlocked_;
+  std::uint64_t enumeration_id_ = 0;
+  /// Spanning lists: task t's entries are span_pool_[span_begin_[t],
+  /// span_begin_[t + 1]), built after the DFS in increasing path order.
+  std::vector<std::uint32_t> span_begin_;
+  std::vector<SpanEntry> span_pool_;
+  std::vector<std::uint32_t> span_cursor_;
+
+  // Stretch-scan scratch: probability by edge index (BindProbabilities;
+  // empty when unbound), prob(p, τ) and slack ratio by spanning entry
+  // (ScanSpanning).
+  std::vector<double> edge_prob_;
+  std::vector<double> scan_prob_after_;
+  std::vector<double> scan_slack_ratio_;
 
   sched::DlsWorkspace dls_workspace_;
 };

@@ -12,6 +12,7 @@
 #include "check/validator.h"
 #include "ctg/activation.h"
 #include "ctg/condition.h"
+#include "dvfs/paths.h"
 #include "dvfs/schedule_table.h"
 #include "runtime/metrics.h"
 #include "runtime/pool.h"
@@ -352,6 +353,70 @@ TEST(Rescheduler, DegradedRequestBypassesCacheAndWarmTiers) {
   }
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(rescheduler.tier_counts().full, 3u);
+}
+
+// Regression: a degraded request whose path enumeration exceeds
+// stretch.max_paths used to leave a half-built path store behind with
+// the engine's enumeration id unchanged. The next same-shape warm
+// request then rewound that store — reading the rewind copy past its
+// end — and stretched on the failed shape's paths. The caller here
+// catches the throw and carries on in incremental mode without a cache.
+TEST(Rescheduler, FailedDegradedEnumerationIsNeverRewound) {
+  tgff::RandomCtgParams params;
+  params.task_count = 18;
+  params.pe_count = 3;
+  params.fork_count = 2;
+  params.category = tgff::Category::kFlat;
+  params.seed = 8;
+  tgff::RandomCase rc = tgff::MakeRandomCtg(params).value();
+  apps::AssignDeadline(rc.graph, rc.platform, 3.0);
+  const ctg::ActivationAnalysis analysis(rc.graph);
+  const ctg::BranchProbabilities probs = apps::UniformProbabilities(rc.graph);
+
+  // One surviving PE multiplies the paths; leave room for the healthy
+  // shape only.
+  const arch::PeMask one_pe = arch::PeMask::WithoutBits(0b110);
+  sched::DlsOptions masked;
+  masked.available_pes = one_pe;
+  const std::size_t healthy_paths =
+      dvfs::PathSet(sched::RunDls(rc.graph, analysis, rc.platform, probs))
+          .size();
+  const std::size_t masked_paths =
+      dvfs::PathSet(
+          sched::RunDls(rc.graph, analysis, rc.platform, probs, masked))
+          .size();
+  ASSERT_GT(masked_paths, healthy_paths + 1);
+
+  adaptive::ReschedulerConfig config;
+  config.reschedule.mode = adaptive::RescheduleMode::kIncremental;
+  config.stretch.max_paths = masked_paths - 1;
+  runtime::Metrics metrics;
+  config.metrics = &metrics;
+  adaptive::Rescheduler rescheduler(rc.graph, analysis, rc.platform, config);
+  const adaptive::RescheduleRequest healthy{config.dls.available_pes, 0.0,
+                                            "test"};
+  const adaptive::RescheduleRequest degraded{one_pe, 0.0, "degraded"};
+
+  // The control never sees the failing request.
+  adaptive::Rescheduler control(rc.graph, analysis, rc.platform, config);
+  const adaptive::RescheduleResult first =
+      rescheduler.Reschedule(probs, healthy);
+  EXPECT_EQ(first.tier, adaptive::RescheduleTier::kFull);
+  control.Reschedule(probs, healthy);
+  EXPECT_THROW(rescheduler.Reschedule(probs, degraded), InvalidArgument);
+
+  const adaptive::RescheduleResult again =
+      rescheduler.Reschedule(probs, healthy);
+  const adaptive::RescheduleResult expected =
+      control.Reschedule(probs, healthy);
+  EXPECT_EQ(again.tier, adaptive::RescheduleTier::kWarmPrior);
+  EXPECT_EQ(expected.tier, adaptive::RescheduleTier::kWarmPrior);
+  EXPECT_EQ(again.stretch.path_count, healthy_paths);
+  EXPECT_TRUE(SamePlacements(rc.graph, again.schedule, expected.schedule));
+  EXPECT_EQ(again.stretch.max_path_delay_ms,
+            expected.stretch.max_path_delay_ms);
+  EXPECT_EQ(again.stretch.total_extension_ms,
+            expected.stretch.total_extension_ms);
 }
 
 // ---------------------------------------------------------------------------

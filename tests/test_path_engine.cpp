@@ -1,46 +1,71 @@
 /// \file test_path_engine.cpp
 /// Equivalence tests of the reusable dvfs::PathEngine against the
 /// from-scratch PathSet enumeration, over generated Category-1 and
-/// Category-2 CTGs: same paths in the same order, same delays and
+/// Category-2 CTGs, the MPEG model and a generated CTG scheduled on a
+/// single surviving PE: same paths in the same order, same delays and
 /// probabilities, same guard predicates — in bitset mode and in the
-/// force_dnf fallback mode — and identical results whether an engine is
-/// fresh or reused across enumerations and stretch calls.
+/// force_dnf fallback mode — every entry of the compact path store
+/// (spanning (path, position) rows, conditional-edge lists, prob(p,τ)
+/// and slack ratios of the stretch scan) bit for bit, and identical
+/// results whether an engine is fresh, reused across enumerations and
+/// stretch calls, or rewound.
 
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/common.h"
+#include "apps/mpeg.h"
 #include "ctg/activation.h"
 #include "dvfs/path_engine.h"
 #include "dvfs/paths.h"
 #include "dvfs/stretch.h"
 #include "sched/dls.h"
 #include "tgff/random_ctg.h"
+#include "util/error.h"
 
 namespace actg {
 namespace {
+
+tgff::RandomCase Generate(tgff::Category category, std::uint64_t seed,
+                          double deadline_factor, int task_count = 18,
+                          int fork_count = 2) {
+  tgff::RandomCtgParams params;
+  params.task_count = task_count;
+  params.pe_count = 3;
+  params.fork_count = fork_count;
+  params.category = category;
+  params.seed = seed;
+  auto generated = tgff::MakeRandomCtg(params).value();
+  apps::AssignDeadline(generated.graph, generated.platform, deadline_factor);
+  return generated;
+}
 
 struct Case {
   tgff::RandomCase rc;
   ctg::ActivationAnalysis analysis;
   ctg::BranchProbabilities probs;
+  /// PEs the scheduler may place on (all unless a case masks some).
+  arch::PeMask mask;
 
   Case(tgff::Category category, std::uint64_t seed)
-      : rc([&] {
-          tgff::RandomCtgParams params;
-          params.task_count = 18;
-          params.pe_count = 3;
-          params.fork_count = 2;
-          params.category = category;
-          params.seed = seed;
-          auto generated = tgff::MakeRandomCtg(params).value();
-          apps::AssignDeadline(generated.graph, generated.platform, 1.3);
-          return generated;
-        }()),
+      : Case(Generate(category, seed, 1.3)) {}
+
+  explicit Case(tgff::RandomCase generated, arch::PeMask pes = {})
+      : rc(std::move(generated)),
         analysis(rc.graph),
-        probs(apps::UniformProbabilities(rc.graph)) {}
+        probs(apps::UniformProbabilities(rc.graph)),
+        mask(pes) {}
+
+  /// The case's nominal DLS schedule under its PE mask.
+  sched::Schedule Schedule() const {
+    sched::DlsOptions options;
+    options.available_pes = mask;
+    return sched::RunDls(rc.graph, analysis, rc.platform, probs, options);
+  }
 };
 
 /// Runs \p fn on each generated case. Cases are constructed in place
@@ -57,9 +82,38 @@ void ForEachCase(Fn&& fn) {
   }
 }
 
+/// The generated case the one-PE tests mask: 36 paths on its three
+/// PEs, 865 when the mask leaves PE 0 alone.
+Case OnePeCase() {
+  return Case(Generate(tgff::Category::kFlat, 8, 3.0),
+              arch::PeMask::WithoutBits(0b110));
+}
+
+/// ForEachCase, plus the MPEG model (9 forks) and OnePeCase(), where
+/// every task shares one timeline and the pseudo edges multiply the
+/// paths.
+template <typename Fn>
+void ForEachStoreCase(Fn&& fn) {
+  ForEachCase(fn);
+  {
+    apps::MpegModel mpeg = apps::MakeMpegModel();
+    const Case c(
+        tgff::RandomCase{std::move(mpeg.graph), std::move(mpeg.platform)});
+    fn(c);
+  }
+  {
+    const Case c = OnePeCase();
+    fn(c);
+  }
+}
+
 /// Asserts that an engine's enumeration matches a PathSet of the same
-/// schedule element for element.
-void ExpectMatchesPathSet(const dvfs::PathEngine& engine,
+/// schedule element for element: every entry of the compact store —
+/// tasks, conditional-edge lists, comm/delay/unlocked, each task's
+/// spanning (path, position) row — and the stretch scan's
+/// prob(p,τ) and slack ratio per (path, position), all compared with
+/// EXPECT_EQ, i.e. bit for bit.
+void ExpectMatchesPathSet(dvfs::PathEngine& engine,
                           const dvfs::PathSet& expected,
                           const Case& c) {
   ASSERT_EQ(engine.size(), expected.size());
@@ -70,11 +124,18 @@ void ExpectMatchesPathSet(const dvfs::PathEngine& engine,
     for (std::size_t k = 0; k < tasks.size(); ++k) {
       EXPECT_EQ(tasks[k], path.tasks[k]) << "path " << i;
     }
-    const auto edges = engine.EdgesOf(i);
-    ASSERT_EQ(edges.size(), path.edges.size());
-    for (std::size_t k = 0; k < edges.size(); ++k) {
-      EXPECT_EQ(edges[k], path.edges[k]);
+    std::vector<dvfs::PathEngine::CondEdge> conditional;
+    for (std::size_t k = 0; k < path.edges.size(); ++k) {
+      const std::optional<EdgeId>& edge = path.edges[k];
+      if (edge.has_value() && c.rc.graph.edge(*edge).condition.has_value()) {
+        conditional.push_back({static_cast<std::uint32_t>(k), *edge});
+      }
     }
+    const auto cond_edges = engine.CondEdgesOf(i);
+    EXPECT_EQ(std::vector<dvfs::PathEngine::CondEdge>(cond_edges.begin(),
+                                                      cond_edges.end()),
+              conditional)
+        << "path " << i;
     EXPECT_EQ(engine.comm_ms(i), path.comm_ms);
     EXPECT_EQ(engine.delay_ms(i), path.delay_ms);
     EXPECT_EQ(engine.unlocked_ms(i), path.unlocked_ms);
@@ -83,12 +144,12 @@ void ExpectMatchesPathSet(const dvfs::PathEngine& engine,
     // Γ(τ) minterm of the tasks on the path.
     for (const ctg::Minterm& scenario :
          c.analysis.EnumerateScenarioAssignments()) {
-      EXPECT_EQ(engine.GuardCompatibleWith(i, scenario),
+      EXPECT_EQ(engine.GuardCompatibleWith(i, engine.Probe(scenario)),
                 path.guard.CompatibleWith(scenario));
     }
     for (TaskId task : path.tasks) {
       for (const ctg::Minterm& m : c.analysis.Gamma(task)) {
-        EXPECT_EQ(engine.GuardCompatibleWith(i, m),
+        EXPECT_EQ(engine.GuardCompatibleWith(i, engine.Probe(m)),
                   path.guard.CompatibleWith(m));
       }
       EXPECT_EQ(engine.ProbAfter(i, task, c.probs),
@@ -96,15 +157,31 @@ void ExpectMatchesPathSet(const dvfs::PathEngine& engine,
     }
   }
   EXPECT_EQ(engine.MaxDelay(), expected.MaxDelay());
+
+  const double deadline = c.rc.graph.deadline_ms();
+  engine.BindProbabilities(c.probs);
   for (TaskId task : c.rc.graph.TaskIds()) {
-    EXPECT_EQ(engine.Spanning(task), expected.Spanning(task));
+    const std::vector<std::size_t>& reference = expected.Spanning(task);
+    const dvfs::PathEngine::SpanningScan scan =
+        engine.ScanSpanning(task, deadline);
+    ASSERT_EQ(scan.entries.size(), reference.size());
+    ASSERT_EQ(scan.prob_after.size(), reference.size());
+    ASSERT_EQ(scan.slack_ratio.size(), reference.size());
+    for (std::size_t j = 0; j < reference.size(); ++j) {
+      const std::size_t i = reference[j];
+      EXPECT_EQ(scan.entries[j].path, i);
+      EXPECT_EQ(scan.entries[j].position, expected.PositionOf(i, task));
+      EXPECT_EQ(scan.prob_after[j], expected.ProbAfter(i, task, c.probs))
+          << "path " << i << " task " << task.value;
+      EXPECT_EQ(scan.slack_ratio[j], expected.path(i).SlackRatio(deadline))
+          << "path " << i << " task " << task.value;
+    }
   }
 }
 
 TEST(PathEngine, MatchesPathSetOnGeneratedCtgs) {
-  ForEachCase([&](const Case& c) {
-    const sched::Schedule schedule =
-        sched::RunDls(c.rc.graph, c.analysis, c.rc.platform, c.probs);
+  ForEachStoreCase([&](const Case& c) {
+    const sched::Schedule schedule = c.Schedule();
     for (bool drop_unrealizable : {true, false}) {
       const dvfs::PathSet expected(schedule, 1 << 20, drop_unrealizable);
       for (bool force_dnf : {false, true}) {
@@ -141,64 +218,131 @@ TEST(PathEngine, ReuseAcrossEnumerationsMatchesFreshEngine) {
 }
 
 TEST(PathEngine, CommitTaskMatchesPathSet) {
-  ForEachCase([&](const Case& c) {
-    const sched::Schedule schedule =
-        sched::RunDls(c.rc.graph, c.analysis, c.rc.platform, c.probs);
+  ForEachStoreCase([&](const Case& c) {
+    const sched::Schedule schedule = c.Schedule();
     dvfs::PathSet expected(schedule);
     dvfs::PathEngine engine(c.rc.graph, c.analysis, c.rc.platform);
     engine.Enumerate(schedule);
 
     // Commit every task once, in schedule order, with a synthetic
-    // extension; the running delays must track exactly.
+    // extension; the running delays — and with them every slack ratio
+    // of the scan — must track exactly.
     for (TaskId task : c.rc.graph.TaskIds()) {
       const double nominal = schedule.placement(task).finish_ms -
                              schedule.placement(task).start_ms;
       expected.CommitTask(task, 0.25, nominal);
       engine.CommitTask(task, 0.25, nominal);
     }
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(engine.delay_ms(i), expected.path(i).delay_ms);
-      EXPECT_EQ(engine.unlocked_ms(i), expected.path(i).unlocked_ms);
-    }
-    EXPECT_EQ(engine.MaxDelay(), expected.MaxDelay());
+    ExpectMatchesPathSet(engine, expected, c);
+
+    // A rewind restores the post-enumeration store exactly.
+    engine.RewindCommits();
+    ExpectMatchesPathSet(engine, dvfs::PathSet(schedule), c);
   });
 }
 
 TEST(PathEngine, StretchResultsBitIdenticalAcrossModes) {
-  // The three configurations the stretchers support — transient
-  // engine (no engine argument), persistent bitset engine, persistent
-  // force_dnf engine — must produce bit-identical schedules.
-  ForEachCase([&](const Case& c) {
-    auto stretch = [&](dvfs::PathEngine* engine) {
-      sched::Schedule s =
-          sched::RunDls(c.rc.graph, c.analysis, c.rc.platform, c.probs);
+  // The configurations the stretchers support — transient engine (no
+  // engine argument), persistent bitset engine, persistent force_dnf
+  // engine, and either engine rewound instead of re-enumerated — must
+  // produce bit-identical schedules.
+  ForEachStoreCase([&](const Case& c) {
+    auto stretch = [&](dvfs::PathEngine* engine,
+                       const dvfs::StretchWarmStart* warm = nullptr) {
+      sched::Schedule s = c.Schedule();
       const dvfs::StretchStats stats =
-          dvfs::StretchOnline(s, c.probs, {}, engine);
+          dvfs::StretchOnline(s, c.probs, {}, engine, warm);
       EXPECT_GT(stats.path_count, 0u);
       return s;
     };
 
     const sched::Schedule baseline = stretch(nullptr);
+    auto expect_same = [&](const sched::Schedule& candidate) {
+      for (TaskId task : c.rc.graph.TaskIds()) {
+        const auto& a = baseline.placement(task);
+        const auto& b = candidate.placement(task);
+        EXPECT_EQ(a.speed_ratio, b.speed_ratio);
+        EXPECT_EQ(a.start_ms, b.start_ms);
+        EXPECT_EQ(a.finish_ms, b.finish_ms);
+        EXPECT_EQ(a.pe, b.pe);
+      }
+    };
+    double slowdown = 0.0;
+    for (TaskId task : c.rc.graph.TaskIds()) {
+      slowdown += 1.0 - baseline.placement(task).speed_ratio;
+    }
+    EXPECT_GT(slowdown, 0.0) << "the case must exercise the slack scan";
     dvfs::PathEngine bit_engine(c.rc.graph, c.analysis, c.rc.platform);
     dvfs::PathEngine dnf_engine(
         c.rc.graph, c.analysis, c.rc.platform,
         dvfs::PathEngineOptions{.force_dnf = true});
+    dvfs::StretchWarmStart rewind;
+    rewind.reuse_enumeration = true;
     // Two rounds through each persistent engine: the second round runs
     // on warmed pools and must not drift.
     for (int round = 0; round < 2; ++round) {
       for (dvfs::PathEngine* engine : {&bit_engine, &dnf_engine}) {
-        const sched::Schedule candidate = stretch(engine);
-        for (TaskId task : c.rc.graph.TaskIds()) {
-          const auto& a = baseline.placement(task);
-          const auto& b = candidate.placement(task);
-          EXPECT_EQ(a.speed_ratio, b.speed_ratio);
-          EXPECT_EQ(a.start_ms, b.start_ms);
-          EXPECT_EQ(a.finish_ms, b.finish_ms);
-          EXPECT_EQ(a.pe, b.pe);
-        }
+        expect_same(stretch(engine));
+        // Same shape again: the stretcher rewinds the committed delays
+        // instead of enumerating.
+        const std::uint64_t id = engine->enumeration_id();
+        expect_same(stretch(engine, &rewind));
+        EXPECT_EQ(engine->enumeration_id(), id);
       }
     }
   });
+}
+
+TEST(PathEngine, ScanRefusesProbabilitiesBoundBeforeEnumerateOrRewind) {
+  // A binding belongs to one stretch over the store: a scan after the
+  // next Enumerate() or RewindCommits() must bind again instead of
+  // reading the previous stretch's probabilities.
+  const Case c(tgff::Category::kForkJoin, 7);
+  const sched::Schedule schedule = c.Schedule();
+  const double deadline = c.rc.graph.deadline_ms();
+  const TaskId task = schedule.graph().TaskIds().front();
+  dvfs::PathEngine engine(c.rc.graph, c.analysis, c.rc.platform);
+  engine.Enumerate(schedule);
+  EXPECT_THROW(engine.ScanSpanning(task, deadline), InternalError);
+  engine.BindProbabilities(c.probs);
+  EXPECT_NO_THROW(engine.ScanSpanning(task, deadline));
+
+  engine.RewindCommits();
+  EXPECT_THROW(engine.ScanSpanning(task, deadline), InternalError);
+  engine.BindProbabilities(c.probs);
+  EXPECT_NO_THROW(engine.ScanSpanning(task, deadline));
+
+  engine.Enumerate(schedule);
+  EXPECT_THROW(engine.ScanSpanning(task, deadline), InternalError);
+}
+
+TEST(PathEngine, FailedEnumerationLeavesNothingToRewind) {
+  const Case c = OnePeCase();
+  const sched::Schedule masked = c.Schedule();
+  const sched::Schedule healthy =
+      sched::RunDls(c.rc.graph, c.analysis, c.rc.platform, c.probs);
+  const std::size_t masked_paths = dvfs::PathSet(masked).size();
+  ASSERT_GT(masked_paths, dvfs::PathSet(healthy).size() + 1);
+
+  // Room for the healthy shape, not for the masked one.
+  dvfs::PathEngine engine(
+      c.rc.graph, c.analysis, c.rc.platform,
+      dvfs::PathEngineOptions{.max_paths = masked_paths - 1});
+  engine.Enumerate(healthy);
+  const std::uint64_t healthy_id = engine.enumeration_id();
+  EXPECT_THROW(engine.Enumerate(masked), InvalidArgument);
+  EXPECT_NE(engine.enumeration_id(), healthy_id);
+  EXPECT_EQ(engine.size(), 0u);
+  for (TaskId task : c.rc.graph.TaskIds()) {
+    EXPECT_TRUE(engine.Spanning(task).empty());
+  }
+  engine.RewindCommits();
+  EXPECT_EQ(engine.size(), 0u);
+  EXPECT_EQ(engine.MaxDelay(), 0.0);
+
+  // The engine stays usable: the next enumeration is complete.
+  engine.Enumerate(healthy);
+  ExpectMatchesPathSet(engine, dvfs::PathSet(healthy), c);
 }
 
 }  // namespace
