@@ -75,6 +75,23 @@ void BM_ModifiedDls(benchmark::State& state) {
 }
 BENCHMARK(BM_ModifiedDls)->Arg(15)->Arg(25);
 
+void BM_ModifiedDlsMpeg(benchmark::State& state) {
+  // The DLS of a full MPEG reschedule on all three PEs through a
+  // persistent workspace, as the controller runs it: the population of
+  // the calm campaign's reschedule-latency p99. Recorded, not gated.
+  const apps::MpegModel model = apps::MakeMpegModel();
+  const ctg::ActivationAnalysis analysis(model.graph);
+  const auto probs = apps::UniformProbabilities(model.graph);
+  sched::DlsWorkspace workspace;
+  for (auto _ : state) {
+    const sched::Schedule s = sched::RunDls(model.graph, analysis,
+                                            model.platform, probs, {},
+                                            &workspace);
+    benchmark::DoNotOptimize(s.Makespan());
+  }
+}
+BENCHMARK(BM_ModifiedDlsMpeg);
+
 void BM_PathEnumeration(benchmark::State& state) {
   Workbench wb;
   const sched::Schedule s =

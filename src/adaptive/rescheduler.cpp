@@ -214,16 +214,22 @@ void Rescheduler::MaybeValidate(const sched::Schedule& schedule,
 
 RescheduleResult Rescheduler::ComputeFull(
     const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
-    bool cache_ok, const runtime::ScheduleCacheKey* key) {
+    const runtime::ScheduleCacheKey* key) {
   sched::DlsOptions dls = config_.dls;
   dls.available_pes = req.mask;
-  RescheduleResult result{
-      sched::RunDls(*graph_, *analysis_, *platform_, probs, dls,
-                    &engine_.dls_workspace()),
-      dvfs::StretchStats{}, RescheduleTier::kFull};
+  return FinishFull(sched::RunDls(*graph_, *analysis_, *platform_, probs,
+                                  dls, &engine_.dls_workspace()),
+                    probs, req, key);
+}
+
+RescheduleResult Rescheduler::FinishFull(
+    sched::Schedule schedule, const ctg::BranchProbabilities& probs,
+    const RescheduleRequest& req, const runtime::ScheduleCacheKey* key) {
+  RescheduleResult result{std::move(schedule), dvfs::StretchStats{},
+                          RescheduleTier::kFull};
   ApplyStretch(result.schedule, probs, req.speed_floor, result.stretch);
   MaybeValidate(result.schedule, req);
-  if (cache_ok && config_.cache && key != nullptr) {
+  if (config_.cache && key != nullptr) {
     config_.cache.cache->Insert(
         *key,
         runtime::ScheduleCacheEntry{result.schedule, result.stretch});
@@ -268,7 +274,10 @@ std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
   if (inc.fell_back) {
     ++tiers_.incremental_fallbacks;
     MetricsTarget().Increment("resched.incremental_fallbacks");
-    return std::nullopt;
+    // The fallback already ran the full tier's DLS (same options, same
+    // workspace, bit-identical by RunIncrementalDls's contract): finish
+    // the full tier on it instead of scheduling again.
+    return FinishFull(std::move(inc.schedule), probs, req, key);
   }
   RescheduleResult result{std::move(inc.schedule), dvfs::StretchStats{},
                           tier};
@@ -437,13 +446,13 @@ RescheduleResult Rescheduler::Reschedule(
       if (warm.has_value()) {
         result = std::move(*warm);
       } else {
-        result = ComputeFull(probs, req, cache_ok, cache_ok ? &key : nullptr);
+        result = ComputeFull(probs, req, cache_ok ? &key : nullptr);
       }
     } else if (!degraded &&
                config_.reschedule.mode == RescheduleMode::kTable) {
       result = ComputeTable(probs, req);
     } else {
-      result = ComputeFull(probs, req, cache_ok, cache_ok ? &key : nullptr);
+      result = ComputeFull(probs, req, cache_ok ? &key : nullptr);
     }
   }
   if (span.enabled()) {

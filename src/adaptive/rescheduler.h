@@ -222,13 +222,20 @@ class Rescheduler {
       const ctg::BranchProbabilities& probs) const;
   /// probs reconstructed from a cache key's flattened vector.
   ctg::BranchProbabilities Unflatten(const std::vector<double>& flat) const;
-  /// Full DLS + stretch under \p req; validates and (when \p cache_ok)
-  /// inserts into the cache.
+  /// Full DLS + stretch under \p req; validates and (when \p key is
+  /// set) inserts into the cache.
   RescheduleResult ComputeFull(const ctg::BranchProbabilities& probs,
-                               const RescheduleRequest& req, bool cache_ok,
+                               const RescheduleRequest& req,
                                const runtime::ScheduleCacheKey* key);
-  /// The warm-start rung; returns nullopt when no basis is usable (the
-  /// caller then falls through to full).
+  /// ComputeFull after its DLS: stretches \p schedule, a RunDls result
+  /// under \p req's mask, then validates and caches as ComputeFull.
+  RescheduleResult FinishFull(sched::Schedule schedule,
+                              const ctg::BranchProbabilities& probs,
+                              const RescheduleRequest& req,
+                              const runtime::ScheduleCacheKey* key);
+  /// The warm-start rung; returns nullopt when there is no seed (the
+  /// caller then falls through to full). A dirty region over the ratio
+  /// yields a kFull result built on the fallback's own full DLS.
   std::optional<RescheduleResult> ComputeIncremental(
       const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
       const runtime::ScheduleCacheKey* key);

@@ -1,6 +1,8 @@
 #include "sched/dls.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 
 #include "obs/trace.h"
@@ -13,39 +15,21 @@ namespace {
 
 constexpr double kTimeEps = 1e-9;
 
-/// Earliest start >= ready such that [start, start + duration) avoids
-/// every blocking interval. \p busy must be sorted by start.
-double EarliestGap(const std::vector<std::pair<double, double>>& busy,
-                   double ready, double duration) {
-  double t = ready;
-  for (const auto& [begin, end] : busy) {
-    if (end <= t + kTimeEps) continue;
-    if (begin >= t + duration - kTimeEps) break;
-    t = std::max(t, end);
-  }
-  return t;
+/// Row \p task of an ancestor closure with \p words words per row.
+std::uint64_t* Row(std::vector<std::uint64_t>& bits, std::size_t words,
+                   std::size_t task) {
+  return bits.data() + task * words;
 }
 
-/// Incremental transitive-reduction helper: true when \p dst is reachable
-/// from \p src over \p adj. \p stack and \p seen are caller-owned scratch.
-bool Reachable(const std::vector<std::vector<int>>& adj, int src, int dst,
-               std::vector<int>& stack, std::vector<bool>& seen) {
-  if (src == dst) return true;
-  stack.assign(1, src);
-  seen.assign(adj.size(), false);
-  seen[static_cast<std::size_t>(src)] = true;
-  while (!stack.empty()) {
-    const int u = stack.back();
-    stack.pop_back();
-    for (int v : adj[static_cast<std::size_t>(u)]) {
-      if (v == dst) return true;
-      if (!seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = true;
-        stack.push_back(v);
-      }
-    }
-  }
-  return false;
+bool TestBit(const std::uint64_t* row, std::size_t bit) {
+  return ((row[bit / 64] >> (bit % 64)) & 1ULL) != 0;
+}
+
+/// row |= other | {bit}.
+void Absorb(std::uint64_t* row, const std::uint64_t* other,
+            std::size_t bit, std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w) row[w] |= other[w];
+  row[bit / 64] |= 1ULL << (bit % 64);
 }
 
 }  // namespace
@@ -137,19 +121,30 @@ Schedule RunDls(const ctg::Ctg& graph,
     ++pending_preds[e.dst.index()];
   }
 
-  ws.ready_list.clear();
-  std::vector<TaskId>& ready_list = ws.ready_list;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pending_preds[i] == 0) {
-      ready_list.push_back(TaskId{static_cast<int>(i)});
-    }
-  }
-
-  // Per-PE committed intervals: (start, finish, task).
+  // Per-PE committed intervals: (start, finish, task), kept sorted by
+  // (start, finish) so the gap search walks them in place.
   using Interval = DlsWorkspace::Interval;
-  ws.timelines.resize(platform.pe_count());
+  const std::size_t pe_count = platform.pe_count();
+  ws.timelines.resize(pe_count);
   for (auto& timeline : ws.timelines) timeline.clear();
   std::vector<std::vector<Interval>>& timelines = ws.timelines;
+
+  // Ancestor closure of the base scheduled DAG, filled row by row as
+  // tasks commit (the commit order is a topological order).
+  const std::size_t words = (n + 63) / 64;
+  ws.ancestors.assign(n * words, 0);
+  std::vector<std::uint64_t>& ancestors = ws.ancestors;
+
+  const auto candidate = [&](TaskId task, PeId pe) {
+    if (options.fixed_mapping != nullptr) {
+      return (*options.fixed_mapping)[task.index()] == pe;
+    }
+    if (options.pinned_mapping != nullptr) {
+      const PeId pin = (*options.pinned_mapping)[task.index()];
+      if (pin.valid() && pin != pe) return false;
+    }
+    return options.available_pes.Contains(pe);
+  };
 
   const auto data_ready_on = [&](TaskId task, PeId pe) {
     double ready = 0.0;
@@ -165,21 +160,41 @@ Schedule RunDls(const ctg::Ctg& graph,
     return ready;
   };
 
+  // AT(task, pe): the earliest start >= data arrival such that
+  // [start, start + WCET) avoids every committed interval of pe that
+  // is not mutually exclusive with task.
   const auto earliest_start = [&](TaskId task, PeId pe) {
-    const double ready = data_ready_on(task, pe);
-    std::vector<std::pair<double, double>>& busy = ws.busy;
-    busy.clear();
-    busy.reserve(timelines[pe.index()].size());
+    double t = data_ready_on(task, pe);
+    const double duration = platform.Wcet(task, pe);
     for (const Interval& iv : timelines[pe.index()]) {
-      if (options.mutex_aware &&
-          analysis.MutuallyExclusive(task, iv.task)) {
+      if (options.mutex_aware && analysis.MutuallyExclusive(task, iv.task)) {
         continue;
       }
-      busy.emplace_back(iv.start, iv.finish);
+      if (iv.finish <= t + kTimeEps) continue;
+      if (iv.start >= t + duration - kTimeEps) break;
+      t = std::max(t, iv.finish);
     }
-    std::sort(busy.begin(), busy.end());
-    return EarliestGap(busy, ready, platform.Wcet(task, pe));
+    return t;
   };
+
+  // AT depends on the predecessors' placements, fixed once the task is
+  // ready, and on one PE timeline: compute it on entry and refresh only
+  // the PE that received the last commit.
+  ws.ready_list.clear();
+  ws.ready_at.clear();
+  std::vector<DlsWorkspace::ReadyTask>& ready_list = ws.ready_list;
+  std::vector<double>& ready_at = ws.ready_at;
+  const auto make_ready = [&](TaskId task) {
+    ready_list.push_back({task, platform.AverageWcet(task)});
+    for (std::size_t k = 0; k < pe_count; ++k) {
+      const PeId pe{static_cast<int>(k)};
+      ready_at.push_back(candidate(task, pe) ? earliest_start(task, pe)
+                                             : 0.0);
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pending_preds[i] == 0) make_ready(TaskId{static_cast<int>(i)});
+  }
 
   int order = 0;
   while (!ready_list.empty()) {
@@ -188,20 +203,15 @@ Schedule RunDls(const ctg::Ctg& graph,
     double best_at = 0.0;
     TaskId best_task;
     PeId best_pe;
-    for (TaskId task : ready_list) {
-      const double avg_wcet = platform.AverageWcet(task);
-      for (PeId pe : platform.PeIds()) {
-        if (options.fixed_mapping != nullptr) {
-          if ((*options.fixed_mapping)[task.index()] != pe) continue;
-        } else {
-          if (options.pinned_mapping != nullptr) {
-            const PeId pin = (*options.pinned_mapping)[task.index()];
-            if (pin.valid() && pin != pe) continue;
-          }
-          if (!options.available_pes.Contains(pe)) continue;
-        }
-        const double at = earliest_start(task, pe);
-        const double delta = avg_wcet - platform.Wcet(task, pe);
+    std::size_t best_entry = 0;
+    for (std::size_t r = 0; r < ready_list.size(); ++r) {
+      const TaskId task = ready_list[r].task;
+      const double* at_row = ready_at.data() + r * pe_count;
+      for (std::size_t k = 0; k < pe_count; ++k) {
+        const PeId pe{static_cast<int>(k)};
+        if (!candidate(task, pe)) continue;
+        const double at = at_row[k];
+        const double delta = ready_list[r].avg_wcet - platform.Wcet(task, pe);
         const double dl = levels[task.index()] - at + delta;
         const bool better =
             dl > best_dl + kTimeEps ||
@@ -215,6 +225,7 @@ Schedule RunDls(const ctg::Ctg& graph,
           best_at = at;
           best_task = task;
           best_pe = pe;
+          best_entry = r;
         }
       }
     }
@@ -227,8 +238,16 @@ Schedule RunDls(const ctg::Ctg& graph,
     p.finish_ms = best_at + platform.Wcet(best_task, best_pe);
     p.speed_ratio = 1.0;
     p.order_index = order++;
-    timelines[best_pe.index()].push_back(
-        Interval{p.start_ms, p.finish_ms, best_task});
+    std::vector<Interval>& timeline = timelines[best_pe.index()];
+    const Interval committed{p.start_ms, p.finish_ms, best_task};
+    timeline.insert(
+        std::upper_bound(timeline.begin(), timeline.end(), committed,
+                         [](const Interval& a, const Interval& b) {
+                           if (a.start != b.start) return a.start < b.start;
+                           return a.finish < b.finish;
+                         }),
+        committed);
+    std::uint64_t* row = Row(ancestors, words, best_task.index());
     for (EdgeId eid : graph.InEdges(best_task)) {
       const ctg::Edge& e = graph.edge(eid);
       const TaskPlacement& src = schedule.placement(e.src);
@@ -237,33 +256,38 @@ Schedule RunDls(const ctg::Ctg& graph,
       comm.finish_ms =
           src.finish_ms +
           platform.CommTime(e.comm_kbytes, src.pe, best_pe);
+      Absorb(row, Row(ancestors, words, e.src.index()), e.src.index(),
+             words);
+    }
+    for (TaskId fork : control_preds[best_task.index()]) {
+      Absorb(row, Row(ancestors, words, fork.index()), fork.index(), words);
     }
 
-    ready_list.erase(
-        std::find(ready_list.begin(), ready_list.end(), best_task));
+    const auto entry = static_cast<std::ptrdiff_t>(best_entry);
+    const auto stride = static_cast<std::ptrdiff_t>(pe_count);
+    ready_list.erase(ready_list.begin() + entry);
+    ready_at.erase(ready_at.begin() + entry * stride,
+                   ready_at.begin() + (entry + 1) * stride);
+    for (std::size_t r = 0; r < ready_list.size(); ++r) {
+      if (candidate(ready_list[r].task, best_pe)) {
+        ready_at[r * pe_count + best_pe.index()] =
+            earliest_start(ready_list[r].task, best_pe);
+      }
+    }
     for (EdgeId eid : graph.OutEdges(best_task)) {
       const TaskId dst = graph.edge(eid).dst;
-      if (--pending_preds[dst.index()] == 0) ready_list.push_back(dst);
+      if (--pending_preds[dst.index()] == 0) make_ready(dst);
     }
     for (const ExtraEdge& e : schedule.control_edges()) {
       if (e.src == best_task &&
           --pending_preds[e.dst.index()] == 0) {
-        ready_list.push_back(e.dst);
+        make_ready(e.dst);
       }
     }
   }
 
   // Derive pseudo order edges: every ordered non-mutex pair sharing a PE,
-  // transitively reduced against the existing DAG.
-  ws.adj.resize(n);
-  for (auto& out : ws.adj) out.clear();
-  std::vector<std::vector<int>>& adj = ws.adj;
-  for (EdgeId eid : graph.EdgeIds()) {
-    adj[graph.edge(eid).src.index()].push_back(graph.edge(eid).dst.value);
-  }
-  for (const ExtraEdge& e : schedule.control_edges()) {
-    adj[e.src.index()].push_back(e.dst.value);
-  }
+  // transitively reduced against the DAG built so far.
   for (auto& timeline : timelines) {
     std::sort(timeline.begin(), timeline.end(),
               [](const Interval& a, const Interval& b) {
@@ -284,10 +308,15 @@ Schedule RunDls(const ctg::Ctg& graph,
           continue;
         ACTG_ASSERT(timeline[i].finish <= timeline[j].start + 1e-6,
                     "non-mutex tasks overlap on one PE after DLS");
-        if (!Reachable(adj, a.value, b.value, ws.reach_stack,
-                       ws.reach_seen)) {
-          schedule.AddPseudoEdge(a, b);
-          adj[a.index()].push_back(b.value);
+        if (TestBit(Row(ancestors, words, b.index()), a.index())) continue;
+        schedule.AddPseudoEdge(a, b);
+        // a and its ancestors now reach b and every task b reaches.
+        const std::uint64_t* from = Row(ancestors, words, a.index());
+        for (std::size_t y = 0; y < n; ++y) {
+          std::uint64_t* to = Row(ancestors, words, y);
+          if (y == b.index() || TestBit(to, b.index())) {
+            Absorb(to, from, a.index(), words);
+          }
         }
       }
     }

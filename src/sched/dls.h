@@ -17,6 +17,9 @@
 #ifndef ACTG_SCHED_DLS_H
 #define ACTG_SCHED_DLS_H
 
+#include <cstdint>
+#include <vector>
+
 #include "arch/platform.h"
 #include "ctg/activation.h"
 #include "ctg/condition.h"
@@ -70,8 +73,9 @@ std::vector<PeId> RoundRobinMapping(const ctg::Ctg& graph,
 /// Reusable scratch buffers for RunDls. A workspace kept alive across
 /// reschedules (e.g. inside a dvfs::PathEngine) lets repeated DLS runs
 /// on the same graph skip all per-call vector growth; the produced
-/// schedules are identical with or without one. Contents are
-/// meaningless between calls.
+/// schedules are identical with or without one, and one workspace may
+/// serve graphs and platforms of any size. Contents are meaningless
+/// between calls.
 struct DlsWorkspace {
   /// One committed busy interval of a PE timeline.
   struct Interval {
@@ -79,16 +83,26 @@ struct DlsWorkspace {
     double finish;
     TaskId task;
   };
+  /// One entry of the ready list: a task whose scheduled-DAG
+  /// predecessors are all placed, and its PE-average WCET (Eq. 1).
+  struct ReadyTask {
+    TaskId task;
+    double avg_wcet;
+  };
 
   std::vector<double> levels;
   std::vector<int> pending_preds;
   std::vector<std::vector<TaskId>> control_preds;
-  std::vector<TaskId> ready_list;
+  std::vector<ReadyTask> ready_list;
+  /// AT(task, pe) per ready entry: row r holds the pe_count earliest
+  /// starts of ready_list[r] (entries of non-candidate PEs unused).
+  std::vector<double> ready_at;
+  /// Per-PE committed intervals, sorted by (start, finish).
   std::vector<std::vector<Interval>> timelines;
-  std::vector<std::pair<double, double>> busy;
-  std::vector<std::vector<int>> adj;
-  std::vector<int> reach_stack;
-  std::vector<bool> reach_seen;
+  /// Ancestor closure of the scheduled DAG: one row of
+  /// ceil(task_count / 64) words per task, bit a of row b set when a
+  /// reaches b.
+  std::vector<std::uint64_t> ancestors;
 };
 
 /// Runs DLS and returns the complete schedule (placements, commit order,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "ctg/condition.h"
 #include "util/error.h"
 
@@ -300,15 +302,20 @@ TEST_P(GuardAlgebra, OrAndAreCommutativeAndProbabilityConsistent) {
   // Build two pseudo-random guards from the seed.
   auto pick = [&](int salt) {
     Guard g = Guard::False();
-    int state = seed * 37 + salt;
+    // Unsigned LCG: wraps without overflow, and every outcome drawn
+    // from it is in range.
+    std::uint32_t state = static_cast<std::uint32_t>(seed * 37 + salt);
     for (int i = 0; i < 3; ++i) {
-      state = state * 1103515245 + 12345;
-      const int which = (state >> 8) & 3;
-      Minterm m = which == 0   ? Minterm(A((state >> 4) & 1))
-                  : which == 1 ? Minterm(B((state >> 5) & 1))
-                  : which == 2 ? Minterm(C((state >> 6) % 3))
-                               : *Minterm(A((state >> 4) & 1))
-                                      .Conjoin(Minterm(B((state >> 5) & 1)));
+      state = state * 1103515245u + 12345u;
+      const auto bits = [&](int shift, std::uint32_t mod) {
+        return static_cast<int>((state >> shift) % mod);
+      };
+      const int which = bits(8, 4);
+      Minterm m = which == 0   ? Minterm(A(bits(4, 2)))
+                  : which == 1 ? Minterm(B(bits(5, 2)))
+                  : which == 2 ? Minterm(C(bits(6, 3)))
+                               : *Minterm(A(bits(4, 2)))
+                                      .Conjoin(Minterm(B(bits(5, 2))));
       g = g.Or(Guard::Of(m), Arity());
     }
     return g;

@@ -213,6 +213,85 @@ TEST(IncrementalDifferential, TinyDirtyRatioForcesBitIdenticalFallback) {
 // ---------------------------------------------------------------------------
 // Facade: warm tiers through adaptive::Rescheduler
 
+// A dirty region over max_dirty_ratio makes RunIncrementalDls fall back
+// to a full RunDls, which the facade finishes as its full tier instead
+// of scheduling a second time: one DLS per request, a result bitwise
+// equal to a full-mode facade's, and unchanged tier accounting.
+TEST(Rescheduler, IncrementalFallbackRunsOneDlsPerRequest) {
+  const FacadeCase fc;
+  runtime::Metrics& global = runtime::Metrics::Global();
+  for (const bool with_cache : {false, true}) {
+    SCOPED_TRACE(with_cache ? "with cache" : "without cache");
+    runtime::Metrics inc_metrics;
+    runtime::Metrics full_metrics;
+    runtime::ScheduleCache inc_cache(runtime::ScheduleCacheOptions{},
+                                     &inc_metrics);
+    runtime::ScheduleCache full_cache(runtime::ScheduleCacheOptions{},
+                                      &full_metrics);
+    adaptive::ReschedulerConfig full_config;
+    full_config.metrics = &full_metrics;
+    adaptive::ReschedulerConfig inc_config;
+    inc_config.metrics = &inc_metrics;
+    inc_config.reschedule.mode = adaptive::RescheduleMode::kIncremental;
+    inc_config.reschedule.max_dirty_ratio = 1e-9;
+    if (with_cache) {
+      full_config.cache = runtime::CacheBinding{&full_cache, 0};
+      inc_config.cache = runtime::CacheBinding{&inc_cache, 0};
+    }
+    adaptive::Rescheduler incremental(fc.graph, *fc.analysis, fc.platform,
+                                      inc_config);
+    adaptive::Rescheduler full(fc.graph, *fc.analysis, fc.platform,
+                               full_config);
+    const adaptive::RescheduleRequest req{inc_config.dls.available_pes, 0.0,
+                                          "test"};
+
+    constexpr std::uint64_t kSteps = 12;
+    for (std::uint64_t i = 0; i < kSteps; ++i) {
+      // Distinct operating points: no exact hit, every step after the
+      // first has a seed and a nonempty dirty region.
+      const ctg::BranchProbabilities probs = WithForkAt(
+          fc.graph, fc.base, fc.fork, 0.1 + 0.07 * static_cast<double>(i));
+      const std::uint64_t dls_before = global.counter("stage.dls.calls");
+      const adaptive::RescheduleResult got = incremental.Reschedule(probs, req);
+      EXPECT_EQ(global.counter("stage.dls.calls") - dls_before, 1u)
+          << "step " << i;
+      const adaptive::RescheduleResult want = full.Reschedule(probs, req);
+      EXPECT_EQ(got.tier, adaptive::RescheduleTier::kFull) << "step " << i;
+      EXPECT_TRUE(SamePlacements(fc.graph, got.schedule, want.schedule))
+          << "step " << i;
+      const auto& got_edges = got.schedule.pseudo_edges();
+      const auto& want_edges = want.schedule.pseudo_edges();
+      ASSERT_EQ(got_edges.size(), want_edges.size()) << "step " << i;
+      for (std::size_t e = 0; e < got_edges.size(); ++e) {
+        EXPECT_EQ(got_edges[e].src, want_edges[e].src) << "step " << i;
+        EXPECT_EQ(got_edges[e].dst, want_edges[e].dst) << "step " << i;
+      }
+      EXPECT_EQ(got.stretch.path_count, want.stretch.path_count)
+          << "step " << i;
+      EXPECT_EQ(got.stretch.total_extension_ms,
+                want.stretch.total_extension_ms)
+          << "step " << i;
+      EXPECT_EQ(got.stretch.max_path_delay_ms,
+                want.stretch.max_path_delay_ms)
+          << "step " << i;
+    }
+
+    // The first request has no seed and runs the full tier directly;
+    // every later one is a counted fallback that also counts as full.
+    const adaptive::TierCounts& tiers = incremental.tier_counts();
+    EXPECT_EQ(tiers.full, kSteps);
+    EXPECT_EQ(tiers.incremental_fallbacks, kSteps - 1);
+    EXPECT_EQ(tiers.exact + tiers.warm_cache + tiers.warm_prior, 0u);
+    EXPECT_EQ(inc_metrics.counter("resched.tier.full"), kSteps);
+    EXPECT_EQ(inc_metrics.counter("resched.incremental_fallbacks"),
+              kSteps - 1);
+    if (with_cache) {
+      // Each fallback result was memoized, as the full tier does.
+      EXPECT_EQ(inc_cache.size(), kSteps);
+    }
+  }
+}
+
 // Repeating the same operating point without a cache routes through the
 // warm-prior rung with an *empty* dirty region — which must reproduce
 // the prior result bit-for-bit (the replayed stretch re-quantizes to
