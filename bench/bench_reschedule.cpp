@@ -1,7 +1,7 @@
 /// \file bench_reschedule.cpp
 /// Reschedule-latency benchmark of the adaptive::Rescheduler tiers.
 ///
-/// Drives one Rescheduler per mode (full / incremental / table) over
+/// Drives one Rescheduler per mode (full / incremental) over
 /// the same oscillating-probability trace — a sinusoid on the fork with
 /// the smallest dirty region, so consecutive operating points are
 /// distinct (the exact tier never hits) but differ at exactly one fork
@@ -29,7 +29,6 @@
 #include "adaptive/rescheduler.h"
 #include "apps/common.h"
 #include "ctg/activation.h"
-#include "dvfs/schedule_table.h"
 #include "runtime/metrics.h"
 #include "runtime/schedule_cache.h"
 #include "sched/incremental.h"
@@ -83,16 +82,13 @@ struct ModeResult {
   adaptive::TierCounts tiers;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t near_hits = 0;
-  std::uint64_t near_misses = 0;
 };
 
 ModeResult RunMode(const ctg::Ctg& graph,
                    const ctg::ActivationAnalysis& analysis,
                    const arch::Platform& platform,
                    const ctg::BranchProbabilities& base, TaskId fork,
-                   adaptive::RescheduleMode mode,
-                   const dvfs::ScheduleTable* table, std::size_t steps) {
+                   adaptive::RescheduleMode mode, std::size_t steps) {
   runtime::Metrics metrics;
   runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
   // stage.dls / stage.stretch accumulate into the global registry;
@@ -102,7 +98,6 @@ ModeResult RunMode(const ctg::Ctg& graph,
   adaptive::ReschedulerConfig config;
   config.cache = runtime::CacheBinding{&cache, 0};
   config.reschedule.mode = mode;
-  config.reschedule.table = table;
   config.metrics = &metrics;
   adaptive::Rescheduler rescheduler(graph, analysis, platform, config);
 
@@ -127,8 +122,6 @@ ModeResult RunMode(const ctg::Ctg& graph,
   result.tiers = rescheduler.tier_counts();
   result.cache_hits = cache.hits();
   result.cache_misses = cache.misses();
-  result.near_hits = cache.near_hits();
-  result.near_misses = cache.near_misses();
   return result;
 }
 
@@ -145,9 +138,7 @@ void WriteMode(std::ostream& os, const ModeResult& r) {
      << ", \"table\": " << r.tiers.table << ", \"full\": " << r.tiers.full
      << ", \"fallbacks\": " << r.tiers.incremental_fallbacks << "},\n"
      << "     \"cache\": {\"hits\": " << r.cache_hits
-     << ", \"misses\": " << r.cache_misses
-     << ", \"near_hits\": " << r.near_hits
-     << ", \"near_misses\": " << r.near_misses << "}}";
+     << ", \"misses\": " << r.cache_misses << "}}";
 }
 
 }  // namespace
@@ -160,7 +151,7 @@ int main(int argc, char** argv) {
         cli::StringFlag(argc, argv, "--out", "BENCH_reschedule.json");
 
     // One mid-size fork-join graph: large enough that DLS dominates the
-    // reschedule cost, few enough forks that the table stays small.
+    // reschedule cost.
     tgff::RandomCtgParams params;
     params.task_count = static_cast<int>(cli::CountFlag(argc, argv, "--tasks", 48));
     params.pe_count = static_cast<int>(cli::CountFlag(argc, argv, "--pes", 4));
@@ -174,19 +165,12 @@ int main(int argc, char** argv) {
         apps::UniformProbabilities(rc.graph);
     const TaskId fork = PickOscillatingFork(rc.graph, analysis, base);
 
-    dvfs::ScheduleTableOptions table_options;
-    table_options.points_per_fork = 3;
-    table_options.max_entries = 8192;
-    const dvfs::ScheduleTable table(rc.graph, analysis, rc.platform,
-                                    table_options);
-
     std::vector<ModeResult> results;
     for (const adaptive::RescheduleMode mode :
          {adaptive::RescheduleMode::kFull,
-          adaptive::RescheduleMode::kIncremental,
-          adaptive::RescheduleMode::kTable}) {
+          adaptive::RescheduleMode::kIncremental}) {
       results.push_back(RunMode(rc.graph, analysis, rc.platform, base,
-                                fork, mode, &table, steps));
+                                fork, mode, steps));
     }
 
     util::AtomicFile json(out_path);
@@ -200,7 +184,6 @@ int main(int argc, char** argv) {
     os << "  \"seed\": " << seed << ",\n";
     os << "  \"steps\": " << steps << ",\n";
     os << "  \"oscillating_fork\": " << fork.index() << ",\n";
-    os << "  \"table_entries\": " << table.size() << ",\n";
     os << "  \"modes\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       WriteMode(os, results[i]);

@@ -151,13 +151,6 @@ AdaptiveHarness ExperimentSpec::BuildAdaptive() const {
   options.trace = trace_;
   options.cache = runtime::CacheBinding{harness.cache_.get(), 0};
   options.reschedule.mode = reschedule_mode_;
-  if (reschedule_mode_ == adaptive::RescheduleMode::kTable) {
-    dvfs::ScheduleTableOptions table_options;
-    table_options.policy = policy_;
-    harness.table_ = std::make_unique<dvfs::ScheduleTable>(
-        *graph_, *analysis_, *platform_, table_options);
-    options.reschedule.table = harness.table_.get();
-  }
   options.degrade = degrade_;
   harness.controller_ = std::make_unique<adaptive::AdaptiveController>(
       *graph_, *analysis_, *platform_, *profile_, options);

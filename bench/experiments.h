@@ -18,7 +18,6 @@
 #include "adaptive/controller.h"
 #include "ctg/activation.h"
 #include "ctg/condition.h"
-#include "dvfs/schedule_table.h"
 #include "obs/trace.h"
 #include "runtime/pool.h"
 #include "runtime/schedule_cache.h"
@@ -61,11 +60,10 @@ ctg::BranchProbabilities BiasedProfile(
 class ExperimentSpec;
 
 /// Product of ExperimentSpec::BuildAdaptive(): the adaptive controller
-/// together with the schedule cache it memoizes through (when enabled)
-/// and, in table reschedule mode, the precomputed dvfs::ScheduleTable
-/// it selects from. Cache and table must outlive the controller, so
-/// they travel as one movable unit; everything the spec borrowed
-/// (graph, analysis, platform, profile) must outlive the harness.
+/// together with the schedule cache it memoizes through (when enabled).
+/// The cache must outlive the controller, so they travel as one movable
+/// unit; everything the spec borrowed (graph, analysis, platform,
+/// profile) must outlive the harness.
 class AdaptiveHarness {
  public:
   adaptive::AdaptiveController& controller() { return *controller_; }
@@ -89,7 +87,6 @@ class AdaptiveHarness {
   AdaptiveHarness() = default;
 
   std::unique_ptr<runtime::ScheduleCache> cache_;  // may be null
-  std::unique_ptr<dvfs::ScheduleTable> table_;     // table mode only
   std::unique_ptr<adaptive::AdaptiveController> controller_;
 };
 
@@ -143,8 +140,7 @@ class ExperimentSpec {
     return *this;
   }
   /// Reschedule mode of the built controllers (full recompute by
-  /// default; see adaptive::RescheduleMode). Table mode makes
-  /// BuildAdaptive() precompute a harness-owned dvfs::ScheduleTable.
+  /// default; see adaptive::RescheduleMode).
   ExperimentSpec& WithRescheduleMode(adaptive::RescheduleMode mode) {
     reschedule_mode_ = mode;
     return *this;

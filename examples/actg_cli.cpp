@@ -20,11 +20,10 @@
 ///       controller's graceful-degradation ladder; --no-degrade keeps
 ///       the ladder off for ablation. Without --faults the output is
 ///       identical to previous releases.
-///       --reschedule-mode <full|incremental|table> selects how the
-///       adaptive controller recomputes on a threshold crossing: a full
-///       DLS + stretch pass (default, the reference semantics),
-///       warm-started incremental DLS, or selection from a precomputed
-///       schedule table (see adaptive::RescheduleMode).
+///       --reschedule-mode <full|incremental> selects how the adaptive
+///       controller recomputes on a threshold crossing: a full DLS +
+///       stretch pass (default, the reference semantics) or
+///       warm-started incremental DLS (see adaptive::RescheduleMode).
 ///
 /// Every command also understands --trace <file> (or the ACTG_TRACE
 /// environment variable): the run's instrumented stages are written as
@@ -75,7 +74,7 @@ int Usage() {
              policies + ">]\n"
       << "  actg_cli simulate <ctg.txt> <platform.txt> <instances> "
          "<seed> [--faults <plan> [--no-degrade]] "
-         "[--reschedule-mode <full|incremental|table>]\n"
+         "[--reschedule-mode <full|incremental>]\n"
       << "common options: --trace <file> (Chrome trace JSON + timeline "
          "CSV)\n";
   return 2;
@@ -97,7 +96,7 @@ SimulateFlags ParseSimulateFlags(int& argc, char** argv) {
     const auto mode = adaptive::ParseRescheduleMode(*name);
     ACTG_CHECK(mode.has_value(),
                "unknown --reschedule-mode '" + *name +
-                   "' (expected full, incremental or table)");
+                   "' (expected full or incremental)");
     flags.reschedule_mode = *mode;
   }
   return flags;
@@ -287,10 +286,10 @@ int CmdSimulate(int argc, char** argv, const SimulateFlags& flags) {
 
 int main(int argc, char** argv) {
   actg::obs::ScopedTracing tracing(argc, argv);
-  const SimulateFlags simulate_flags = ParseSimulateFlags(argc, argv);
-  if (argc < 2) return Usage();
-  const std::string command = argv[1];
   try {
+    const SimulateFlags simulate_flags = ParseSimulateFlags(argc, argv);
+    if (argc < 2) return Usage();
+    const std::string command = argv[1];
     if (command == "generate") return CmdGenerate(argc, argv);
     if (command == "schedule") return CmdSchedule(argc, argv);
     if (command == "simulate")

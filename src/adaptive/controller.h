@@ -111,19 +111,18 @@ struct AdaptiveOptions {
   /// Optional schedule memoization: the cache to consult and the tenant
   /// id its keys carry, in one value (see runtime::CacheBinding). When
   /// bound, every online scheduling + DVFS call first consults the
-  /// exact tier (tier-1 probability match), so revisited operating
+  /// exact tier (bit-exact probability match), so revisited operating
   /// points become O(1) lookups without changing any result; computed
-  /// schedules are inserted back, and in incremental reschedule mode
-  /// the tier-2 near-index additionally serves warm-start seeds. The
-  /// cache may be shared between controllers (it is thread-safe and
-  /// keyed by graph/platform/config fingerprints, the policy name and
-  /// the binding's tenant) and must outlive the controller.
+  /// schedules are inserted back. The cache may be shared between
+  /// controllers (it is thread-safe and keyed by graph/platform/config
+  /// fingerprints, the policy name and the binding's tenant) and must
+  /// outlive the controller.
   /// Multi-tenant servers typically bind a ShardedScheduleCache shard:
   /// CacheBinding{&sharded.ShardFor(tenant), tenant}.
   runtime::CacheBinding cache;
-  /// Reschedule ladder configuration: full recompute (default),
-  /// warm-start incremental DLS, or precomputed-table selection (see
-  /// adaptive::RescheduleOptions / the Rescheduler facade).
+  /// Reschedule ladder configuration: full recompute (default) or
+  /// warm-start incremental DLS (see adaptive::RescheduleOptions / the
+  /// Rescheduler facade).
   RescheduleOptions reschedule;
   /// Metrics registry the controller reports its stage timers and
   /// counters into; nullptr (the default) means the process-wide
@@ -226,7 +225,7 @@ class AdaptiveController {
   }
 
   /// The reschedule facade this controller drives: tier counts
-  /// (exact / warm / table / full outcomes) and fingerprints.
+  /// (exact / warm / full outcomes) and fingerprints.
   const Rescheduler& rescheduler() const { return *rescheduler_; }
 
  private:

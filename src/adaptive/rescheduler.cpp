@@ -18,9 +18,9 @@ namespace {
 /// schedule (the cache key must distinguish configs, not just inputs).
 /// The full-mode fingerprint of a default config is unchanged from the
 /// pre-facade controller, so timeline unit ids and cached entries of
-/// existing setups stay stable; non-full modes fold themselves in — an
-/// incremental or table result must never be served to a full-mode
-/// lookup, whose contract is bit-exactness.
+/// existing setups stay stable; incremental mode folds itself in — an
+/// incremental result must never be served to a full-mode lookup, whose
+/// contract is bit-exactness.
 std::uint64_t FingerprintConfig(const ReschedulerConfig& config) {
   std::uint64_t fp = 0x9E3779B97F4A7C15ULL;
   fp = runtime::HashCombine(
@@ -62,8 +62,6 @@ const char* RescheduleModeName(RescheduleMode mode) {
       return "full";
     case RescheduleMode::kIncremental:
       return "incremental";
-    case RescheduleMode::kTable:
-      return "table";
   }
   return "full";
 }
@@ -71,7 +69,6 @@ const char* RescheduleModeName(RescheduleMode mode) {
 std::optional<RescheduleMode> ParseRescheduleMode(std::string_view name) {
   if (name == "full") return RescheduleMode::kFull;
   if (name == "incremental") return RescheduleMode::kIncremental;
-  if (name == "table") return RescheduleMode::kTable;
   return std::nullopt;
 }
 
@@ -95,10 +92,6 @@ util::Error RescheduleOptions::Validate() const {
   if (!(max_dirty_ratio > 0.0) || max_dirty_ratio > 1.0) {
     return util::Error::Invalid(
         "RescheduleOptions: max_dirty_ratio must lie in (0, 1]");
-  }
-  if (mode == RescheduleMode::kTable && table == nullptr) {
-    return util::Error::Invalid(
-        "RescheduleOptions: table mode requires a ScheduleTable");
   }
   return {};
 }
@@ -145,19 +138,6 @@ runtime::ScheduleCacheKey Rescheduler::MakeKey(
   return runtime::MakeCacheKey(*graph_, probs, graph_fingerprint_,
                                platform_fingerprint_, config_fingerprint_,
                                config_.cache.tenant, config_.policy);
-}
-
-ctg::BranchProbabilities Rescheduler::Unflatten(
-    const std::vector<double>& flat) const {
-  ctg::BranchProbabilities probs(graph_->task_count());
-  std::size_t i = 0;
-  for (TaskId fork : graph_->ForkIds()) {
-    std::vector<double> dist(
-        static_cast<std::size_t>(graph_->OutcomeCount(fork)));
-    for (double& p : dist) p = flat.at(i++);
-    probs.Set(fork, std::move(dist));
-  }
-  return probs;
 }
 
 std::vector<int> Rescheduler::ShapeSignature(
@@ -240,36 +220,16 @@ RescheduleResult Rescheduler::FinishFull(
 std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
     const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
     const runtime::ScheduleCacheKey* key) {
-  // Seed preference: a tier-2 near-hit was computed for an operating
-  // point in the query's own quantization bucket; the facade's prior
-  // basis may have drifted arbitrarily far. Fall back to the prior
-  // basis when the near tier misses (or no cache is bound).
-  ctg::BranchProbabilities seed_probs;
-  const sched::Schedule* seed_schedule = nullptr;
-  RescheduleTier tier;
-  std::optional<runtime::ScheduleCacheNearHit> near;
-  if (config_.cache && key != nullptr) {
-    near = config_.cache.cache->LookupNear(*key);
-  }
-  if (near.has_value()) {
-    seed_probs = Unflatten(near->probs);
-    seed_schedule = &near->entry.schedule;
-    tier = RescheduleTier::kWarmCache;
-  } else if (basis_schedule_.has_value()) {
-    seed_probs = basis_probs_;
-    seed_schedule = &*basis_schedule_;
-    tier = RescheduleTier::kWarmPrior;
-  } else {
-    return std::nullopt;
-  }
+  if (!basis_schedule_.has_value()) return std::nullopt;
+  const sched::Schedule& seed_schedule = *basis_schedule_;
 
   const sched::IncrementalDelta delta =
-      sched::ComputeDirtyRegion(*graph_, *analysis_, seed_probs, probs);
+      sched::ComputeDirtyRegion(*graph_, *analysis_, basis_probs_, probs);
   sched::DlsOptions dls = config_.dls;
   dls.available_pes = req.mask;
   sched::IncrementalResult inc = sched::RunIncrementalDls(
       *graph_, *analysis_, *platform_, probs,
-      sched::MappingOf(*seed_schedule), delta, dls,
+      sched::MappingOf(seed_schedule), delta, dls,
       config_.reschedule.max_dirty_ratio, &engine_.dls_workspace());
   if (inc.fell_back) {
     ++tiers_.incremental_fallbacks;
@@ -280,7 +240,7 @@ std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
     return FinishFull(std::move(inc.schedule), probs, req, key);
   }
   RescheduleResult result{std::move(inc.schedule), dvfs::StretchStats{},
-                          tier};
+                          RescheduleTier::kWarmPrior};
   // Warm stretch: replay the seed's committed speeds for clean tasks
   // (deadline-clamped — always feasible) and run the full slack
   // computation only for the dirty region plus any task the warm DLS
@@ -291,7 +251,7 @@ std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
   std::vector<char> stretch_dirty = delta.dirty;
   for (TaskId task : graph_->TaskIds()) {
     const std::size_t i = static_cast<std::size_t>(task.index());
-    const sched::TaskPlacement& seed_p = seed_schedule->placement(task);
+    const sched::TaskPlacement& seed_p = seed_schedule.placement(task);
     seed_speed[i] = seed_p.speed_ratio;
     if (result.schedule.placement(task).pe != seed_p.pe) {
       stretch_dirty[i] = 1;
@@ -309,23 +269,12 @@ std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
   MaybeValidate(result.schedule, req);
   if (verify_incremental_) VerifyIncremental(probs, req, result);
   // A warm-started result is a valid schedule for these exact
-  // probabilities under this (mode-fingerprinted) config: memoize it,
-  // which also seeds the tier-2 bucket for future neighbors.
+  // probabilities under this (mode-fingerprinted) config: memoize it.
   if (config_.cache && key != nullptr) {
     config_.cache.cache->Insert(
         *key,
         runtime::ScheduleCacheEntry{result.schedule, result.stretch});
   }
-  return result;
-}
-
-RescheduleResult Rescheduler::ComputeTable(
-    const ctg::BranchProbabilities& probs, const RescheduleRequest& req) {
-  dvfs::MaterializedSchedule mat =
-      config_.reschedule.table->Materialize(probs);
-  RescheduleResult result{std::move(mat.schedule), mat.stretch,
-                          RescheduleTier::kTable};
-  MaybeValidate(result.schedule, req);
   return result;
 }
 
@@ -412,8 +361,7 @@ RescheduleResult Rescheduler::Reschedule(
   // Degraded requests (restricted PEs and/or a speed floor) bypass the
   // cache: its key encodes neither constraint, and a degraded schedule
   // must never be served back to a healthy lookup. They also skip the
-  // warm and table tiers — the basis and the lattice were computed for
-  // the healthy platform.
+  // warm tier — the basis was computed for the healthy platform.
   const bool degraded = !(req.mask == config_.dls.available_pes) ||
                         req.speed_floor != 0.0;
 
@@ -448,9 +396,6 @@ RescheduleResult Rescheduler::Reschedule(
       } else {
         result = ComputeFull(probs, req, cache_ok ? &key : nullptr);
       }
-    } else if (!degraded &&
-               config_.reschedule.mode == RescheduleMode::kTable) {
-      result = ComputeTable(probs, req);
     } else {
       result = ComputeFull(probs, req, cache_ok ? &key : nullptr);
     }

@@ -1,7 +1,7 @@
 /// \file rescheduler.h
 /// The unified reschedule facade: one entry point owning cache-key
-/// construction, the exact / warm-start / table / full decision ladder
-/// and the per-tier accounting.
+/// construction, the exact / warm-start / full decision ladder and the
+/// per-tier accounting.
 ///
 /// Before this facade, the reschedule/cache plumbing had accreted
 /// across the adaptive controller: two Reschedule() overloads, inline
@@ -11,21 +11,17 @@
 /// operating point to schedule for and under which constraints; the
 /// facade decides *how* — consulting the tiers in order:
 ///
-///   1. exact cache hit   — tier-1 Lookup; bit-identical to a from-
-///                          scratch recompute (today's semantics).
+///   1. exact cache hit   — Lookup; bit-identical to a from-scratch
+///                          recompute.
 ///   2. warm start        — incremental mode only: dirty-region DLS
-///                          seeded by a tier-2 near-hit entry
-///                          (kWarmCache) or the facade's own last
-///                          result (kWarmPrior), then a warm stretch
-///                          that replays the seed's committed speeds
-///                          for clean tasks (deadline-clamped) and
+///                          seeded by the facade's own last result
+///                          (kWarmPrior), then a warm stretch that
+///                          replays the seed's committed speeds for
+///                          clean tasks (deadline-clamped) and
 ///                          re-enumerates paths only when the scheduled
 ///                          DAG's shape changed; feasibly equivalent,
 ///                          not bit-identical.
-///   3. table selection   — table mode only: nearest lattice entry,
-///                          speed vector interpolated (see
-///                          dvfs::ScheduleTable).
-///   4. full recompute    — always available; the only path degraded
+///   3. full recompute    — always available; the only path degraded
 ///                          requests (restricted mask or speed floor)
 ///                          take, bypassing the cache entirely.
 ///
@@ -36,11 +32,11 @@
 ///
 /// Exactness contract per tier: kExact returns the bytes a recompute
 /// would produce (the cache key folds the reschedule mode into the
-/// config fingerprint, so entries never cross modes). kWarm* and
-/// kTable return oracle-valid, deadline-safe schedules that may differ
-/// from a full recompute — the controller's energy-acceptance gate
-/// decides adoption, exactly as it does for noisy windowed estimates.
-/// kFull is the reference semantics. Debug: ACTG_VERIFY_INCREMENTAL=1
+/// config fingerprint, so entries never cross modes). kWarmPrior
+/// returns oracle-valid, deadline-safe schedules that may differ from a
+/// full recompute — the controller's energy-acceptance gate decides
+/// adoption, exactly as it does for noisy windowed estimates. kFull is
+/// the reference semantics. Debug: ACTG_VERIFY_INCREMENTAL=1
 /// (or RescheduleOptions::verify_incremental) recomputes from scratch
 /// after every warm-started result, oracle-validates both, and records
 /// the energy ratio in "resched.verify.energy_ratio". The reference
@@ -67,7 +63,6 @@
 #include "ctg/graph.h"
 #include "dvfs/path_engine.h"
 #include "dvfs/policy.h"
-#include "dvfs/schedule_table.h"
 #include "dvfs/stretch.h"
 #include "obs/trace.h"
 #include "runtime/metrics.h"
@@ -83,14 +78,13 @@ namespace actg::adaptive {
 enum class RescheduleMode {
   /// Full DLS + stretch every time (the reference semantics; default).
   kFull = 0,
-  /// Warm-start dirty-region DLS from a tier-2 near-hit or the prior
-  /// result; falls back to full when the dirty region is too large.
+  /// Warm-start dirty-region DLS from the prior result; falls back to
+  /// full when the dirty region is too large. The value is folded into
+  /// FingerprintConfig, hence into cache keys and timeline unit ids.
   kIncremental = 1,
-  /// Select + interpolate from a precomputed dvfs::ScheduleTable.
-  kTable = 2,
 };
 
-/// Stable lowercase name ("full", "incremental", "table").
+/// Stable lowercase name ("full", "incremental").
 const char* RescheduleModeName(RescheduleMode mode);
 
 /// Inverse of RescheduleModeName; nullopt on an unknown name.
@@ -102,16 +96,11 @@ struct RescheduleOptions {
   /// Incremental mode: when more than this fraction of tasks is dirty,
   /// warm-starting would pin too little to pay off — run full DLS.
   double max_dirty_ratio = 0.5;
-  /// Table mode: the precomputed table to select from (required for
-  /// kTable; must outlive every Rescheduler bound to it and be built
-  /// for the same graph/analysis/platform).
-  const dvfs::ScheduleTable* table = nullptr;
   /// Debug: recompute from scratch after every warm-started result and
   /// oracle-validate both (also enabled by ACTG_VERIFY_INCREMENTAL=1).
   bool verify_incremental = false;
 
-  /// Ok when the knobs are usable: max_dirty_ratio in (0, 1], a table
-  /// present in table mode.
+  /// Ok when max_dirty_ratio lies in (0, 1].
   util::Error Validate() const;
 };
 
@@ -133,11 +122,14 @@ struct RescheduleRequest {
 
 /// Which rung of the ladder produced a result.
 enum class RescheduleTier {
-  kExact = 0,      ///< tier-1 cache hit (bit-identical)
-  kWarmCache = 1,  ///< incremental DLS seeded by a tier-2 near-hit
+  kExact = 0,  ///< cache hit (bit-identical)
+  /// Retired, never produced: the campaign report, checkpoint-v1,
+  /// BENCH_campaign.json and perfbench's replay still read its name.
+  kWarmCache = 1,
   kWarmPrior = 2,  ///< incremental DLS seeded by the prior result
-  kTable = 3,      ///< lattice selection (+ speed interpolation)
-  kFull = 4,       ///< full recompute
+  /// Retired like kWarmCache, and kept for the same readers.
+  kTable = 3,
+  kFull = 4,  ///< full recompute
 };
 
 /// Stable name ("exact", "warm_cache", "warm_prior", "table", "full").
@@ -146,8 +138,11 @@ const char* RescheduleTierName(RescheduleTier tier);
 /// Per-tier outcome counters of one Rescheduler.
 struct TierCounts {
   std::uint64_t exact = 0;
+  /// Always 0 (retired tier); the campaign report, checkpoint-v1,
+  /// BENCH_campaign.json and perfbench's replay still read it.
   std::uint64_t warm_cache = 0;
   std::uint64_t warm_prior = 0;
+  /// Always 0; retired like warm_cache, kept for the same readers.
   std::uint64_t table = 0;
   std::uint64_t full = 0;
   /// Warm-start attempts that fell back to a full DLS (dirty region
@@ -188,8 +183,8 @@ struct RescheduleResult {
 
 /// The facade. Owns the reusable reschedule workspace (path enumeration
 /// + DLS scratch), the structural fingerprints, the cache keying and
-/// the warm-start basis. The referenced graph/analysis/platform (and
-/// table, when configured) must outlive it. Not thread-safe — one
+/// the warm-start basis. The referenced graph/analysis/platform must
+/// outlive it. Not thread-safe — one
 /// Rescheduler belongs to one controller.
 class Rescheduler {
  public:
@@ -220,8 +215,6 @@ class Rescheduler {
   runtime::Metrics& MetricsTarget() const;
   runtime::ScheduleCacheKey MakeKey(
       const ctg::BranchProbabilities& probs) const;
-  /// probs reconstructed from a cache key's flattened vector.
-  ctg::BranchProbabilities Unflatten(const std::vector<double>& flat) const;
   /// Full DLS + stretch under \p req; validates and (when \p key is
   /// set) inserts into the cache.
   RescheduleResult ComputeFull(const ctg::BranchProbabilities& probs,
@@ -233,14 +226,12 @@ class Rescheduler {
                               const ctg::BranchProbabilities& probs,
                               const RescheduleRequest& req,
                               const runtime::ScheduleCacheKey* key);
-  /// The warm-start rung; returns nullopt when there is no seed (the
-  /// caller then falls through to full). A dirty region over the ratio
-  /// yields a kFull result built on the fallback's own full DLS.
+  /// The warm-start rung; returns nullopt when there is no basis yet
+  /// (the caller then falls through to full). A dirty region over the
+  /// ratio yields a kFull result built on the fallback's own full DLS.
   std::optional<RescheduleResult> ComputeIncremental(
       const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
       const runtime::ScheduleCacheKey* key);
-  RescheduleResult ComputeTable(const ctg::BranchProbabilities& probs,
-                                const RescheduleRequest& req);
   void ApplyStretch(sched::Schedule& schedule,
                     const ctg::BranchProbabilities& probs,
                     double speed_floor, dvfs::StretchStats& stats,

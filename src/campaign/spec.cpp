@@ -1,5 +1,6 @@
 #include "campaign/spec.h"
 
+#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -35,6 +36,22 @@ faults::FaultPlan PresetPlan(const std::string& preset) {
     plan.drift.ramp_instances = 4;
   }
   return plan;
+}
+
+/// Invalid when two entries of the \p axis values share a name.
+template <typename T, typename NameOf>
+util::Error RejectDuplicate(const char* axis, const std::vector<T>& values,
+                            NameOf name_of) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::string name(name_of(values[i]));
+    for (std::size_t j = 0; j < i; ++j) {
+      if (name_of(values[j]) == name) {
+        return util::Error::Invalid(std::string("CampaignSpec: duplicate ") +
+                                    axis + " '" + name + "'");
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace
@@ -121,27 +138,23 @@ util::Error CampaignSpec::Validate() const {
         "CampaignSpec: every population axis must be non-empty "
         "(ApplyDefaults fills unlisted ones)");
   }
-  for (const adaptive::RescheduleMode mode : modes) {
-    if (mode == adaptive::RescheduleMode::kTable) {
-      return util::Error::Invalid(
-          "CampaignSpec: mode table needs a precomputed schedule "
-          "table; campaigns support full and incremental");
-    }
-  }
   for (const std::string& policy : policies) {
     if (dvfs::FindPolicy(policy) == nullptr) {
       return util::Error::Invalid("CampaignSpec: unknown policy '" +
                                   policy + "'");
     }
   }
-  for (std::size_t i = 0; i < storms.size(); ++i) {
-    if (util::Error err = storms[i].Validate(); !err.ok()) return err;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (storms[j].name == storms[i].name) {
-        return util::Error::Invalid("CampaignSpec: duplicate storm '" +
-                                    storms[i].name + "'");
-      }
-    }
+  for (const StormSpec& storm : storms) {
+    if (util::Error err = storm.Validate(); !err.ok()) return err;
+  }
+  // A repeated axis value would print two report rows with one label.
+  for (const util::Error& err :
+       {RejectDuplicate("workload", workloads, apps::TenantWorkloadName),
+        RejectDuplicate("policy", policies, std::identity{}),
+        RejectDuplicate("mode", modes, adaptive::RescheduleModeName),
+        RejectDuplicate("storm", storms,
+                        [](const StormSpec& s) { return s.name; })}) {
+    if (!err.ok()) return err;
   }
   return {};
 }

@@ -354,21 +354,10 @@ Report RunCase(const FuzzCase& c) {
       options.policy = c.policy;
       options.validate_schedules = true;
       options.reschedule.mode = c.reschedule_mode;
-      std::optional<dvfs::ScheduleTable> table;
-      if (c.reschedule_mode == adaptive::RescheduleMode::kIncremental) {
-        // Every warm-started result is differentially checked against a
-        // from-scratch recompute inside the facade.
-        options.reschedule.verify_incremental = true;
-      } else if (c.reschedule_mode == adaptive::RescheduleMode::kTable) {
-        // Corner-point lattice (points_per_fork = 2) keeps the table
-        // small for arbitrary fuzzed fork/outcome counts.
-        dvfs::ScheduleTableOptions table_options;
-        table_options.points_per_fork = 2;
-        table_options.dls = dls;
-        table_options.policy = c.policy;
-        table.emplace(c.graph, analysis, c.platform, table_options);
-        options.reschedule.table = &*table;
-      }
+      // Every warm-started result is differentially checked against a
+      // from-scratch recompute inside the facade.
+      options.reschedule.verify_incremental =
+          c.reschedule_mode == adaptive::RescheduleMode::kIncremental;
       adaptive::AdaptiveController controller(c.graph, analysis,
                                               c.platform, probs, options);
       if (injector.has_value()) {

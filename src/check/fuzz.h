@@ -55,7 +55,7 @@ struct FuzzCase {
   /// Reschedule mode of the adaptive controller. Incremental cases run
   /// with verify_incremental armed, so every warm-started result is
   /// differentially checked against a from-scratch recompute inside the
-  /// pipeline; table cases precompute a corner-point lattice.
+  /// pipeline.
   adaptive::RescheduleMode reschedule_mode = adaptive::RescheduleMode::kFull;
   bool with_faults = false;
   faults::FaultPlan faults;

@@ -51,8 +51,8 @@ class PathEngine;
 /// was produced for the same probabilities and shape (the clamp never
 /// binds on an unchanged trajectory). Probability-aware optimality of
 /// clean-task speeds is that of the seed's operating point; the drift
-/// is bounded by whatever produced the seed (tier-2 quantization bucket
-/// or the controller's threshold). StretchNlp ignores warm starts.
+/// is bounded by how far the probabilities moved since the seed (the
+/// controller's threshold). StretchNlp ignores warm starts.
 struct StretchWarmStart {
   /// Per task.index(): the seed schedule's committed speed ratio.
   const std::vector<double>* seed_speed = nullptr;

@@ -7,23 +7,14 @@
 
 namespace actg::runtime {
 
-util::Error CacheKeyOptions::Validate() const {
-  if (quantization == 0) {
-    return util::Error::Invalid(
-        "CacheKeyOptions: quantization must be > 0");
-  }
-  if (near_quantization == 0) {
-    return util::Error::Invalid(
-        "CacheKeyOptions: near_quantization must be > 0");
-  }
-  if (near_quantization > quantization) {
-    return util::Error::Invalid(
-        "CacheKeyOptions: near_quantization must not exceed quantization "
-        "(the tier-2 buckets must be at least as coarse as the exact-tier "
-        "hash)");
-  }
-  return {};
-}
+namespace {
+
+/// Hash resolution of the probability vector: probabilities are bucketed
+/// as round(p * kHashQuantization) when hashing. The exact-match check
+/// on the stored key keeps results unchanged at any resolution.
+constexpr double kHashQuantization = 1u << 16;
+
+}  // namespace
 
 ScheduleCacheKey MakeCacheKey(const ctg::Ctg& graph,
                               const ctg::BranchProbabilities& probs,
@@ -57,57 +48,14 @@ std::size_t ScheduleCache::KeyHash::operator()(
   for (double p : key.probs) {
     // Bucket by quantized probability; exact equality is checked by
     // operator== on the stored key, so collisions only cost a probe.
-    hash = HashCombine(
-        hash, static_cast<std::uint64_t>(std::llround(
-                  p * static_cast<double>(quantization))));
+    hash = HashCombine(hash, static_cast<std::uint64_t>(
+                                 std::llround(p * kHashQuantization)));
   }
   return static_cast<std::size_t>(hash);
-}
-
-std::size_t ScheduleCache::NearKeyHash::operator()(
-    const NearKey& key) const {
-  std::uint64_t hash = key.graph_fingerprint;
-  hash = HashCombine(hash, key.platform_fingerprint);
-  hash = HashCombine(hash, key.config_fingerprint);
-  hash = HashCombine(hash, key.tenant);
-  for (const char c : key.policy) {
-    hash = HashCombine(hash, static_cast<std::uint64_t>(c));
-  }
-  for (std::int64_t b : key.buckets) {
-    hash = HashCombine(hash, static_cast<std::uint64_t>(b));
-  }
-  return static_cast<std::size_t>(hash);
-}
-
-ScheduleCache::NearKey ScheduleCache::NearBucket(
-    const ScheduleCacheKey& key) const {
-  NearKey near;
-  near.graph_fingerprint = key.graph_fingerprint;
-  near.platform_fingerprint = key.platform_fingerprint;
-  near.config_fingerprint = key.config_fingerprint;
-  near.tenant = key.tenant;
-  near.policy = key.policy;
-  near.buckets.reserve(key.probs.size());
-  for (double p : key.probs) {
-    near.buckets.push_back(std::llround(
-        p * static_cast<double>(options_.keys.near_quantization)));
-  }
-  return near;
-}
-
-void ScheduleCache::ForgetNear(std::list<Slot>::iterator it) {
-  const auto near_it = near_index_.find(NearBucket(it->key));
-  if (near_it != near_index_.end() && near_it->second == it) {
-    near_index_.erase(near_it);
-  }
 }
 
 ScheduleCache::ScheduleCache(ScheduleCacheOptions options, Metrics* metrics)
-    : options_(options),
-      metrics_(metrics),
-      index_(/*bucket_count=*/16, KeyHash(options.keys.quantization)) {
-  options.keys.Validate().ThrowIfError();
-}
+    : options_(options), metrics_(metrics), index_(/*bucket_count=*/16) {}
 
 std::optional<ScheduleCacheEntry> ScheduleCache::Lookup(
     const ScheduleCacheKey& key) {
@@ -124,20 +72,6 @@ std::optional<ScheduleCacheEntry> ScheduleCache::Lookup(
   return it->second->entry;
 }
 
-std::optional<ScheduleCacheNearHit> ScheduleCache::LookupNear(
-    const ScheduleCacheKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = near_index_.find(NearBucket(key));
-  if (it == near_index_.end()) {
-    ++near_misses_;
-    if (metrics_) metrics_->Increment("schedule_cache.near_misses");
-    return std::nullopt;
-  }
-  ++near_hits_;
-  if (metrics_) metrics_->Increment("schedule_cache.near_hits");
-  return ScheduleCacheNearHit{it->second->entry, it->second->key.probs};
-}
-
 void ScheduleCache::Insert(const ScheduleCacheKey& key,
                            ScheduleCacheEntry entry) {
   if (options_.capacity == 0) return;
@@ -146,15 +80,12 @@ void ScheduleCache::Insert(const ScheduleCacheKey& key,
   if (it != index_.end()) {
     it->second->entry = std::move(entry);
     lru_.splice(lru_.begin(), lru_, it->second);
-    near_index_[NearBucket(key)] = it->second;
     return;
   }
   lru_.push_front(Slot{key, std::move(entry)});
   index_.emplace(key, lru_.begin());
-  near_index_[NearBucket(key)] = lru_.begin();
   if (lru_.size() > options_.capacity) {
     const auto victim = std::prev(lru_.end());
-    ForgetNear(victim);
     index_.erase(victim->key);
     lru_.pop_back();
     ++evictions_;
@@ -167,7 +98,6 @@ std::size_t ScheduleCache::Purge(std::uint64_t tenant) {
   std::size_t removed = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (it->key.tenant == tenant) {
-      ForgetNear(it);
       index_.erase(it->key);
       it = lru_.erase(it);
       ++removed;
@@ -181,14 +111,6 @@ std::size_t ScheduleCache::Purge(std::uint64_t tenant) {
 std::size_t ScheduleCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
-}
-
-double ScheduleCache::HitRate() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t total = hits_ + misses_;
-  return total == 0 ? 0.0
-                    : static_cast<double>(hits_) /
-                          static_cast<double>(total);
 }
 
 namespace {
@@ -209,14 +131,10 @@ ShardedScheduleCache::ShardedScheduleCache(
     ShardedScheduleCacheOptions options, Metrics* metrics) {
   ACTG_CHECK(options.shards > 0,
              "ShardedScheduleCache: shards must be > 0");
-  options.keys.Validate().ThrowIfError();
   shards_.reserve(options.shards);
   for (std::size_t s = 0; s < options.shards; ++s) {
-    // Every shard receives the one validated CacheKeyOptions verbatim:
-    // resolutions cannot drift between shards of one cache.
     shards_.push_back(std::make_unique<ScheduleCache>(
-        ScheduleCacheOptions{.capacity = options.shard_capacity,
-                             .keys = options.keys},
+        ScheduleCacheOptions{.capacity = options.shard_capacity},
         metrics));
   }
 }
@@ -231,16 +149,6 @@ ScheduleCache& ShardedScheduleCache::ShardFor(std::uint64_t tenant) {
 
 std::size_t ShardedScheduleCache::Purge(std::uint64_t tenant) {
   return ShardFor(tenant).Purge(tenant);
-}
-
-std::vector<ShardStats> ShardedScheduleCache::Stats() const {
-  std::vector<ShardStats> stats;
-  stats.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    stats.push_back(ShardStats{shard->size(), shard->hits(),
-                               shard->misses(), shard->evictions()});
-  }
-  return stats;
 }
 
 std::size_t ShardedScheduleCache::size() const {

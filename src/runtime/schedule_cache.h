@@ -1,6 +1,6 @@
 /// \file schedule_cache.h
 /// LRU memoization of (schedule, stretch) results for the adaptive
-/// controller, with a tiered lookup.
+/// controller.
 ///
 /// The adaptive framework recomputes DLS + stretching every time a
 /// threshold crossing occurs — even when the windowed branch-probability
@@ -11,24 +11,14 @@
 /// scheduler/stretcher configuration, and the flattened branch
 /// probability vector.
 ///
-/// Two lookup tiers:
-///
-/// * Tier 1 — Lookup(): exact. Probabilities are *quantized only for
-///   hashing* (bucket selection); a lookup hits only when the stored
-///   probability vector matches the query bit-for-bit. A hit therefore
-///   returns exactly what recomputation would have produced (DLS and
-///   the stretcher are deterministic), so enabling the cache never
-///   changes any result — it only skips work. Windowed estimates are
-///   ratios of small integer counts over a fixed window length, so
-///   recurring operating points reproduce identical doubles and do hit.
-/// * Tier 2 — LookupNear(): quantized near-hit. A coarser quantization
-///   (CacheKeyOptions::near_quantization) buckets nearby operating
-///   points together; the most recently inserted entry of the query's
-///   bucket is returned as a *warm-start seed* together with the
-///   probability vector it was computed for. A near-hit is never a
-///   final answer: the caller (adaptive::Rescheduler) re-levels and
-///   re-maps the dirty region against the seed's mapping, so tier 2
-///   trades exactness for reschedule latency explicitly.
+/// Lookup() is exact. Probabilities are *quantized only for hashing*
+/// (bucket selection, round(p * 2^16)); a lookup hits only when the
+/// stored probability vector matches the query bit-for-bit. A hit
+/// therefore returns exactly what recomputation would have produced
+/// (DLS and the stretcher are deterministic), so enabling the cache
+/// never changes any result — it only skips work. Windowed estimates
+/// are ratios of small integer counts over a fixed window length, so
+/// recurring operating points reproduce identical doubles and do hit.
 ///
 /// Cached Schedule objects reference the graph/analysis/platform they
 /// were built from; those must outlive the cache.
@@ -36,8 +26,8 @@
 /// All operations are thread-safe (single mutex; entries are copied out
 /// under the lock). For many-tenant deployments a ShardedScheduleCache
 /// partitions the key space over independent ScheduleCache shards so
-/// tenants on different shards never contend on one mutex, with
-/// per-shard statistics and a per-tenant Purge.
+/// tenants on different shards never contend on one mutex, with a
+/// per-tenant Purge.
 
 #ifndef ACTG_RUNTIME_SCHEDULE_CACHE_H
 #define ACTG_RUNTIME_SCHEDULE_CACHE_H
@@ -57,7 +47,6 @@
 #include "dvfs/stretch.h"
 #include "runtime/metrics.h"
 #include "sched/schedule.h"
-#include "util/error.h"
 
 namespace actg::runtime {
 
@@ -106,43 +95,10 @@ struct ScheduleCacheEntry {
   dvfs::StretchStats stretch;
 };
 
-/// A tier-2 result: a prior entry from the query's coarse-quantization
-/// bucket, plus the probability vector it was computed for (the seed's
-/// operating point, needed to compute the dirty region against the
-/// query's probabilities).
-struct ScheduleCacheNearHit {
-  ScheduleCacheEntry entry;
-  std::vector<double> probs;
-};
-
-/// Quantization of the probability vector, shared by every construction
-/// path (plain and sharded caches route through this one struct, so the
-/// exact-tier hash resolution and the tier-2 bucket resolution can
-/// never drift between a cache and its shards).
-struct CacheKeyOptions {
-  /// Exact-tier hash resolution: probabilities are bucketed as
-  /// round(p * quantization) when hashing. Smaller values group
-  /// near-identical operating points into one hash bucket; the
-  /// exact-match check keeps tier-1 results unchanged either way.
-  std::uint64_t quantization = 1u << 16;
-  /// Tier-2 bucket resolution: two probability vectors are near-equal
-  /// when they agree after rounding to round(p * near_quantization).
-  /// 1/near_quantization is therefore (up to rounding) the per-outcome
-  /// tolerance of a warm-start seed. Must not exceed quantization — a
-  /// coarser exact tier than the near tier would be nonsense.
-  std::uint64_t near_quantization = 1u << 4;
-
-  /// Ok when both resolutions are positive and the near tier is not
-  /// finer than the exact tier.
-  util::Error Validate() const;
-};
-
 /// Configuration of the cache.
 struct ScheduleCacheOptions {
   /// Maximum number of entries; the least recently used is evicted.
   std::size_t capacity = 128;
-  /// Probability quantization (exact-tier hashing + tier-2 buckets).
-  CacheKeyOptions keys;
 };
 
 /// Pairs the cache a controller should consult with the tenant id its
@@ -171,29 +127,16 @@ struct CacheBinding {
 class ScheduleCache {
  public:
   /// \p metrics, when set, mirrors the hit/miss/eviction counters into
-  /// a Metrics registry under "schedule_cache.{hits,misses,evictions,
-  /// near_hits,near_misses}". Throws when options.keys is invalid.
+  /// a Metrics registry under "schedule_cache.{hits,misses,evictions}".
   explicit ScheduleCache(ScheduleCacheOptions options = {},
                          Metrics* metrics = nullptr);
 
-  /// Tier 1: returns a copy of the entry for \p key and marks it most
-  /// recently used; nullopt (and a miss) when absent.
+  /// Returns a copy of the entry for \p key and marks it most recently
+  /// used; nullopt (and a miss) when absent.
   std::optional<ScheduleCacheEntry> Lookup(const ScheduleCacheKey& key);
 
-  /// Tier 2: returns the most recently inserted entry whose key matches
-  /// \p key on every identity field and whose probability vector lands
-  /// in the same near_quantization bucket, together with that entry's
-  /// probability vector; nullopt (and a near-miss) when the bucket is
-  /// empty. The returned entry is a warm-start seed, not a final
-  /// answer. Does not disturb the LRU order (seeding is speculative —
-  /// an entry should not outlive its usefulness just because it kept
-  /// being consulted as a seed).
-  std::optional<ScheduleCacheNearHit> LookupNear(
-      const ScheduleCacheKey& key);
-
   /// Inserts (or replaces) the entry for \p key as most recently used,
-  /// evicting the least recently used entry beyond capacity. The entry
-  /// also becomes its near-bucket's seed.
+  /// evicting the least recently used entry beyond capacity.
   void Insert(const ScheduleCacheKey& key, ScheduleCacheEntry entry);
 
   /// Drops every entry whose key carries \p tenant (session shutdown in
@@ -205,11 +148,6 @@ class ScheduleCache {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }
-  std::uint64_t near_hits() const { return near_hits_; }
-  std::uint64_t near_misses() const { return near_misses_; }
-
-  /// Hits / (hits + misses); 0 when never queried.
-  double HitRate() const;
 
  private:
   struct Slot {
@@ -217,29 +155,8 @@ class ScheduleCache {
     ScheduleCacheEntry entry;
   };
   struct KeyHash {
-    explicit KeyHash(std::uint64_t quantization = 1)
-        : quantization(quantization) {}
     std::size_t operator()(const ScheduleCacheKey& key) const;
-    std::uint64_t quantization;
   };
-  /// Identity fields exactly, probabilities coarsely quantized.
-  struct NearKey {
-    std::uint64_t graph_fingerprint = 0;
-    std::uint64_t platform_fingerprint = 0;
-    std::uint64_t config_fingerprint = 0;
-    std::uint64_t tenant = 0;
-    std::string policy;
-    std::vector<std::int64_t> buckets;
-
-    friend bool operator==(const NearKey&, const NearKey&) = default;
-  };
-  struct NearKeyHash {
-    std::size_t operator()(const NearKey& key) const;
-  };
-
-  NearKey NearBucket(const ScheduleCacheKey& key) const;
-  /// Drops \p it's near-index entry when it is the bucket seed.
-  void ForgetNear(std::list<Slot>::iterator it);
 
   ScheduleCacheOptions options_;
   Metrics* metrics_;
@@ -247,14 +164,9 @@ class ScheduleCache {
   std::list<Slot> lru_;  // front = most recently used
   std::unordered_map<ScheduleCacheKey, std::list<Slot>::iterator, KeyHash>
       index_;
-  /// Coarse bucket -> most recently inserted slot of that bucket.
-  std::unordered_map<NearKey, std::list<Slot>::iterator, NearKeyHash>
-      near_index_;
   std::atomic<std::uint64_t> hits_ = 0;
   std::atomic<std::uint64_t> misses_ = 0;
   std::atomic<std::uint64_t> evictions_ = 0;
-  std::atomic<std::uint64_t> near_hits_ = 0;
-  std::atomic<std::uint64_t> near_misses_ = 0;
 };
 
 /// Configuration of a sharded cache.
@@ -265,18 +177,6 @@ struct ShardedScheduleCacheOptions {
   std::size_t shards = 8;
   /// Per-shard LRU capacity (see ScheduleCacheOptions).
   std::size_t shard_capacity = 64;
-  /// Probability quantization, handed to every shard as-is — one struct
-  /// for the whole cache, so shards cannot be constructed with
-  /// drifting resolutions.
-  CacheKeyOptions keys;
-};
-
-/// Point-in-time counters of one shard.
-struct ShardStats {
-  std::size_t entries = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
 };
 
 /// Tenant-partitioned schedule cache: a fixed array of ScheduleCache
@@ -304,9 +204,6 @@ class ShardedScheduleCache {
 
   /// Drops every entry of \p tenant from its shard; returns the count.
   std::size_t Purge(std::uint64_t tenant);
-
-  /// Per-shard counters, indexed by shard.
-  std::vector<ShardStats> Stats() const;
 
   /// Aggregates over all shards.
   std::size_t size() const;

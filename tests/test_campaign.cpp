@@ -185,13 +185,28 @@ TEST(CampaignSpecFile, CommentsAndBlankLinesAreIgnored)
   EXPECT_EQ(parsed.value().instances, 5u);
 }
 
-TEST(CampaignSpec, TableModeIsRejected) {
-  CampaignSpec spec = SyntheticCampaign(10, 1);
-  spec.modes = {adaptive::RescheduleMode::kTable};
-  const util::Error error = spec.Validate();
-  EXPECT_FALSE(error.ok());
-  EXPECT_NE(error.message().find("full and incremental"),
-            std::string::npos);
+// A repeated value on any population axis would print two report rows
+// with one label, so every axis rejects it with a pinned diagnostic.
+TEST(CampaignSpec, DuplicateAxisValuesAreRejected) {
+  const auto diagnostic = [](void (*mutate)(CampaignSpec&)) {
+    CampaignSpec spec = SyntheticCampaign(10, 1);
+    mutate(spec);
+    return spec.Validate().message();
+  };
+  EXPECT_EQ(diagnostic([](CampaignSpec& s) {
+              s.workloads.push_back(s.workloads.front());
+            }),
+            "CampaignSpec: duplicate workload 'mpeg'");
+  EXPECT_EQ(diagnostic([](CampaignSpec& s) { s.policies = {"nlp", "nlp"}; }),
+            "CampaignSpec: duplicate policy 'nlp'");
+  EXPECT_EQ(diagnostic([](CampaignSpec& s) {
+              s.modes.push_back(adaptive::RescheduleMode::kFull);
+            }),
+            "CampaignSpec: duplicate mode 'full'");
+  EXPECT_EQ(diagnostic([](CampaignSpec& s) {
+              s.storms.push_back(s.storms.back());
+            }),
+            "CampaignSpec: duplicate storm 'squall'");
 }
 
 TEST(CampaignSpec, ValidationCatchesBrokenKnobs) {
@@ -429,6 +444,34 @@ TEST(CampaignRunner, RunCampaignFileReportsParseErrors) {
   EXPECT_TRUE(report.str().empty());
 }
 
+// The report keeps the columns of the retired warm_cache and table
+// tiers, always zero, so readers of report v1 see an unchanged layout.
+TEST(CampaignRunner, ReportKeepsTheRetiredTierColumns) {
+  Campaign run(SmallSpec());
+  const CampaignResult& result = run.Run();
+  EXPECT_EQ(result.tiers.warm_cache, 0u);
+  EXPECT_EQ(result.tiers.table, 0u);
+  EXPECT_GT(result.tiers.total(), 0u);
+  std::ostringstream os;
+  result.Write(os);
+  const std::string fleet =
+      "\ntiers exact " + std::to_string(result.tiers.exact) +
+      " warm_cache 0 warm_prior " + std::to_string(result.tiers.warm_prior) +
+      " table 0 full " + std::to_string(result.tiers.full) + " fallbacks " +
+      std::to_string(result.tiers.incremental_fallbacks) + "\n";
+  EXPECT_NE(os.str().find(fleet), std::string::npos) << os.str();
+  std::istringstream lines(os.str());
+  std::size_t shard_lines = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("shard ", 0) != 0) continue;
+    ++shard_lines;
+    EXPECT_NE(line.find(" warm_cache 0 warm_prior "), std::string::npos)
+        << line;
+    EXPECT_NE(line.find(" table 0 full "), std::string::npos) << line;
+  }
+  EXPECT_EQ(shard_lines, result.shards.size());
+}
+
 // The committed 1k-instance fleet: the golden --jobs byte-equality the
 // CI smoke job also replays through the actg_campaign binary.
 TEST(CampaignGolden, CommittedFleetReportIsJobsInvariant) {
@@ -501,6 +544,39 @@ TEST(CampaignCheckpoint, StoreLoadStoreIsByteIdentical) {
   WriteCheckpoint(restored, spec, state.value().done,
                   state.value().outputs);
   EXPECT_EQ(stored, restored.str());
+}
+
+// Each shard's checkpoint-v1 'tiers' record keeps six counters; the
+// slots of the retired warm_cache and table tiers read zero.
+TEST(CampaignCheckpoint, TiersRecordKeepsTheRetiredSlots) {
+  CampaignSpec spec = SmallSpec();
+  spec.shards = 4;
+  const std::filesystem::path dir = FreshDir("tiers");
+  CampaignOptions options;
+  options.checkpoint_dir = dir.string();
+  Campaign run(spec, options);
+  const CampaignResult& result = run.Run();
+  std::ifstream in(dir / "campaign.ckpt");
+  ASSERT_TRUE(in);
+  std::size_t records = 0;
+  adaptive::TierCounts sum;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("tiers ", 0) != 0) continue;
+    ++records;
+    std::istringstream fields(line);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    ASSERT_EQ(tokens.size(), 7u) << line;
+    EXPECT_EQ(tokens[2], "0") << "warm_cache: " << line;
+    EXPECT_EQ(tokens[4], "0") << "table: " << line;
+    sum.exact += std::stoull(tokens[1]);
+    sum.warm_prior += std::stoull(tokens[3]);
+    sum.full += std::stoull(tokens[5]);
+  }
+  EXPECT_EQ(records, spec.shards);
+  EXPECT_EQ(sum.exact, result.tiers.exact);
+  EXPECT_EQ(sum.warm_prior, result.tiers.warm_prior);
+  EXPECT_EQ(sum.full, result.tiers.full);
 }
 
 TEST(CampaignCheckpoint, ResumeWithoutAFileIsAFreshStart) {

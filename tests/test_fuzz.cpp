@@ -168,6 +168,31 @@ TEST(FuzzRepro, MalformedInputIsAnErrorNotACrash) {
   expect_fail("fuzzcase v1\npolicy\nend\n");            // missing operand
 }
 
+// 'reschedule' accepts exactly the modes the facade implements; the
+// retired "table" mode is an unknown name with a pinned diagnostic.
+TEST(FuzzRepro, RetiredTableModeIsAnUnknownRescheduleMode) {
+  FuzzCase c = Materialize(RandomSpec(util::Random(11), 0));
+  c.adaptive = true;
+  c.reschedule_mode = adaptive::RescheduleMode::kIncremental;
+  std::ostringstream written;
+  WriteRepro(written, c);
+  const std::string text = written.str();
+  const std::string directive = "reschedule incremental\n";
+  const std::size_t at = text.find(directive);
+  ASSERT_NE(at, std::string::npos) << text;
+
+  std::istringstream valid(text);
+  ASSERT_TRUE(ParseRepro(valid).ok());
+  std::string retired = text;
+  retired.replace(at, directive.size(), "reschedule table\n");
+  std::istringstream is(retired);
+  util::Expected<FuzzCase> parsed = ParseRepro(is);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().message().find("unknown reschedule mode 'table'"),
+            std::string::npos)
+      << parsed.error().message();
+}
+
 // ---------------------------------------------------------------------------
 // Shrinker
 

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "adaptive/rescheduler.h"
@@ -13,7 +15,6 @@
 #include "ctg/activation.h"
 #include "ctg/condition.h"
 #include "dvfs/paths.h"
-#include "dvfs/schedule_table.h"
 #include "runtime/metrics.h"
 #include "runtime/pool.h"
 #include "runtime/schedule_cache.h"
@@ -281,7 +282,7 @@ TEST(Rescheduler, IncrementalFallbackRunsOneDlsPerRequest) {
     const adaptive::TierCounts& tiers = incremental.tier_counts();
     EXPECT_EQ(tiers.full, kSteps);
     EXPECT_EQ(tiers.incremental_fallbacks, kSteps - 1);
-    EXPECT_EQ(tiers.exact + tiers.warm_cache + tiers.warm_prior, 0u);
+    EXPECT_EQ(tiers.exact + tiers.warm_prior, 0u);
     EXPECT_EQ(inc_metrics.counter("resched.tier.full"), kSteps);
     EXPECT_EQ(inc_metrics.counter("resched.incremental_fallbacks"),
               kSteps - 1);
@@ -346,12 +347,239 @@ TEST(Rescheduler, WarmResultsStayFeasibleUnderDrift) {
               fc.graph.deadline_ms() * (1.0 + 1e-9));
   }
   const adaptive::TierCounts& tiers = rescheduler.tier_counts();
-  EXPECT_GT(tiers.warm_cache + tiers.warm_prior, 0u);
+  EXPECT_GT(tiers.warm_prior, 0u);
+  EXPECT_EQ(tiers.warm_cache + tiers.table, 0u) << "retired tiers";
   EXPECT_EQ(tiers.total(), 24u);
   // The verifier ran on every warm-started result and recorded the
   // energy drift of the feasible-equivalent schedule.
   EXPECT_EQ(metrics.samples("resched.verify.energy_ratio"),
-            tiers.warm_cache + tiers.warm_prior);
+            tiers.warm_prior);
+}
+
+// A bound cache only ever answers exact repeats: on a drift sequence
+// with no repeated operating point, an incremental facade with a cache
+// and one without must take the same tiers and produce bitwise-equal
+// schedules. The sinusoid's points share 1/16-wide probability buckets,
+// so a cache that seeded warm starts from near neighbours would diverge.
+TEST(Rescheduler, BoundCacheDoesNotChangeWarmResults) {
+  const FacadeCase fc;
+  runtime::Metrics metrics;
+  runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
+  std::vector<adaptive::RescheduleResult> runs[2];
+  for (const bool with_cache : {false, true}) {
+    adaptive::ReschedulerConfig config;
+    config.reschedule.mode = adaptive::RescheduleMode::kIncremental;
+    config.reschedule.max_dirty_ratio = 0.9;
+    config.metrics = &metrics;
+    if (with_cache) config.cache = runtime::CacheBinding{&cache, 0};
+    adaptive::Rescheduler rescheduler(fc.graph, *fc.analysis, fc.platform,
+                                      config);
+    const adaptive::RescheduleRequest req{config.dls.available_pes, 0.0,
+                                          "test"};
+    for (int i = 0; i < 24; ++i) {
+      const double p = 0.5 + 0.4 * std::sin(0.7 * i);
+      runs[with_cache].push_back(rescheduler.Reschedule(
+          WithForkAt(fc.graph, fc.base, fc.fork, p), req));
+    }
+  }
+  EXPECT_EQ(cache.hits(), 0u) << "the sequence must not repeat a point";
+  for (std::size_t i = 0; i < runs[0].size(); ++i) {
+    EXPECT_EQ(runs[0][i].tier, runs[1][i].tier) << "step " << i;
+    EXPECT_TRUE(SamePlacements(fc.graph, runs[0][i].schedule,
+                               runs[1][i].schedule))
+        << "step " << i;
+    EXPECT_EQ(runs[0][i].stretch.path_count, runs[1][i].stretch.path_count)
+        << "step " << i;
+    EXPECT_EQ(runs[0][i].stretch.total_extension_ms,
+              runs[1][i].stretch.total_extension_ms)
+        << "step " << i;
+    EXPECT_EQ(runs[0][i].stretch.max_path_delay_ms,
+              runs[1][i].stretch.max_path_delay_ms)
+        << "step " << i;
+  }
+}
+
+bool SameResult(const ctg::Ctg& graph, const adaptive::RescheduleResult& a,
+                const adaptive::RescheduleResult& b) {
+  return SamePlacements(graph, a.schedule, b.schedule) &&
+         a.stretch.path_count == b.stretch.path_count &&
+         a.stretch.total_extension_ms == b.stretch.total_extension_ms &&
+         a.stretch.max_path_delay_ms == b.stretch.max_path_delay_ms;
+}
+
+// The ladder end to end: a new point is computed (full first, then warm
+// started from the prior result), and a repeated point is an exact hit
+// that returns what was computed for it the first time.
+TEST(Rescheduler, ExactRepeatsAreServedFromTheCache) {
+  const FacadeCase fc;
+  runtime::Metrics metrics;
+  runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
+  adaptive::ReschedulerConfig config;
+  config.reschedule.mode = adaptive::RescheduleMode::kIncremental;
+  config.reschedule.max_dirty_ratio = 0.9;
+  config.metrics = &metrics;
+  config.cache = runtime::CacheBinding{&cache, 0};
+  adaptive::Rescheduler rescheduler(fc.graph, *fc.analysis, fc.platform,
+                                    config);
+  const adaptive::RescheduleRequest req{config.dls.available_pes, 0.0,
+                                        "test"};
+  const ctg::BranchProbabilities a =
+      WithForkAt(fc.graph, fc.base, fc.fork, 0.3);
+  const ctg::BranchProbabilities b =
+      WithForkAt(fc.graph, fc.base, fc.fork, 0.8);
+
+  const adaptive::RescheduleResult first_a = rescheduler.Reschedule(a, req);
+  const adaptive::RescheduleResult first_b = rescheduler.Reschedule(b, req);
+  EXPECT_EQ(first_a.tier, adaptive::RescheduleTier::kFull);
+  EXPECT_EQ(first_b.tier, adaptive::RescheduleTier::kWarmPrior);
+  const adaptive::RescheduleResult again_a = rescheduler.Reschedule(a, req);
+  const adaptive::RescheduleResult again_b = rescheduler.Reschedule(b, req);
+  EXPECT_EQ(again_a.tier, adaptive::RescheduleTier::kExact);
+  EXPECT_EQ(again_b.tier, adaptive::RescheduleTier::kExact);
+  EXPECT_TRUE(SameResult(fc.graph, again_a, first_a));
+  EXPECT_TRUE(SameResult(fc.graph, again_b, first_b));
+
+  const adaptive::TierCounts& tiers = rescheduler.tier_counts();
+  EXPECT_EQ(tiers.full, 1u);
+  EXPECT_EQ(tiers.warm_prior, 1u);
+  EXPECT_EQ(tiers.exact, 2u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
+}
+
+// Every healthy result, an exact hit included, becomes the next
+// warm-start basis. After a, b and a cache hit on a, the warm start for
+// c is seeded from a's schedule — the same result a facade gets that
+// only ever saw a before c.
+TEST(Rescheduler, ExactHitBecomesTheWarmStartBasis) {
+  const FacadeCase fc;
+  runtime::Metrics metrics;
+  runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
+  adaptive::ReschedulerConfig config;
+  config.reschedule.mode = adaptive::RescheduleMode::kIncremental;
+  config.reschedule.max_dirty_ratio = 0.9;
+  config.metrics = &metrics;
+  adaptive::Rescheduler reference(fc.graph, *fc.analysis, fc.platform,
+                                  config);
+  config.cache = runtime::CacheBinding{&cache, 0};
+  adaptive::Rescheduler cached(fc.graph, *fc.analysis, fc.platform, config);
+  const adaptive::RescheduleRequest req{config.dls.available_pes, 0.0,
+                                        "test"};
+  const ctg::BranchProbabilities a =
+      WithForkAt(fc.graph, fc.base, fc.fork, 0.3);
+  const ctg::BranchProbabilities b =
+      WithForkAt(fc.graph, fc.base, fc.fork, 0.8);
+  const ctg::BranchProbabilities c =
+      WithForkAt(fc.graph, fc.base, fc.fork, 0.45);
+
+  cached.Reschedule(a, req);
+  cached.Reschedule(b, req);
+  ASSERT_EQ(cached.Reschedule(a, req).tier,
+            adaptive::RescheduleTier::kExact);
+  const adaptive::RescheduleResult got = cached.Reschedule(c, req);
+  reference.Reschedule(a, req);
+  const adaptive::RescheduleResult want = reference.Reschedule(c, req);
+  EXPECT_EQ(got.tier, adaptive::RescheduleTier::kWarmPrior);
+  EXPECT_EQ(want.tier, adaptive::RescheduleTier::kWarmPrior);
+  EXPECT_TRUE(SameResult(fc.graph, got, want));
+
+  // The check has teeth: seeded from b instead, c comes out otherwise.
+  config.cache = {};
+  adaptive::Rescheduler from_b(fc.graph, *fc.analysis, fc.platform, config);
+  from_b.Reschedule(b, req);
+  EXPECT_FALSE(SameResult(fc.graph, from_b.Reschedule(c, req), want));
+}
+
+// kWarmCache and kTable are retired names, kept only for the readers of
+// the report, checkpoint and baseline formats. No request — in either
+// mode, with or without a cache, healthy or degraded — counts under them.
+TEST(Rescheduler, RetiredTiersNeverCount) {
+  EXPECT_STREQ(
+      adaptive::RescheduleTierName(adaptive::RescheduleTier::kWarmCache),
+      "warm_cache");
+  EXPECT_STREQ(adaptive::RescheduleTierName(adaptive::RescheduleTier::kTable),
+               "table");
+  const FacadeCase fc;
+  for (const adaptive::RescheduleMode mode :
+       {adaptive::RescheduleMode::kFull,
+        adaptive::RescheduleMode::kIncremental}) {
+    for (const bool with_cache : {false, true}) {
+      SCOPED_TRACE(std::string(adaptive::RescheduleModeName(mode)) +
+                   (with_cache ? " with cache" : " without cache"));
+      runtime::Metrics metrics;
+      runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{},
+                                   &metrics);
+      adaptive::ReschedulerConfig config;
+      config.reschedule.mode = mode;
+      config.reschedule.max_dirty_ratio = 0.9;
+      config.metrics = &metrics;
+      if (with_cache) config.cache = runtime::CacheBinding{&cache, 0};
+      adaptive::Rescheduler rescheduler(fc.graph, *fc.analysis,
+                                        fc.platform, config);
+      const adaptive::RescheduleRequest healthy{config.dls.available_pes,
+                                                0.0, "test"};
+      const adaptive::RescheduleRequest degraded{
+          config.dls.available_pes.Without(PeId{0}), 0.0, "degraded"};
+      constexpr std::uint64_t kCalls = 18;
+      for (std::uint64_t i = 0; i < kCalls; ++i) {
+        // Six points, each visited three times.
+        const double p =
+            0.5 + 0.4 * std::sin(0.7 * static_cast<double>(i % 6));
+        rescheduler.Reschedule(WithForkAt(fc.graph, fc.base, fc.fork, p),
+                               i % 7 == 6 ? degraded : healthy);
+      }
+      const adaptive::TierCounts& tiers = rescheduler.tier_counts();
+      EXPECT_EQ(tiers.warm_cache, 0u);
+      EXPECT_EQ(tiers.table, 0u);
+      EXPECT_EQ(metrics.counter("resched.tier.warm_cache"), 0u);
+      EXPECT_EQ(metrics.counter("resched.tier.table"), 0u);
+      EXPECT_EQ(tiers.total(), kCalls);
+      EXPECT_EQ(tiers.exact > 0, with_cache);
+      EXPECT_EQ(tiers.warm_prior > 0,
+                mode == adaptive::RescheduleMode::kIncremental);
+    }
+  }
+}
+
+// The config fingerprint folds the reschedule mode, and in incremental
+// mode the dirty ratio, into every cache key: a warm-started result is
+// never served to a full-mode lookup, whose contract is bit-exactness.
+TEST(Rescheduler, ConfigFingerprintSeparatesModes) {
+  static_assert(
+      static_cast<int>(adaptive::RescheduleMode::kIncremental) == 1,
+      "the mode value is folded into cache keys and timeline unit ids");
+  const FacadeCase fc;
+  runtime::Metrics metrics;
+  runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
+  const auto make = [&](adaptive::RescheduleMode mode, double ratio) {
+    adaptive::ReschedulerConfig config;
+    config.reschedule.mode = mode;
+    config.reschedule.max_dirty_ratio = ratio;
+    config.metrics = &metrics;
+    config.cache = runtime::CacheBinding{&cache, 0};
+    return std::make_unique<adaptive::Rescheduler>(fc.graph, *fc.analysis,
+                                                   fc.platform, config);
+  };
+  const auto full = make(adaptive::RescheduleMode::kFull, 0.5);
+  const auto incremental = make(adaptive::RescheduleMode::kIncremental, 0.5);
+  EXPECT_NE(full->config_fingerprint(), incremental->config_fingerprint());
+  EXPECT_EQ(full->config_fingerprint(),
+            make(adaptive::RescheduleMode::kFull, 0.9)->config_fingerprint())
+      << "full mode never reads the dirty ratio";
+  EXPECT_NE(incremental->config_fingerprint(),
+            make(adaptive::RescheduleMode::kIncremental, 0.9)
+                ->config_fingerprint());
+
+  // One shared cache: neither mode is served the other's entry.
+  const adaptive::RescheduleRequest req{sched::DlsOptions{}.available_pes,
+                                        0.0, "test"};
+  EXPECT_EQ(incremental->Reschedule(fc.base, req).tier,
+            adaptive::RescheduleTier::kFull);
+  EXPECT_EQ(full->Reschedule(fc.base, req).tier,
+            adaptive::RescheduleTier::kFull);
+  EXPECT_EQ(full->Reschedule(fc.base, req).tier,
+            adaptive::RescheduleTier::kExact);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 // The debug oracle must be a pure observer: running the same drift
@@ -400,11 +628,10 @@ TEST(Rescheduler, DebugOracleIsSideEffectFree) {
               runs[1][i].stretch.total_extension_ms)
         << "step " << i;
   }
-  EXPECT_EQ(tiers[0].warm_cache, tiers[1].warm_cache);
   EXPECT_EQ(tiers[0].warm_prior, tiers[1].warm_prior);
   EXPECT_EQ(tiers[0].full, tiers[1].full);
   // The armed run actually exercised the oracle on warm results.
-  EXPECT_GT(tiers[1].warm_cache + tiers[1].warm_prior, 0u);
+  EXPECT_GT(tiers[1].warm_prior, 0u);
 }
 
 // A degraded request (restricted mask) must bypass the cache and the
@@ -499,10 +726,10 @@ TEST(Rescheduler, FailedDegradedEnumerationIsNeverRewound) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier-2 warm-start determinism: --jobs 1 vs --jobs 8
+// Warm-start determinism: --jobs 1 vs --jobs 8
 
-// Eight independent reschedulers (each with its own cache, so the
-// tier-2 near-hit path engages) driven over per-instance oscillating
+// Eight independent reschedulers (each with its own cache and
+// warm-start basis) driven over per-instance oscillating
 // traces must produce byte-identical schedules whether they run
 // serially or across an 8-worker pool — the pool contract (results by
 // index, not completion order) applied to the warm-start path.
@@ -548,7 +775,7 @@ TEST(Rescheduler, WarmStartDeterministicAcrossJobCounts) {
     serial.push_back(run_instance(k));
   }
   // The trace must exercise the warm tiers, or this test proves nothing.
-  ASSERT_GT(serial[0].tiers.warm_cache + serial[0].tiers.warm_prior, 0u);
+  ASSERT_GT(serial[0].tiers.warm_prior, 0u);
 
   // --jobs 8: same instances across a worker pool.
   std::vector<InstanceResult> parallel(kInstances);
@@ -559,7 +786,6 @@ TEST(Rescheduler, WarmStartDeterministicAcrossJobCounts) {
   for (std::size_t k = 0; k < kInstances; ++k) {
     ASSERT_EQ(serial[k].schedules.size(), parallel[k].schedules.size());
     EXPECT_EQ(serial[k].tiers.total(), parallel[k].tiers.total());
-    EXPECT_EQ(serial[k].tiers.warm_cache, parallel[k].tiers.warm_cache);
     EXPECT_EQ(serial[k].tiers.warm_prior, parallel[k].tiers.warm_prior);
     for (int i = 0; i < kSteps; ++i) {
       EXPECT_TRUE(SamePlacements(fc.graph, serial[k].schedules[i],
@@ -567,113 +793,6 @@ TEST(Rescheduler, WarmStartDeterministicAcrossJobCounts) {
           << "instance " << k << " step " << i;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Table mode
-
-// Select must agree with a brute-force nearest-lattice scan under the
-// documented metric (max-abs over the flattened vector, lowest index on
-// ties), and a query *at* a lattice point must materialize that entry's
-// schedule bit-identically (no interpolation at distance zero).
-TEST(ScheduleTableMode, SelectMatchesBruteForceNearestLattice) {
-  const FacadeCase fc;
-  dvfs::ScheduleTableOptions options;
-  options.points_per_fork = 3;
-  const dvfs::ScheduleTable table(fc.graph, *fc.analysis, fc.platform,
-                                  options);
-  ASSERT_GT(table.size(), 0u);
-
-  const auto distance = [&](const ctg::BranchProbabilities& probs,
-                            const dvfs::ScheduleTableEntry& entry) {
-    double dist = 0.0;
-    std::size_t i = 0;
-    for (TaskId fork : fc.graph.ForkIds()) {
-      for (int o = 0; o < fc.graph.OutcomeCount(fork); ++o) {
-        dist = std::max(dist,
-                        std::abs(probs.Outcome(fork, o) - entry.flat[i]));
-        ++i;
-      }
-    }
-    return dist;
-  };
-
-  util::Random rng(11);
-  for (int q = 0; q < 64; ++q) {
-    ctg::BranchProbabilities probs = fc.base;
-    for (TaskId fork : fc.graph.ForkIds()) {
-      probs = WithForkAt(fc.graph, probs, fork, rng.Uniform(0.05, 0.95));
-    }
-    std::size_t best = 0;
-    double best_dist = distance(probs, table.entry(0));
-    for (std::size_t i = 1; i < table.size(); ++i) {
-      const double dist = distance(probs, table.entry(i));
-      if (dist < best_dist) {  // strict: ties keep the lowest index
-        best_dist = dist;
-        best = i;
-      }
-    }
-    EXPECT_EQ(table.Select(probs), best) << "query " << q;
-  }
-
-  // At a lattice point the materialized schedule is the entry itself.
-  for (std::size_t i = 0; i < table.size(); i += 3) {
-    const dvfs::MaterializedSchedule m =
-        table.Materialize(table.entry(i).probs);
-    EXPECT_EQ(m.entry_index, i);
-    EXPECT_FALSE(m.interpolated);
-    EXPECT_TRUE(
-        SamePlacements(fc.graph, m.schedule, table.entry(i).schedule));
-  }
-}
-
-// Off-lattice queries may interpolate; the blend must stay
-// deadline-feasible and oracle-valid (the convexity argument of
-// schedule_table.h).
-TEST(ScheduleTableMode, MaterializedSchedulesStayFeasible) {
-  const FacadeCase fc;
-  dvfs::ScheduleTableOptions options;
-  options.points_per_fork = 3;
-  const dvfs::ScheduleTable table(fc.graph, *fc.analysis, fc.platform,
-                                  options);
-
-  util::Random rng(12);
-  for (int q = 0; q < 16; ++q) {
-    ctg::BranchProbabilities probs = fc.base;
-    for (TaskId fork : fc.graph.ForkIds()) {
-      probs = WithForkAt(fc.graph, probs, fork, rng.Uniform(0.05, 0.95));
-    }
-    const dvfs::MaterializedSchedule m = table.Materialize(probs);
-    check::Expectations expect;
-    expect.deadline_feasible = true;
-    ASSERT_NO_THROW(check::Validate(m.schedule, expect)) << "query " << q;
-  }
-}
-
-// The facade's table tier agrees with querying the table directly.
-TEST(ScheduleTableMode, FacadeTableTierMatchesDirectMaterialize) {
-  const FacadeCase fc;
-  dvfs::ScheduleTableOptions toptions;
-  toptions.points_per_fork = 3;
-  const dvfs::ScheduleTable table(fc.graph, *fc.analysis, fc.platform,
-                                  toptions);
-
-  adaptive::ReschedulerConfig config;
-  config.reschedule.mode = adaptive::RescheduleMode::kTable;
-  config.reschedule.table = &table;
-  runtime::Metrics metrics;
-  config.metrics = &metrics;
-  adaptive::Rescheduler rescheduler(fc.graph, *fc.analysis, fc.platform,
-                                    config);
-  const adaptive::RescheduleRequest req{config.dls.available_pes, 0.0,
-                                        "test"};
-
-  const ctg::BranchProbabilities probs =
-      WithForkAt(fc.graph, fc.base, fc.fork, 0.7);
-  const adaptive::RescheduleResult r = rescheduler.Reschedule(probs, req);
-  EXPECT_EQ(r.tier, adaptive::RescheduleTier::kTable);
-  const dvfs::MaterializedSchedule m = table.Materialize(probs);
-  EXPECT_TRUE(SamePlacements(fc.graph, r.schedule, m.schedule));
 }
 
 // ---------------------------------------------------------------------------
@@ -687,22 +806,18 @@ TEST(RescheduleOptionsValidate, RejectsBadKnobs) {
   EXPECT_FALSE(options.Validate().ok());
   options.max_dirty_ratio = 1.5;
   EXPECT_FALSE(options.Validate().ok());
-  options.max_dirty_ratio = 0.5;
-
-  options.mode = adaptive::RescheduleMode::kTable;
-  EXPECT_FALSE(options.Validate().ok()) << "table mode needs a table";
 }
 
 TEST(RescheduleOptionsValidate, ModeNamesRoundTrip) {
   using adaptive::RescheduleMode;
   for (const RescheduleMode mode :
-       {RescheduleMode::kFull, RescheduleMode::kIncremental,
-        RescheduleMode::kTable}) {
+       {RescheduleMode::kFull, RescheduleMode::kIncremental}) {
     EXPECT_EQ(adaptive::ParseRescheduleMode(
                   adaptive::RescheduleModeName(mode)),
               mode);
   }
   EXPECT_FALSE(adaptive::ParseRescheduleMode("warp").has_value());
+  EXPECT_FALSE(adaptive::ParseRescheduleMode("table").has_value());
 }
 
 TEST(ReschedulerConfigValidate, RejectsUnknownPolicy) {
@@ -713,16 +828,6 @@ TEST(ReschedulerConfigValidate, RejectsUnknownPolicy) {
   EXPECT_THROW(adaptive::Rescheduler(fc.graph, *fc.analysis, fc.platform,
                                      config),
                actg::Error);
-}
-
-TEST(ScheduleTableOptionsValidate, RejectsDegenerateLattice) {
-  dvfs::ScheduleTableOptions options;
-  EXPECT_TRUE(options.Validate().ok());
-  options.points_per_fork = 1;
-  EXPECT_FALSE(options.Validate().ok());
-  options.points_per_fork = 5;
-  options.max_entries = 0;
-  EXPECT_FALSE(options.Validate().ok());
 }
 
 }  // namespace

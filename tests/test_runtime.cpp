@@ -333,97 +333,15 @@ TEST_F(ScheduleCacheFixture, ConcurrentLookupsAndInsertsAreSafe) {
   EXPECT_EQ(cache.hits() + cache.misses(), 800u);
 }
 
-TEST_F(ScheduleCacheFixture, NearTierReturnsMostRecentSeedOfBucket) {
-  // Default near_quantization = 16: probabilities agreeing after
-  // round(p * 16) share a tier-2 bucket. 0.50, 0.505 and 0.51 all
-  // round to 8; 0.60 rounds to 10.
-  ScheduleCache cache;
-  const ScheduleCacheKey k1 = MakeKey({0.50});
-  const ScheduleCacheKey k2 = MakeKey({0.505});
-  cache.Insert(k1, MakeEntry(ex_.probs));
-  cache.Insert(k2, MakeEntry(ex_.probs));
-
-  const ScheduleCacheKey query = MakeKey({0.51});
-  EXPECT_FALSE(cache.Lookup(query).has_value()) << "tier 1 stays exact";
-  const auto near = cache.LookupNear(query);
-  ASSERT_TRUE(near.has_value());
-  // The seed is the bucket's most recently *inserted* entry, and it
-  // carries the operating point it was computed for.
-  EXPECT_EQ(near->probs, k2.probs);
-  EXPECT_EQ(cache.near_hits(), 1u);
-
-  EXPECT_FALSE(cache.LookupNear(MakeKey({0.60})).has_value());
-  EXPECT_EQ(cache.near_misses(), 1u);
-}
-
-TEST_F(ScheduleCacheFixture, NearLookupDoesNotDisturbLru) {
-  // A tier-2 probe is advisory: it must not refresh the seed's LRU
-  // position, or warm-start scans would pin stale entries alive.
-  ScheduleCacheOptions options;
-  options.capacity = 2;
-  ScheduleCache cache(options);
-  const ScheduleCacheEntry entry = MakeEntry(ex_.probs);
-  const ScheduleCacheKey k1 = MakeKey({0.50});
-  const ScheduleCacheKey k2 = MakeKey({0.80});
-  cache.Insert(k1, entry);
-  cache.Insert(k2, entry);
-
-  ASSERT_TRUE(cache.LookupNear(MakeKey({0.51})).has_value());
-  cache.Insert(MakeKey({0.20}), entry);  // overflow: k1 is still LRU
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.Lookup(k1).has_value());
-  EXPECT_TRUE(cache.Lookup(k2).has_value());
-}
-
-TEST_F(ScheduleCacheFixture, NearTierNeverCrossesTenantOrFingerprint) {
-  ScheduleCache cache;
-  ScheduleCacheKey key = MakeKey({0.50});
-  key.tenant = 1;
-  cache.Insert(key, MakeEntry(ex_.probs));
-
-  ScheduleCacheKey other_tenant = MakeKey({0.51});
-  other_tenant.tenant = 2;
-  EXPECT_FALSE(cache.LookupNear(other_tenant).has_value());
-
-  ScheduleCacheKey other_config = MakeKey({0.51});
-  other_config.tenant = 1;
-  other_config.config_fingerprint = 99;
-  EXPECT_FALSE(cache.LookupNear(other_config).has_value());
-
-  ScheduleCacheKey same = MakeKey({0.51});
-  same.tenant = 1;
-  EXPECT_TRUE(cache.LookupNear(same).has_value());
-}
-
-TEST(CacheKeyOptionsTest, ValidateRejectsInvertedOrZeroResolutions) {
-  CacheKeyOptions keys;
-  EXPECT_TRUE(keys.Validate().ok());
-
-  keys.near_quantization = keys.quantization * 2;  // near finer than exact
-  EXPECT_FALSE(keys.Validate().ok());
-
-  keys = CacheKeyOptions{};
-  keys.quantization = 0;
-  EXPECT_FALSE(keys.Validate().ok());
-  keys = CacheKeyOptions{};
-  keys.near_quantization = 0;
-  EXPECT_FALSE(keys.Validate().ok());
-
-  // Equal resolutions are the degenerate-but-legal corner.
-  keys = CacheKeyOptions{};
-  keys.near_quantization = keys.quantization;
-  EXPECT_TRUE(keys.Validate().ok());
-}
-
-TEST_F(ScheduleCacheFixture, ConcurrentNearTierTrafficIsSafe) {
-  // Exercised under TSan in CI: both lookup tiers plus inserts and
-  // purges hammering one cache from four threads.
+TEST_F(ScheduleCacheFixture, ConcurrentLookupsInsertsAndPurgesAreSafe) {
+  // Exercised under TSan in CI: lookups, inserts and per-tenant purges
+  // hammering one cache from four threads.
   ScheduleCacheOptions options;
   options.capacity = 8;
   ScheduleCache cache(options);
   const ScheduleCacheEntry entry = MakeEntry(ex_.probs);
 
-  std::atomic<std::uint64_t> near_probes{0};
+  std::atomic<std::uint64_t> purged{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
@@ -431,18 +349,21 @@ TEST_F(ScheduleCacheFixture, ConcurrentNearTierTrafficIsSafe) {
         ScheduleCacheKey key =
             MakeKey({static_cast<double>((t + i) % 12) / 12.0});
         key.tenant = static_cast<std::uint64_t>(t % 2);
-        if (cache.LookupNear(key).has_value()) {
-          near_probes.fetch_add(1, std::memory_order_relaxed);
-        }
         if (!cache.Lookup(key).has_value()) cache.Insert(key, entry);
-        if (i % 64 == 63) cache.Purge(static_cast<std::uint64_t>(t % 2));
+        if (i % 64 == 63) {
+          purged.fetch_add(cache.Purge(static_cast<std::uint64_t>(t % 2)),
+                           std::memory_order_relaxed);
+        }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_LE(cache.size(), 8u);
-  EXPECT_EQ(cache.near_hits(), near_probes.load());
-  EXPECT_EQ(cache.near_hits() + cache.near_misses(), 800u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 800u);
+  // Every slot comes from an insert after a miss (two threads racing on
+  // one key share a slot) and is still cached, evicted or purged.
+  EXPECT_LE(cache.size() + cache.evictions() + purged.load(),
+            cache.misses());
 }
 
 TEST_F(ScheduleCacheFixture, AdaptiveRunUnchangedByCacheWithHits) {
@@ -506,6 +427,56 @@ TEST_F(ScheduleCacheFixture, TenantAndPolicyFieldsPreventKeyAliasing) {
   EXPECT_TRUE(cache.Lookup(key).has_value());
 }
 
+TEST_F(ScheduleCacheFixture, FingerprintFieldsPreventKeyAliasing) {
+  // The same operating point on another graph, another platform or
+  // under another scheduler/stretcher configuration is another entry.
+  ScheduleCache cache;
+  const ScheduleCacheKey key = MakeKey({0.4, 0.6});
+  cache.Insert(key, MakeEntry(ex_.probs));
+  for (std::uint64_t ScheduleCacheKey::*field :
+       {&ScheduleCacheKey::graph_fingerprint,
+        &ScheduleCacheKey::platform_fingerprint,
+        &ScheduleCacheKey::config_fingerprint}) {
+    ScheduleCacheKey other = key;
+    other.*field += 1;
+    EXPECT_FALSE(cache.Lookup(other).has_value());
+  }
+  EXPECT_TRUE(cache.Lookup(key).has_value());
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST_F(ScheduleCacheFixture, HashBucketMatesAreStoredApart) {
+  // Probabilities within 2^-17 of each other quantize to one hash
+  // bucket; the keys still get a slot each and answer with their own
+  // entry.
+  ScheduleCache cache;
+  const ScheduleCacheKey lo = MakeKey({0.5, 0.5});
+  const ScheduleCacheKey hi = MakeKey({0.5 + 0x1p-20, 0.5 - 0x1p-20});
+  const ScheduleCacheEntry lo_entry = MakeEntry(ex_.probs);
+  ScheduleCacheEntry hi_entry = lo_entry;
+  hi_entry.stretch.total_extension_ms += 1.0;
+  cache.Insert(lo, lo_entry);
+  cache.Insert(hi, hi_entry);
+  EXPECT_EQ(cache.size(), 2u);
+
+  const auto lo_hit = cache.Lookup(lo);
+  const auto hi_hit = cache.Lookup(hi);
+  ASSERT_TRUE(lo_hit.has_value());
+  ASSERT_TRUE(hi_hit.has_value());
+  EXPECT_EQ(lo_hit->stretch.total_extension_ms,
+            lo_entry.stretch.total_extension_ms);
+  EXPECT_EQ(hi_hit->stretch.total_extension_ms,
+            hi_entry.stretch.total_extension_ms);
+
+  // Replacing one bucket mate leaves the other's entry in place.
+  cache.Insert(hi, lo_entry);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Lookup(lo)->stretch.total_extension_ms,
+            lo_entry.stretch.total_extension_ms);
+  EXPECT_EQ(cache.evictions(), 0u);
+}
+
 TEST_F(ScheduleCacheFixture, PurgeRemovesOnlyOneTenantWithoutEvictions) {
   ScheduleCache cache;
   const ScheduleCacheEntry entry = MakeEntry(ex_.probs);
@@ -561,12 +532,10 @@ TEST_F(ScheduleCacheFixture, ShardedCacheRoutesStatsAndPurgesPerShard) {
       << "tenant b's entry must live on its own shard";
 
   // Shard-aware stats: hits/misses land on the queried shard only.
-  const std::vector<ShardStats> stats = cache.Stats();
-  ASSERT_EQ(stats.size(), 4u);
-  EXPECT_EQ(stats[cache.ShardIndex(a)].hits, 1u);
-  EXPECT_EQ(stats[cache.ShardIndex(a)].misses, 1u);
-  EXPECT_EQ(stats[cache.ShardIndex(b)].hits, 0u);
-  EXPECT_EQ(stats[cache.ShardIndex(b)].entries, 1u);
+  EXPECT_EQ(cache.ShardFor(a).hits(), 1u);
+  EXPECT_EQ(cache.ShardFor(a).misses(), 1u);
+  EXPECT_EQ(cache.ShardFor(b).hits(), 0u);
+  EXPECT_EQ(cache.ShardFor(b).size(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 
