@@ -9,7 +9,8 @@
 /// committed baseline (bench/baselines/BENCH_campaign.json) with
 /// generous noise headroom; the deterministic fields double as a cheap
 /// population regression check, and max RSS (when the platform reports
-/// it) documents the O(shards x cells x bins) memory contract.
+/// it) documents the O(shards x cells x distinct histogram buckets)
+/// memory contract.
 ///
 ///   bench_campaign [--jobs N] [--instances I] [--shards S] [--seed X]
 ///                  [--out <file>]      (default BENCH_campaign.json)

@@ -123,8 +123,8 @@ struct RescheduleRequest {
 /// Which rung of the ladder produced a result.
 enum class RescheduleTier {
   kExact = 0,  ///< cache hit (bit-identical)
-  /// Retired, never produced: the campaign report, checkpoint-v1,
-  /// BENCH_campaign.json and perfbench's replay still read its name.
+  /// Retired, never produced: BENCH_campaign.json and perfbench's
+  /// replay still read its name.
   kWarmCache = 1,
   kWarmPrior = 2,  ///< incremental DLS seeded by the prior result
   /// Retired like kWarmCache, and kept for the same readers.
@@ -138,8 +138,8 @@ const char* RescheduleTierName(RescheduleTier tier);
 /// Per-tier outcome counters of one Rescheduler.
 struct TierCounts {
   std::uint64_t exact = 0;
-  /// Always 0 (retired tier); the campaign report, checkpoint-v1,
-  /// BENCH_campaign.json and perfbench's replay still read it.
+  /// Always 0 (retired tier); BENCH_campaign.json and perfbench's
+  /// replay still read it.
   std::uint64_t warm_cache = 0;
   std::uint64_t warm_prior = 0;
   /// Always 0; retired like warm_cache, kept for the same readers.

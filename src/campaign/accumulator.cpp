@@ -1,7 +1,6 @@
 #include "campaign/accumulator.h"
 
 #include <cmath>
-#include <utility>
 
 namespace actg::campaign {
 
@@ -75,85 +74,6 @@ Moments Moments::FromRaw(std::size_t count, __int128 sum_q,
   m.sum_q_ = sum_q;
   m.sum_sq_q_ = sum_sq_q;
   return m;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)) {
-  ACTG_CHECK(lo < hi, "Histogram: lo must be < hi");
-  ACTG_CHECK(bins > 0, "Histogram: bins must be > 0");
-  counts_.assign(bins, 0);
-}
-
-void Histogram::Observe(double x) {
-  ++count_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto bin = static_cast<std::size_t>((x - lo_) / width_);
-  // Guard the hi-edge rounding case (x just below hi_ can land on
-  // bins() after the division).
-  if (bin >= counts_.size()) bin = counts_.size() - 1;
-  ++counts_[bin];
-}
-
-void Histogram::Merge(const Histogram& other) {
-  ACTG_CHECK(lo_ == other.lo_ && hi_ == other.hi_ &&
-                 counts_.size() == other.counts_.size(),
-             "Histogram::Merge: bin layouts differ");
-  count_ += other.count_;
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-}
-
-double Histogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Nearest rank: the k-th smallest observation with
-  // k = max(1, ceil(q * count)).
-  auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(count_)));
-  if (rank == 0) rank = 1;
-  std::uint64_t seen = underflow_;
-  if (rank <= seen) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (rank <= seen) {
-      return lo_ + (static_cast<double>(i) + 0.5) * width_;
-    }
-  }
-  return hi_;
-}
-
-Histogram Histogram::FromRaw(double lo, double hi, std::uint64_t underflow,
-                             std::uint64_t overflow,
-                             std::vector<std::uint64_t> counts) {
-  if (counts.empty()) {
-    throw InvalidArgument("Histogram::FromRaw: counts must be non-empty");
-  }
-  Histogram h(lo, hi, counts.size());
-  h.underflow_ = underflow;
-  h.overflow_ = overflow;
-  h.counts_ = std::move(counts);
-  h.count_ = static_cast<std::size_t>(underflow + overflow);
-  for (const std::uint64_t c : h.counts_) {
-    h.count_ += static_cast<std::size_t>(c);
-  }
-  return h;
-}
-
-bool Histogram::operator==(const Histogram& other) const {
-  return lo_ == other.lo_ && hi_ == other.hi_ && count_ == other.count_ &&
-         underflow_ == other.underflow_ && overflow_ == other.overflow_ &&
-         counts_ == other.counts_;
 }
 
 }  // namespace actg::campaign

@@ -1,12 +1,12 @@
 /// \file accumulator.h
-/// Mergeable streaming statistics for sharded Monte-Carlo campaigns.
+/// Mergeable streaming moments for sharded Monte-Carlo campaigns.
 ///
 /// A campaign simulates hundreds of thousands of application instances;
 /// keeping per-instance result vectors (the pre-campaign benches' habit)
-/// would make memory grow linearly with the population. These
-/// accumulators keep it O(bins): a Moments tracks count/mean/M2, a
-/// Histogram tracks fixed-bin counts with nearest-rank quantiles, and
-/// both fold one observation at a time.
+/// would make memory grow linearly with the population. A Moments
+/// tracks count/mean/M2 in constant memory and folds one observation at
+/// a time; quantiles come from util::Histogram, which obeys the same
+/// merge law.
 ///
 /// The merge law is the load-bearing design point. Shards accumulate
 /// independently and the runner merges them at the end, and the fleet
@@ -17,10 +17,9 @@
 /// (kScaleBits fractional bits) and accumulated in 128-bit integers:
 /// integer addition is an abelian monoid, so merge(a, b) == merge(b, a)
 /// and any shard split of the same observation multiset produces
-/// bit-identical state. The double-valued views (mean/variance/
-/// quantiles) are derived from that exact state at read time and are
-/// therefore equally split-invariant. test_campaign fuzzes exactly
-/// these laws.
+/// bit-identical state. The double-valued views (mean/variance) are
+/// derived from that exact state at read time and are therefore equally
+/// split-invariant. test_campaign fuzzes exactly these laws.
 ///
 /// Quantization bounds the usable range: |x| must stay below 2^40
 /// (about 1e12) for the squared sums to fit 128 bits across a
@@ -32,9 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "util/error.h"
 
 namespace actg::campaign {
 
@@ -80,55 +76,6 @@ class Moments {
   std::size_t count_ = 0;
   __int128 sum_q_ = 0;     ///< sum of quantized observations
   __int128 sum_sq_q_ = 0;  ///< sum of squared quantized observations
-};
-
-/// Fixed-bin histogram over [lo, hi) with underflow/overflow bins and
-/// nearest-rank quantiles at bin-center resolution. Integer counts, so
-/// Merge is bit-exactly associative and commutative.
-class Histogram {
- public:
-  /// Uniform bins over [lo, hi). Requires lo < hi and bins > 0 (throws
-  /// InvalidArgument otherwise; campaign specs validate these knobs up
-  /// front).
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Observe(double x);
-
-  /// Folds \p other in; the bin layouts must match exactly (throws
-  /// InvalidArgument otherwise).
-  void Merge(const Histogram& other);
-
-  std::size_t count() const { return count_; }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t bin) const { return counts_[bin]; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-
-  /// Nearest-rank quantile (q in [0, 1]) at bin resolution: the center
-  /// of the bin holding the ceil(q * count)-th observation (lo for
-  /// underflow, hi for overflow). 0 on an empty histogram.
-  double Quantile(double q) const;
-
-  bool operator==(const Histogram& other) const;
-
-  /// Checkpoint codec access: rebuilds a histogram from its exact
-  /// counter state (count is derived — it always equals underflow +
-  /// overflow + sum(counts)). Throws InvalidArgument on a layout that
-  /// Histogram's own constructor would reject.
-  static Histogram FromRaw(double lo, double hi, std::uint64_t underflow,
-                           std::uint64_t overflow,
-                           std::vector<std::uint64_t> counts);
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::size_t count_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::vector<std::uint64_t> counts_;
 };
 
 }  // namespace actg::campaign

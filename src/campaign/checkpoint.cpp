@@ -35,9 +35,11 @@ void WriteMoments(std::ostream& os, const Moments& m) {
      << sq_hi << " " << sq_lo << "\n";
 }
 
-void WriteHistogram(std::ostream& os, const Histogram& h) {
-  os << "h " << h.underflow() << " " << h.overflow();
-  for (std::size_t b = 0; b < h.bins(); ++b) os << " " << h.bin_count(b);
+void WriteHistogram(std::ostream& os, const util::Histogram& h) {
+  os << "h " << HexBits(h.min()) << " " << HexBits(h.max());
+  for (const util::Histogram::Bucket& b : h.buckets()) {
+    os << " " << b.key << " " << b.count;
+  }
   os << "\n";
 }
 
@@ -107,11 +109,11 @@ std::uint64_t FingerprintSpec(const CampaignSpec& spec) {
 void WriteCheckpoint(std::ostream& os, const CampaignSpec& spec,
                      const std::vector<char>& done,
                      const std::vector<ShardOutput>& outputs) {
-  os << "checkpoint v1\n";
+  os << "checkpoint v2\n";
   os << "fingerprint " << std::hex << FingerprintSpec(spec) << std::dec
      << "\n";
   os << "shards " << spec.shards << " instances " << spec.instances
-     << " cells " << spec.CellCount() << " bins " << spec.bins << "\n";
+     << " cells " << spec.CellCount() << "\n";
   for (std::size_t s = 0; s < outputs.size(); ++s) {
     if (s >= done.size() || done[s] == 0) continue;
     const ShardOutput& out = outputs[s];
@@ -119,9 +121,8 @@ void WriteCheckpoint(std::ostream& os, const CampaignSpec& spec,
        << out.exec.end << " oracle " << out.exec.oracle_validations
        << "\n";
     const adaptive::TierCounts& t = out.exec.tiers;
-    os << "tiers " << t.exact << " " << t.warm_cache << " "
-       << t.warm_prior << " " << t.table << " " << t.full << " "
-       << t.incremental_fallbacks << "\n";
+    os << "tiers " << t.exact << " " << t.warm_prior << " " << t.full
+       << " " << t.incremental_fallbacks << "\n";
     for (const QuarantineRecord& rec : out.exec.quarantine) {
       os << "qrec " << rec.index << " " << rec.cell << " " << rec.reason
          << " " << rec.attempts << " " << rec.detail << "\n";
@@ -152,8 +153,13 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
   CheckpointReader reader{is};
   std::vector<std::string> tokens;
   if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
-      tokens[0] != "checkpoint" || tokens[1] != "v1") {
-    reader.Fail("expected header 'checkpoint v1' (version skew?)");
+      tokens[0] != "checkpoint" || tokens[1] != "v2") {
+    if (tokens.size() == 2 && tokens[0] == "checkpoint" &&
+        tokens[1] == "v1") {
+      reader.Fail("checkpoint v1 predates the v2 histogram format; "
+                  "rerun without --resume");
+    }
+    reader.Fail("expected header 'checkpoint v2' (version skew?)");
   }
   if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
       tokens[0] != "fingerprint") {
@@ -169,15 +175,14 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
                   "): this checkpoint belongs to a different campaign");
     }
   }
-  if (!reader.NextTokens(tokens) || tokens.size() != 8 ||
+  if (!reader.NextTokens(tokens) || tokens.size() != 6 ||
       tokens[0] != "shards" || tokens[2] != "instances" ||
-      tokens[4] != "cells" || tokens[6] != "bins") {
-    reader.Fail("expected 'shards <S> instances <N> cells <C> bins <B>'");
+      tokens[4] != "cells") {
+    reader.Fail("expected 'shards <S> instances <N> cells <C>'");
   }
   if (reader.Count(tokens[1]) != spec.shards ||
       reader.Count(tokens[3]) != spec.instances ||
-      reader.Count(tokens[5]) != spec.CellCount() ||
-      reader.Count(tokens[7]) != spec.bins) {
+      reader.Count(tokens[5]) != spec.CellCount()) {
     reader.Fail("population shape mismatch against the spec");
   }
 
@@ -214,16 +219,14 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
     }
     out.exec.oracle_validations = reader.Count(tokens[7]);
 
-    if (!reader.NextTokens(tokens) || tokens.size() != 7 ||
+    if (!reader.NextTokens(tokens) || tokens.size() != 5 ||
         tokens[0] != "tiers") {
-      reader.Fail("expected 'tiers <6 counters>'");
+      reader.Fail("expected 'tiers <4 counters>'");
     }
     out.exec.tiers.exact = reader.U64(tokens[1]);
-    out.exec.tiers.warm_cache = reader.U64(tokens[2]);
-    out.exec.tiers.warm_prior = reader.U64(tokens[3]);
-    out.exec.tiers.table = reader.U64(tokens[4]);
-    out.exec.tiers.full = reader.U64(tokens[5]);
-    out.exec.tiers.incremental_fallbacks = reader.U64(tokens[6]);
+    out.exec.tiers.warm_prior = reader.U64(tokens[2]);
+    out.exec.tiers.full = reader.U64(tokens[3]);
+    out.exec.tiers.incremental_fallbacks = reader.U64(tokens[4]);
 
     // qrec lines (0+), then exactly `cells` cell blocks.
     out.cells.assign(cells, CellStats(spec));
@@ -287,23 +290,29 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
             JoinWords(reader.U64(tokens[2]), reader.U64(tokens[3])),
             JoinWords(reader.U64(tokens[4]), reader.U64(tokens[5])));
       };
-      auto read_histogram = [&](Histogram& h, double hi_edge) {
-        if (!reader.NextTokens(tokens) ||
-            tokens.size() != 3 + spec.bins || tokens[0] != "h") {
-          reader.Fail("expected 'h <underflow> <overflow> <" +
-                      std::to_string(spec.bins) + " bins>'");
+      auto read_histogram = [&](util::Histogram& h) {
+        if (!reader.NextTokens(tokens) || tokens.size() < 3 ||
+            tokens.size() % 2 == 0 || tokens[0] != "h") {
+          reader.Fail("expected 'h <min bits> <max bits> "
+                      "[<key> <count>]...'");
         }
-        std::vector<std::uint64_t> counts(spec.bins);
-        for (std::size_t b = 0; b < spec.bins; ++b) {
-          counts[b] = reader.U64(tokens[3 + b]);
+        std::vector<util::Histogram::Bucket> buckets;
+        for (std::size_t t = 3; t < tokens.size(); t += 2) {
+          buckets.push_back(
+              {reader.U64(tokens[t]), reader.U64(tokens[t + 1])});
         }
-        h = Histogram::FromRaw(0.0, hi_edge, reader.U64(tokens[1]),
-                               reader.U64(tokens[2]), std::move(counts));
+        try {
+          h = util::Histogram::FromRaw(reader.Bits(tokens[1]),
+                                       reader.Bits(tokens[2]),
+                                       std::move(buckets));
+        } catch (const InvalidArgument& e) {
+          reader.Fail(e.what());
+        }
       };
       read_moments(cell.energy);
-      read_histogram(cell.energy_hist, spec.energy_max_mj);
+      read_histogram(cell.energy_hist);
       read_moments(cell.makespan);
-      read_histogram(cell.makespan_hist, spec.makespan_max_ms);
+      read_histogram(cell.makespan_hist);
       read_moments(cell.resched_per_app);
       if (++next_cell == cells) break;
     }

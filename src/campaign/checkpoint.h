@@ -1,5 +1,5 @@
 /// \file checkpoint.h
-/// The durable checkpoint-v1 format for crash-safe campaigns.
+/// The durable checkpoint-v2 format for crash-safe campaigns.
 ///
 /// A campaign's unit of recovery is the shard: every shard output is a
 /// pure function of (spec, shard), so a checkpoint is simply the set of
@@ -17,19 +17,24 @@
 /// words, doubles as IEEE-754 bit patterns in hex), so a load followed
 /// by a store round-trips bit-identically.
 ///
-///   checkpoint v1
+///   checkpoint v2
 ///   fingerprint <hex16>        # FNV-1a 64 of WriteCampaignFile(spec)
-///   shards <S> instances <N> cells <C> bins <B>
+///   shards <S> instances <N> cells <C>
 ///   shard <s> begin <b> end <e> oracle <n>
-///   tiers <exact> <warm_cache> <warm_prior> <table> <full> <fallbacks>
+///   tiers <exact> <warm_prior> <full> <fallbacks>
 ///   qrec <index> <cell> <reason> <attempts> <detail to end of line>
 ///   cell <c> <apps> <exec> <miss> <resched> <esc> <oob> <rec>
 ///        <overrun> <faulted> <pe_hits> <oracle> <max_makespan_bits>
 ///   m <count> <sum_hi> <sum_lo> <sum_sq_hi> <sum_sq_lo>
-///   h <underflow> <overflow> <bin0> ... <binB-1>
+///   h <min_bits> <max_bits> [<key> <count>]...
 ///   ...                        # m/h x5 per cell: energy m+h,
 ///                              # makespan m+h, resched_per_app m
 ///   end
+///
+/// An `h` record is a util::Histogram's exact state: its min and max as
+/// IEEE-754 bits and one (key, count) pair per occupied bucket, keys
+/// increasing. A checkpoint-v1 file (fixed-bin histograms, six tier
+/// slots) is refused: its campaign must rerun without --resume.
 ///
 /// Shard blocks appear in completion order (any subset of [0, S) is a
 /// valid checkpoint; which shards are present depends on timing, the
@@ -71,15 +76,15 @@ struct CheckpointState {
 };
 
 /// Serializes the completed shards of \p outputs (those with
-/// done[s] != 0) in the checkpoint-v1 format.
+/// done[s] != 0) in the checkpoint-v2 format.
 void WriteCheckpoint(std::ostream& os, const CampaignSpec& spec,
                      const std::vector<char>& done,
                      const std::vector<ShardOutput>& outputs);
 
-/// Parses a checkpoint-v1 stream against \p spec. Malformed input,
+/// Parses a checkpoint-v2 stream against \p spec. Malformed input,
 /// version skew, a fingerprint mismatch or a shape mismatch (shard
-/// count, instance count, cell count, bins, shard ranges) is reported
-/// as a util::Error with a "checkpoint line N: ..." diagnostic.
+/// count, instance count, cell count, shard ranges) is reported as a
+/// util::Error with a "checkpoint line N: ..." diagnostic.
 util::Expected<CheckpointState> LoadCheckpoint(std::istream& is,
                                                const CampaignSpec& spec);
 

@@ -30,9 +30,7 @@ namespace {
 void MergeTiers(adaptive::TierCounts& into,
                 const adaptive::TierCounts& from) {
   into.exact += from.exact;
-  into.warm_cache += from.warm_cache;
   into.warm_prior += from.warm_prior;
-  into.table += from.table;
   into.full += from.full;
   into.incremental_fallbacks += from.incremental_fallbacks;
 }
@@ -368,10 +366,6 @@ std::string CellKey::Label() const {
   return label;
 }
 
-CellStats::CellStats(const CampaignSpec& spec)
-    : energy_hist(0.0, spec.energy_max_mj, spec.bins),
-      makespan_hist(0.0, spec.makespan_max_ms, spec.bins) {}
-
 void CellStats::Merge(const CellStats& other) {
   app_instances += other.app_instances;
   executions += other.executions;
@@ -402,25 +396,6 @@ report::FleetStats CellStats::ToFleetStats() const {
   stats.max_makespan_ms = max_makespan_ms;
   stats.reschedules = reschedules;
   return stats;
-}
-
-bool CellStats::operator==(const CellStats& other) const {
-  return app_instances == other.app_instances &&
-         executions == other.executions &&
-         deadline_misses == other.deadline_misses &&
-         reschedules == other.reschedules &&
-         escalations == other.escalations &&
-         oob_reschedules == other.oob_reschedules &&
-         recoveries == other.recoveries &&
-         overrun_instances == other.overrun_instances &&
-         faulted_instances == other.faulted_instances &&
-         failed_pe_hits == other.failed_pe_hits &&
-         oracle_sampled == other.oracle_sampled &&
-         max_makespan_ms == other.max_makespan_ms &&
-         energy == other.energy && energy_hist == other.energy_hist &&
-         makespan == other.makespan &&
-         makespan_hist == other.makespan_hist &&
-         resched_per_app == other.resched_per_app;
 }
 
 void CampaignResult::WritePopulation(std::ostream& os) const {
@@ -455,7 +430,7 @@ void CampaignResult::WritePopulation(std::ostream& os) const {
 }
 
 void CampaignResult::Write(std::ostream& os) const {
-  os << "campaign report v1\n";
+  os << "campaign report v2\n";
   os << "instances " << spec.instances << " shards " << spec.shards
      << " trace_instances " << spec.trace_instances << " seed "
      << spec.seed << "\n";
@@ -465,15 +440,13 @@ void CampaignResult::Write(std::ostream& os) const {
     const ShardExecution& shard = shards[s];
     os << "shard " << s << " range " << shard.begin << " " << shard.end
        << " oracle " << shard.oracle_validations << " tiers exact "
-       << shard.tiers.exact << " warm_cache " << shard.tiers.warm_cache
-       << " warm_prior " << shard.tiers.warm_prior << " table "
-       << shard.tiers.table << " full " << shard.tiers.full
-       << " fallbacks " << shard.tiers.incremental_fallbacks << "\n";
+       << shard.tiers.exact << " warm_prior " << shard.tiers.warm_prior
+       << " full " << shard.tiers.full << " fallbacks "
+       << shard.tiers.incremental_fallbacks << "\n";
   }
-  os << "tiers exact " << tiers.exact << " warm_cache "
-     << tiers.warm_cache << " warm_prior " << tiers.warm_prior
-     << " table " << tiers.table << " full " << tiers.full
-     << " fallbacks " << tiers.incremental_fallbacks << "\n";
+  os << "tiers exact " << tiers.exact << " warm_prior "
+     << tiers.warm_prior << " full " << tiers.full << " fallbacks "
+     << tiers.incremental_fallbacks << "\n";
   // Only campaigns that opted into quarantine carry the section, so
   // legacy reports stay byte-identical.
   if (spec.quarantine_cap > 0) {

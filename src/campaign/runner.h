@@ -7,8 +7,9 @@
 /// instances serially through per-instance adaptive controllers (its
 /// own schedule cache and metrics registry, so shards never contend),
 /// and the shards run concurrently on a runtime::Pool. Results stream
-/// into mergeable accumulators (campaign/accumulator.h) — memory is
-/// O(shards x cells x bins), independent of the population size.
+/// into mergeable accumulators (campaign/accumulator.h, util::Histogram)
+/// — memory is O(shards x cells x distinct histogram buckets),
+/// independent of the population size.
 ///
 /// Determinism contract, in two strengths:
 ///  * The whole report is byte-identical for any --jobs count: a shard
@@ -51,6 +52,7 @@
 #include "report/fleet_stats.h"
 #include "runtime/metrics.h"
 #include "util/error.h"
+#include "util/stats.h"
 
 namespace actg::campaign {
 
@@ -71,8 +73,9 @@ struct CellKey {
 /// bit-exactly associative and commutative (the shard-split law
 /// test_campaign fuzzes).
 struct CellStats {
-  /// Histograms sized from the spec's bins/edges knobs.
-  explicit CellStats(const CampaignSpec& spec);
+  /// An empty cell. The histograms scale themselves, so nothing is
+  /// sized from \p spec.
+  explicit CellStats(const CampaignSpec& /*spec*/) {}
 
   /// Application instances simulated in this cell.
   std::size_t app_instances = 0;
@@ -97,10 +100,10 @@ struct CellStats {
 
   /// Per-app-instance total energy, mJ.
   Moments energy;
-  Histogram energy_hist;
+  util::Histogram energy_hist;
   /// Per-execution makespan, ms.
   Moments makespan;
-  Histogram makespan_hist;
+  util::Histogram makespan_hist;
   /// Per-app-instance threshold reschedule count.
   Moments resched_per_app;
 
@@ -110,7 +113,7 @@ struct CellStats {
   /// executions, as in sim::RunSummary).
   report::FleetStats ToFleetStats() const;
 
-  bool operator==(const CellStats& other) const;
+  bool operator==(const CellStats& other) const = default;
 };
 
 /// One quarantined poison instance: enough to count it, label it and

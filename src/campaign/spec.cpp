@@ -114,13 +114,6 @@ util::Error CampaignSpec::Validate() const {
     return util::Error::Invalid(
         "CampaignSpec: oracle_rate must lie in [0, 1]");
   }
-  if (bins == 0) {
-    return util::Error::Invalid("CampaignSpec: bins must be > 0");
-  }
-  if (!(energy_max_mj > 0.0) || !(makespan_max_ms > 0.0)) {
-    return util::Error::Invalid(
-        "CampaignSpec: histogram edges must be > 0");
-  }
   if (cache_capacity == 0) {
     return util::Error::Invalid(
         "CampaignSpec: cache_capacity must be > 0");
@@ -248,12 +241,6 @@ CampaignSpec ParseCampaignFileImpl(std::istream& is) {
       spec.model_seeds = reader.Count(one("<count>"));
     } else if (directive == "oracle_rate") {
       spec.oracle_rate = reader.Number(one("<fraction>"));
-    } else if (directive == "bins") {
-      spec.bins = reader.Count(one("<count>"));
-    } else if (directive == "energy_max") {
-      spec.energy_max_mj = reader.Number(one("<mJ>"));
-    } else if (directive == "makespan_max") {
-      spec.makespan_max_ms = reader.Number(one("<ms>"));
     } else if (directive == "share_cache") {
       spec.share_cache = reader.Flag(one("<0|1>"));
     } else if (directive == "cache_capacity") {
@@ -323,9 +310,6 @@ void WriteCampaignFile(std::ostream& os, const CampaignSpec& spec) {
   os << "trace_instances " << spec.trace_instances << "\n";
   os << "model_seeds " << spec.model_seeds << "\n";
   os << "oracle_rate " << spec.oracle_rate << "\n";
-  os << "bins " << spec.bins << "\n";
-  os << "energy_max " << spec.energy_max_mj << "\n";
-  os << "makespan_max " << spec.makespan_max_ms << "\n";
   os << "share_cache " << (spec.share_cache ? 1 : 0) << "\n";
   os << "cache_capacity " << spec.cache_capacity << "\n";
   os << "threshold " << spec.threshold << "\n";

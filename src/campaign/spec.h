@@ -72,7 +72,8 @@ struct CampaignSpec {
   std::size_t instances = 0;
   /// Independent controller shards the population is partitioned into
   /// (contiguous balanced ranges). Memory stays O(shards x cells x
-  /// bins); the report is invariant to the shard count except for the
+  /// distinct histogram buckets), independent of the population size;
+  /// the report is invariant to the shard count except for the
   /// execution section (cache locality and the per-shard forced oracle
   /// check are functions of the sharding).
   std::size_t shards = 8;
@@ -88,12 +89,6 @@ struct CampaignSpec {
   /// sharding (drawn from the instance substream); the runner
   /// additionally forces the first instance of every shard.
   double oracle_rate = 0.01;
-  /// Histogram bins per distribution (memory knob).
-  std::size_t bins = 64;
-  /// Upper histogram edges (lower edge 0); observations at or above
-  /// land in the overflow bin.
-  double energy_max_mj = 1000.0;
-  double makespan_max_ms = 100.0;
   /// Cross-instance schedule-cache sharing within a shard: when true
   /// (default) all instances key the shard cache with tenant 0, so
   /// instances with identical model/config fingerprints hit each
@@ -144,11 +139,10 @@ struct CampaignSpec {
   /// Fills every empty axis with its default.
   void ApplyDefaults();
 
-  /// Ok when the campaign is runnable: instances, shards, bins,
+  /// Ok when the campaign is runnable: instances, shards,
   /// trace_instances, model_seeds, cache_capacity and window positive,
-  /// oracle_rate in [0, 1], threshold in (0, 1], histogram edges
-  /// positive, every axis non-empty, policies registered, storm names
-  /// unique and every storm valid.
+  /// oracle_rate in [0, 1], threshold in (0, 1], every axis non-empty,
+  /// policies registered, storm names unique and every storm valid.
   util::Error Validate() const;
 };
 
@@ -161,9 +155,6 @@ struct CampaignSpec {
 ///   trace_instances <n>        # optional, default 4
 ///   model_seeds <n>            # optional, default 4
 ///   oracle_rate <p>            # optional, default 0.01
-///   bins <n>                   # optional, default 64
-///   energy_max <mJ>            # optional, default 1000
-///   makespan_max <ms>          # optional, default 100
 ///   share_cache <0|1>          # optional, default 1
 ///   cache_capacity <n>         # optional, default 64
 ///   threshold <t>              # optional, default 0.1

@@ -1,8 +1,5 @@
 #include "runtime/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/error.h"
 
 namespace actg::runtime {
@@ -37,32 +34,21 @@ double Metrics::timer_ms(const std::string& name) const {
 
 void Metrics::Observe(const std::string& name, double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  observations_[name].push_back(value);
+  observations_[name].Observe(value);
 }
 
 std::size_t Metrics::samples(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = observations_.find(name);
-  return it == observations_.end() ? 0 : it->second.size();
-}
-
-double Metrics::QuantileOf(const std::vector<double>& samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  q = std::clamp(q, 0.0, 1.0);
-  // Nearest rank: the smallest sample with at least q of the mass at or
-  // below it.
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  const std::size_t index =
-      rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  return sorted[std::min(index, sorted.size() - 1)];
+  return it == observations_.end()
+             ? 0
+             : static_cast<std::size_t>(it->second.count());
 }
 
 double Metrics::quantile(const std::string& name, double q) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = observations_.find(name);
-  return it == observations_.end() ? 0.0 : QuantileOf(it->second, q);
+  return it == observations_.end() ? 0.0 : it->second.Quantile(q);
 }
 
 std::map<std::string, std::uint64_t> Metrics::Counters() const {
@@ -89,9 +75,8 @@ void Metrics::MergeFrom(const Metrics& other) {
   for (const auto& [name, ns] : other.timer_ns_) {
     timer_ns_[name] += ns;
   }
-  for (const auto& [name, samples] : other.observations_) {
-    auto& mine = observations_[name];
-    mine.insert(mine.end(), samples.begin(), samples.end());
+  for (const auto& [name, histogram] : other.observations_) {
+    observations_[name].Merge(histogram);
   }
 }
 
@@ -110,10 +95,10 @@ void Metrics::WriteText(std::ostream& os) const {
     os << name << "_ms " << ms << "\n";
   }
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, samples] : observations_) {
-    os << name << "_count " << samples.size() << "\n";
-    os << name << "_p50 " << QuantileOf(samples, 0.5) << "\n";
-    os << name << "_p99 " << QuantileOf(samples, 0.99) << "\n";
+  for (const auto& [name, histogram] : observations_) {
+    os << name << "_count " << histogram.count() << "\n";
+    os << name << "_p50 " << histogram.Quantile(0.5) << "\n";
+    os << name << "_p99 " << histogram.Quantile(0.99) << "\n";
   }
 }
 
@@ -126,10 +111,10 @@ void Metrics::WriteCsv(std::ostream& os) const {
     os << name << ",timer_ms," << ms << "\n";
   }
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, samples] : observations_) {
-    os << name << ",dist_count," << samples.size() << "\n";
-    os << name << ",dist_p50," << QuantileOf(samples, 0.5) << "\n";
-    os << name << ",dist_p99," << QuantileOf(samples, 0.99) << "\n";
+  for (const auto& [name, histogram] : observations_) {
+    os << name << ",dist_count," << histogram.count() << "\n";
+    os << name << ",dist_p50," << histogram.Quantile(0.5) << "\n";
+    os << name << ",dist_p99," << histogram.Quantile(0.99) << "\n";
   }
 }
 

@@ -23,7 +23,8 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
+
+#include "util/stats.h"
 
 namespace actg::runtime {
 
@@ -50,15 +51,18 @@ class Metrics {
   double timer_ms(const std::string& name) const;
 
   /// Records one sample into the named distribution (creating it
-  /// empty). Distributions power the per-SLA latency percentiles of the
-  /// serve daemon; like timers they hold wall-clock data, so they never
-  /// feed deterministic reports.
+  /// empty). A distribution is a util::Histogram, so its memory is
+  /// bounded by the distinct buckets seen, not the sample count.
+  /// Distributions power the per-SLA latency percentiles of the serve
+  /// daemon and the campaign's reschedule latencies; like timers they
+  /// hold wall-clock data, so they never feed deterministic reports.
   void Observe(const std::string& name, double value);
 
   /// Number of samples observed for a distribution; zero when absent.
   std::size_t samples(const std::string& name) const;
 
-  /// Nearest-rank quantile (q in [0, 1]) of a distribution; 0 when the
+  /// Nearest-rank quantile (q in [0, 1]) of a distribution at
+  /// util::Histogram resolution (the exact max at q = 1); 0 when the
   /// distribution is empty or absent.
   double quantile(const std::string& name, double q) const;
 
@@ -70,7 +74,7 @@ class Metrics {
   std::map<std::string, double> TimersMs() const;
 
   /// Folds \p other into this registry: counters and timers add,
-  /// distribution samples concatenate. The campaign runner gives every
+  /// distributions merge. The campaign runner gives every
   /// shard a private registry and merges them in shard order, so shard
   /// workers never contend on one mutex. Merging a registry into itself
   /// throws; \p other is left untouched.
@@ -88,13 +92,10 @@ class Metrics {
   void WriteCsv(std::ostream& os) const;
 
  private:
-  /// Unlocked quantile over a sample vector (helper for quantile()).
-  static double QuantileOf(const std::vector<double>& samples, double q);
-
   mutable std::mutex mu_;
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, std::int64_t> timer_ns_;
-  std::map<std::string, std::vector<double>> observations_;
+  std::map<std::string, util::Histogram> observations_;
 };
 
 /// RAII wall-clock timer: accumulates the scope's duration into a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -17,15 +16,6 @@ namespace {
 /// "shared key space" meaning for the share_cache mode.
 std::uint64_t TenantId(std::size_t index) {
   return static_cast<std::uint64_t>(index) + 1;
-}
-
-double NearestRank(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = std::ceil(q * static_cast<double>(samples.size()));
-  const std::size_t index =
-      rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  return samples[std::min(index, samples.size() - 1)];
 }
 
 }  // namespace
@@ -109,14 +99,12 @@ std::size_t Server::RunRound(std::size_t round,
   // so recording order is dispatch order, not completion order).
   for (std::size_t i = 0; i < dispatch.size(); ++i) {
     const SlaClass sla = dispatch[i]->sla();
-    const auto cls = static_cast<std::size_t>(sla);
-    latency_ms_[cls].push_back(slice_ms[i]);
     metrics_->Observe(
         "serve." + std::string(SlaLabel(sla)) + ".slice_latency_ms",
         slice_ms[i]);
-    const double budget = fleet_.config.budget_ms[cls];
+    const double budget =
+        fleet_.config.budget_ms[static_cast<std::size_t>(sla)];
     if (budget > 0.0 && slice_ms[i] > budget) {
-      ++budget_overruns_[cls];
       metrics_->Increment("serve." + std::string(SlaLabel(sla)) +
                           ".budget_overruns");
     }
@@ -259,16 +247,14 @@ void Server::FinishReport() {
 }
 
 LatencyStats Server::Latency(SlaClass sla) const {
-  const auto& samples = latency_ms_[static_cast<std::size_t>(sla)];
+  const std::string prefix = "serve." + std::string(SlaLabel(sla));
+  const std::string slices = prefix + ".slice_latency_ms";
   LatencyStats stats;
-  stats.samples = samples.size();
-  stats.p50_ms = NearestRank(samples, 0.5);
-  stats.p99_ms = NearestRank(samples, 0.99);
-  stats.max_ms = samples.empty()
-                     ? 0.0
-                     : *std::max_element(samples.begin(), samples.end());
-  stats.budget_overruns =
-      budget_overruns_[static_cast<std::size_t>(sla)];
+  stats.samples = metrics_->samples(slices);
+  stats.p50_ms = metrics_->quantile(slices, 0.5);
+  stats.p99_ms = metrics_->quantile(slices, 0.99);
+  stats.max_ms = metrics_->quantile(slices, 1.0);
+  stats.budget_overruns = metrics_->counter(prefix + ".budget_overruns");
   return stats;
 }
 

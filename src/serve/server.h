@@ -128,7 +128,10 @@ class Server {
   runtime::ShardedScheduleCache& cache() { return *cache_; }
   runtime::Metrics& metrics() { return *metrics_; }
 
-  /// Wall-clock latency percentiles of \p sla over the completed run.
+  /// Wall-clock latency percentiles of \p sla over the completed run,
+  /// read from the registry's serve.<sla>.slice_latency_ms distribution
+  /// and serve.<sla>.budget_overruns counter (so a registry shared by
+  /// several servers reports their union).
   LatencyStats Latency(SlaClass sla) const;
 
   /// The live sessions in tenant-file order; a shed tenant's slot is
@@ -156,8 +159,6 @@ class Server {
   std::vector<bool> arrived_;
   std::vector<bool> quarantined_;  ///< retired by the watchdog
   std::vector<std::size_t> finish_round_;
-  std::array<std::vector<double>, kSlaClassCount> latency_ms_;
-  std::array<std::size_t, kSlaClassCount> budget_overruns_ = {0, 0, 0};
   FleetReport report_;
   bool ran_ = false;
 };

@@ -1,16 +1,34 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "util/error.h"
 
 namespace actg::util {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Bits below a bucket key in a double's IEEE-754 pattern.
+constexpr int kKeyShift = 52 - Histogram::kSubBucketBits;
+
+/// Positive doubles order like their bit patterns, so the top bits
+/// (biased exponent, then the leading mantissa bits) are a monotone
+/// bucket key. Key 0 is the zero bucket.
+std::uint64_t BucketKey(double x) {
+  return x > 0.0 ? std::bit_cast<std::uint64_t>(x) >> kKeyShift : 0;
 }
+
+double LowerEdge(std::uint64_t key) {
+  return std::bit_cast<double>(key << kKeyShift);
+}
+
+}  // namespace
 
 void RunningStats::Add(double x) {
   if (count_ == 0) {
@@ -51,6 +69,69 @@ void RunningStats::Merge(const RunningStats& other) {
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   count_ += other.count_;
+}
+
+std::vector<Histogram::Bucket>::iterator Histogram::Add(
+    std::vector<Bucket>::iterator from, std::uint64_t key,
+    std::uint64_t count) {
+  const auto at = std::lower_bound(
+      from, buckets_.end(), key,
+      [](const Bucket& b, std::uint64_t k) { return b.key < k; });
+  if (at != buckets_.end() && at->key == key) {
+    at->count += count;
+    return at;
+  }
+  return buckets_.insert(at, Bucket{key, count});
+}
+
+void Histogram::Observe(double x) {
+  Add(buckets_.begin(), BucketKey(x), 1);
+  ++count_;
+  min_ = std::min(min_, x);
+  max_ = std::max(max_, x);
+}
+
+void Histogram::Merge(const Histogram& other) {
+  // other's keys increase, so each search starts at the previous hit.
+  auto at = buckets_.begin();
+  for (const Bucket& b : other.buckets_) at = Add(at, b.key, b.count);
+  count_ += other.count_;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+}
+
+double Histogram::Quantile(double q) const {
+  if (count_ == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  // Nearest rank: the k-th smallest sample, k = max(1, ceil(q * count)).
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(q * static_cast<double>(count_))));
+  if (rank >= count_) return max_;
+  std::uint64_t seen = 0;
+  for (const Bucket& b : buckets_) {
+    seen += b.count;
+    if (rank <= seen) return b.key == 0 ? min_ : LowerEdge(b.key);
+  }
+  return max_;
+}
+
+Histogram Histogram::FromRaw(double min, double max,
+                             std::vector<Bucket> buckets) {
+  Histogram h;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i].count == 0 ||
+        (i > 0 && buckets[i - 1].key >= buckets[i].key)) {
+      throw InvalidArgument(
+          "histogram bucket keys must strictly increase and counts must "
+          "be positive");
+    }
+    h.count_ += buckets[i].count;
+  }
+  h.min_ = min;
+  h.max_ = max;
+  h.buckets_ = std::move(buckets);
+  return h;
 }
 
 double Quantile(std::vector<double> values, double q) {

@@ -1,5 +1,5 @@
 /// \file test_campaign.cpp
-/// The campaign runner's contract tests: the accumulator merge laws
+/// The campaign runner's contract tests: the Moments merge laws
 /// (bit-exact associativity/commutativity under fuzzed groupings), the
 /// population report's shard-split invariance, the full report's
 /// byte-identity across --jobs on the committed 1k-instance fleet, the
@@ -103,48 +103,6 @@ TEST(Moments, MergeGroupingDoesNotMatter) {
   EXPECT_TRUE(left == right);
 }
 
-TEST(Histogram, MergeIsBitExactlyAssociativeAndCommutative) {
-  util::Random rng(99);
-  for (int round = 0; round < 50; ++round) {
-    const double hi = rng.Uniform(1.0, 1000.0);
-    const std::size_t bins =
-        static_cast<std::size_t>(rng.UniformInt(1, 64));
-    std::vector<double> xs;
-    const int n = rng.UniformInt(1, 300);
-    for (int i = 0; i < n; ++i) {
-      // Include under/overflow on purpose.
-      xs.push_back(rng.Uniform(-0.5 * hi, 1.5 * hi));
-    }
-
-    Histogram all(0.0, hi, bins);
-    for (double x : xs) all.Observe(x);
-
-    const int parts = rng.UniformInt(1, 6);
-    std::vector<Histogram> shards(static_cast<std::size_t>(parts),
-                                  Histogram(0.0, hi, bins));
-    for (double x : xs) {
-      shards[static_cast<std::size_t>(rng.UniformInt(0, parts - 1))]
-          .Observe(x);
-    }
-    Histogram merged(0.0, hi, bins);
-    for (std::size_t idx : rng.Permutation(shards.size())) {
-      merged.Merge(shards[idx]);
-    }
-
-    ASSERT_TRUE(merged == all) << "round " << round;
-    EXPECT_EQ(merged.Quantile(0.5), all.Quantile(0.5));
-    EXPECT_EQ(merged.Quantile(0.99), all.Quantile(0.99));
-  }
-}
-
-TEST(Histogram, MergeRejectsMismatchedLayouts) {
-  Histogram a(0.0, 10.0, 4);
-  Histogram b(0.0, 10.0, 8);
-  Histogram c(0.0, 20.0, 4);
-  EXPECT_THROW(a.Merge(b), InvalidArgument);
-  EXPECT_THROW(a.Merge(c), InvalidArgument);
-}
-
 // ------------------------------------------------------ Spec parsing
 
 TEST(CampaignSpecFile, SyntheticRoundTripsByteIdentically) {
@@ -218,11 +176,6 @@ TEST(CampaignSpec, ValidationCatchesBrokenKnobs) {
   {
     CampaignSpec spec = SyntheticCampaign(10, 1);
     spec.shards = 0;
-    EXPECT_FALSE(spec.Validate().ok());
-  }
-  {
-    CampaignSpec spec = SyntheticCampaign(10, 1);
-    spec.bins = 0;
     EXPECT_FALSE(spec.Validate().ok());
   }
 }
@@ -430,7 +383,7 @@ TEST(CampaignRunner, RunCampaignFileParsesAndRuns) {
   std::ostringstream report;
   const auto run = RunCampaignFile(in, 2, report);
   ASSERT_TRUE(run.ok()) << run.error().message();
-  EXPECT_NE(report.str().find("campaign report v1"), std::string::npos);
+  EXPECT_NE(report.str().find("campaign report v2"), std::string::npos);
   EXPECT_NE(report.str().find("fleet instances 16"), std::string::npos);
 }
 
@@ -444,32 +397,64 @@ TEST(CampaignRunner, RunCampaignFileReportsParseErrors) {
   EXPECT_TRUE(report.str().empty());
 }
 
-// The report keeps the columns of the retired warm_cache and table
-// tiers, always zero, so readers of report v1 see an unchanged layout.
-TEST(CampaignRunner, ReportKeepsTheRetiredTierColumns) {
+// Report v2 drops the columns of the retired warm_cache and table
+// tiers: every shard line and the fleet tiers line list exact,
+// warm_prior, full and fallbacks only.
+TEST(CampaignRunner, ReportDropsTheRetiredTierColumns) {
   Campaign run(SmallSpec());
   const CampaignResult& result = run.Run();
-  EXPECT_EQ(result.tiers.warm_cache, 0u);
-  EXPECT_EQ(result.tiers.table, 0u);
   EXPECT_GT(result.tiers.total(), 0u);
   std::ostringstream os;
   result.Write(os);
   const std::string fleet =
       "\ntiers exact " + std::to_string(result.tiers.exact) +
-      " warm_cache 0 warm_prior " + std::to_string(result.tiers.warm_prior) +
-      " table 0 full " + std::to_string(result.tiers.full) + " fallbacks " +
+      " warm_prior " + std::to_string(result.tiers.warm_prior) + " full " +
+      std::to_string(result.tiers.full) + " fallbacks " +
       std::to_string(result.tiers.incremental_fallbacks) + "\n";
   EXPECT_NE(os.str().find(fleet), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find("warm_cache"), std::string::npos);
+  EXPECT_EQ(os.str().find(" table "), std::string::npos);
   std::istringstream lines(os.str());
   std::size_t shard_lines = 0;
   for (std::string line; std::getline(lines, line);) {
     if (line.rfind("shard ", 0) != 0) continue;
-    ++shard_lines;
-    EXPECT_NE(line.find(" warm_cache 0 warm_prior "), std::string::npos)
+    ASSERT_LT(shard_lines, result.shards.size()) << line;
+    const ShardExecution& shard = result.shards[shard_lines];
+    EXPECT_NE(line.find(" tiers exact " + std::to_string(shard.tiers.exact) +
+                        " warm_prior " +
+                        std::to_string(shard.tiers.warm_prior) + " full " +
+                        std::to_string(shard.tiers.full) + " fallbacks " +
+                        std::to_string(shard.tiers.incremental_fallbacks)),
+              std::string::npos)
         << line;
-    EXPECT_NE(line.find(" table 0 full "), std::string::npos) << line;
+    ++shard_lines;
   }
   EXPECT_EQ(shard_lines, result.shards.size());
+}
+
+// No reported quantile may sit above the sample it stands for: every
+// cell's makespan p50 <= p99 <= max. A quantile pinned to a histogram
+// range bound, or reported at a bin centre, breaks this.
+TEST(CampaignRunner, MakespanQuantilesNeverExceedTheMax) {
+  Campaign run(SyntheticCampaign(1600, 7));
+  std::ostringstream os;
+  run.Run().WritePopulation(os);
+  std::istringstream lines(os.str());
+  std::size_t checked = 0;
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string name, mean, p50_key, p99_key, max_key;
+    double mean_value = 0.0, p50 = 0.0, p99 = 0.0, max = 0.0;
+    fields >> name;
+    if (name != "makespan_ms") continue;
+    fields >> mean >> mean_value >> p50_key >> p50 >> p99_key >> p99 >>
+        max_key >> max;
+    ASSERT_EQ(p50_key + p99_key + max_key, "p50p99max") << line;
+    EXPECT_LE(p50, p99) << line;
+    EXPECT_LE(p99, max) << line;
+    ++checked;
+  }
+  EXPECT_EQ(checked, run.result().cells.size());
 }
 
 // The committed 1k-instance fleet: the golden --jobs byte-equality the
@@ -546,9 +531,10 @@ TEST(CampaignCheckpoint, StoreLoadStoreIsByteIdentical) {
   EXPECT_EQ(stored, restored.str());
 }
 
-// Each shard's checkpoint-v1 'tiers' record keeps six counters; the
-// slots of the retired warm_cache and table tiers read zero.
-TEST(CampaignCheckpoint, TiersRecordKeepsTheRetiredSlots) {
+// Each shard's checkpoint-v2 'tiers' record holds four counters: exact,
+// warm_prior, full and fallbacks. The retired warm_cache and table slots
+// are gone.
+TEST(CampaignCheckpoint, TiersRecordDropsTheRetiredSlots) {
   CampaignSpec spec = SmallSpec();
   spec.shards = 4;
   const std::filesystem::path dir = FreshDir("tiers");
@@ -566,17 +552,50 @@ TEST(CampaignCheckpoint, TiersRecordKeepsTheRetiredSlots) {
     std::istringstream fields(line);
     std::vector<std::string> tokens;
     for (std::string token; fields >> token;) tokens.push_back(token);
-    ASSERT_EQ(tokens.size(), 7u) << line;
-    EXPECT_EQ(tokens[2], "0") << "warm_cache: " << line;
-    EXPECT_EQ(tokens[4], "0") << "table: " << line;
+    ASSERT_EQ(tokens.size(), 5u) << line;
     sum.exact += std::stoull(tokens[1]);
-    sum.warm_prior += std::stoull(tokens[3]);
-    sum.full += std::stoull(tokens[5]);
+    sum.warm_prior += std::stoull(tokens[2]);
+    sum.full += std::stoull(tokens[3]);
+    sum.incremental_fallbacks += std::stoull(tokens[4]);
   }
   EXPECT_EQ(records, spec.shards);
   EXPECT_EQ(sum.exact, result.tiers.exact);
   EXPECT_EQ(sum.warm_prior, result.tiers.warm_prior);
   EXPECT_EQ(sum.full, result.tiers.full);
+  EXPECT_EQ(sum.incremental_fallbacks, result.tiers.incremental_fallbacks);
+}
+
+// A sparse histogram record (zero bucket, far-apart keys, exact min and
+// max) survives store -> load -> store bit-identically.
+TEST(CampaignCheckpoint, SparseHistogramRecordRoundTrips) {
+  CampaignSpec spec = SmallSpec(6);
+  spec.shards = 2;
+  std::vector<ShardOutput> outputs(spec.shards);
+  std::vector<char> done = {1, 0};
+  ShardOutput& out = outputs[0];
+  out.exec.begin = 0;
+  out.exec.end = 3;
+  out.cells.assign(spec.CellCount(), CellStats(spec));
+  for (const double x : {0.0, 1e-3, 0.37, 26.19, 26.19, 645.45708, 1e6}) {
+    out.cells[1].makespan_hist.Observe(x);
+    out.cells[1].makespan.Observe(x);
+  }
+  out.cells[2].energy_hist.Observe(54.6875);
+
+  std::ostringstream stored;
+  WriteCheckpoint(stored, spec, done, outputs);
+  EXPECT_NE(stored.str().find("\nh 0 412e848000000000 0 1 "),
+            std::string::npos)
+      << stored.str();
+  std::istringstream reload(stored.str());
+  const util::Expected<CheckpointState> state = LoadCheckpoint(reload, spec);
+  ASSERT_TRUE(state.ok()) << state.error().message();
+  EXPECT_EQ(state.value().done, done);
+  EXPECT_TRUE(state.value().outputs[0].cells == out.cells);
+  std::ostringstream restored;
+  WriteCheckpoint(restored, spec, state.value().done,
+                  state.value().outputs);
+  EXPECT_EQ(stored.str(), restored.str());
 }
 
 TEST(CampaignCheckpoint, ResumeWithoutAFileIsAFreshStart) {
@@ -668,7 +687,7 @@ TEST(CheckpointMalformedCorpus, EveryFileIsRejectedWithItsDiagnostic) {
   fp << std::hex << FingerprintSpec(spec);
   std::ostringstream shape;
   shape << "shards " << spec.shards << " instances " << spec.instances
-        << " cells " << spec.CellCount() << " bins " << spec.bins;
+        << " cells " << spec.CellCount();
   const std::filesystem::path dir =
       std::filesystem::path(ACTG_TEST_CORPUS_DIR) / "checkpoint";
   std::size_t cases = 0;

@@ -282,6 +282,105 @@ TEST(Mean, SimpleAndThrowsOnEmpty) {
   EXPECT_THROW(Mean({}), InvalidArgument);
 }
 
+/// Log-uniform over [1e-3, 1e6], with about one sample in 16 a zero.
+std::vector<double> HistogramSamples(Random& rng, std::size_t n) {
+  std::vector<double> xs;
+  xs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs.push_back(rng.UniformInt(0, 15) == 0
+                     ? 0.0
+                     : std::pow(10.0, rng.Uniform(-3.0, 6.0)));
+  }
+  return xs;
+}
+
+TEST(Histogram, MergeIsBitExactlyAssociativeAndCommutative) {
+  Random rng(99);
+  for (int round = 0; round < 50; ++round) {
+    const std::vector<double> xs = HistogramSamples(
+        rng, static_cast<std::size_t>(rng.UniformInt(1, 400)));
+    Histogram all;
+    for (double x : xs) all.Observe(x);
+
+    // Random split into up to 8 parts, merged in a random order.
+    const int parts = rng.UniformInt(1, 8);
+    std::vector<Histogram> shards(static_cast<std::size_t>(parts));
+    for (double x : xs) {
+      shards[static_cast<std::size_t>(rng.UniformInt(0, parts - 1))]
+          .Observe(x);
+    }
+    Histogram merged;
+    for (std::size_t idx : rng.Permutation(shards.size())) {
+      merged.Merge(shards[idx]);
+    }
+
+    ASSERT_TRUE(merged == all) << "round " << round;
+    EXPECT_EQ(merged.count(), xs.size());
+    for (const double q : {0.0, 0.01, 0.5, 0.9, 0.99, 1.0}) {
+      EXPECT_EQ(merged.Quantile(q), all.Quantile(q)) << "q " << q;
+    }
+  }
+}
+
+// Against a sorted-vector nearest rank: the reported value is the lower
+// edge of the rank's bucket, never above the sample and less than 2^-7
+// below it; the top rank is the exact max; memory stays within 128
+// buckets per octave the samples span.
+TEST(Histogram, QuantileIsTheLowerEdgeOfTheNearestRankBucket) {
+  EXPECT_EQ(Histogram().Quantile(0.5), 0.0);
+
+  Random rng(2026);
+  std::vector<double> xs = HistogramSamples(rng, 1000000);
+  Histogram h;
+  for (double x : xs) h.Observe(x);
+  std::sort(xs.begin(), xs.end());
+  ASSERT_EQ(h.count(), xs.size());
+  EXPECT_EQ(h.min(), xs.front());
+  EXPECT_EQ(h.max(), xs.back());
+  EXPECT_EQ(h.Quantile(1.0), xs.back());
+
+  constexpr double kWidth = 1.0 / (1 << Histogram::kSubBucketBits);
+  for (const double q : {0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99,
+                         0.999, 0.999999}) {
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::ceil(q * static_cast<double>(xs.size()))));
+    const double exact = xs[rank - 1];
+    const double edge = h.Quantile(q);
+    if (exact == 0.0) {
+      EXPECT_EQ(edge, 0.0) << "q " << q;
+      continue;
+    }
+    EXPECT_LE(edge, exact) << "q " << q;
+    EXPECT_LT(exact, edge * (1.0 + kWidth)) << "q " << q;
+  }
+
+  const double min_positive = *std::upper_bound(xs.begin(), xs.end(), 0.0);
+  const double octaves =
+      std::floor(std::log2(xs.back())) - std::floor(std::log2(min_positive)) +
+      1.0;
+  // Plus one for the zero bucket.
+  EXPECT_LE(static_cast<double>(h.buckets().size()),
+            octaves * (1 << Histogram::kSubBucketBits) + 1.0);
+}
+
+TEST(Histogram, IntegersUpTo256AreExact) {
+  Histogram h;
+  for (int i = 1; i <= 256; ++i) h.Observe(static_cast<double>(i));
+  for (int k = 1; k <= 256; ++k) {
+    EXPECT_EQ(h.Quantile(k / 256.0), static_cast<double>(k)) << k;
+  }
+}
+
+TEST(Histogram, FromRawRebuildsTheStateAndRejectsUnsortedBuckets) {
+  Histogram h;
+  for (double x : {0.0, 3.5, 3.5, 1e6}) h.Observe(x);
+  EXPECT_TRUE(Histogram::FromRaw(h.min(), h.max(), h.buckets()) == h);
+  EXPECT_THROW(Histogram::FromRaw(0.0, 1.0, {{7, 1}, {7, 1}}),
+               InvalidArgument);
+  EXPECT_THROW(Histogram::FromRaw(0.0, 1.0, {{7, 0}}), InvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // TablePrinter
 
