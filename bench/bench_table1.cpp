@@ -80,10 +80,11 @@ int main(int argc, char** argv) {
         const sched::Schedule ref1 =
             dvfs::RunReference1(graph, analysis, platform, probs);
 
+        const ctg::ActivationProbabilities p = analysis.Evaluate(probs);
         Row row;
-        row.e_online = sim::ExpectedEnergy(online, probs);
-        row.e_ref1 = sim::ExpectedEnergy(ref1, probs);
-        row.e_ref2 = sim::ExpectedEnergy(ref2, probs);
+        row.e_online = sim::ExpectedEnergy(online, p);
+        row.e_ref1 = sim::ExpectedEnergy(ref1, p);
+        row.e_ref2 = sim::ExpectedEnergy(ref2, p);
         row.online_ms = Ms(t0, t1);
         row.nlp_ms = Ms(t1, t2);
         return row;

@@ -59,6 +59,9 @@ int main(int argc, char** argv) {
 
   std::cout << "\nExpected energy (mJ) by algorithm and deadline "
                "tightness:\n";
+  // The deadline sweep changes schedules, not activation probabilities:
+  // one evaluation serves every row.
+  const ctg::ActivationProbabilities p = analysis.Evaluate(probs);
   util::TablePrinter table({"deadline factor", "Reference 1",
                             "Reference 2 (NLP)", "Online",
                             "Ref1/Online"});
@@ -70,9 +73,9 @@ int main(int argc, char** argv) {
         dvfs::RunReference2(rc.graph, analysis, rc.platform, probs);
     const auto online =
         dvfs::RunOnlineAlgorithm(rc.graph, analysis, rc.platform, probs);
-    const double e1 = sim::ExpectedEnergy(ref1, probs);
-    const double e2 = sim::ExpectedEnergy(ref2, probs);
-    const double eo = sim::ExpectedEnergy(online, probs);
+    const double e1 = sim::ExpectedEnergy(ref1, p);
+    const double e2 = sim::ExpectedEnergy(ref2, p);
+    const double eo = sim::ExpectedEnergy(online, p);
     table.BeginRow()
         .Cell(factor, 1)
         .Cell(e1, 1)

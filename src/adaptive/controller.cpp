@@ -2,10 +2,10 @@
 
 #include <algorithm>
 
-#include "runtime/fingerprint.h"
 #include "runtime/metrics.h"
 #include "sim/energy.h"
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace actg::adaptive {
 
@@ -16,9 +16,9 @@ namespace {
 std::uint64_t FingerprintUnit(std::uint64_t graph_fp,
                               std::uint64_t config_fp,
                               const AdaptiveOptions& options) {
-  std::uint64_t fp = runtime::HashCombine(graph_fp, config_fp);
-  fp = runtime::HashCombine(fp, options.window_length);
-  fp = runtime::HashCombine(
+  std::uint64_t fp = util::HashCombine(graph_fp, config_fp);
+  fp = util::HashCombine(fp, options.window_length);
+  fp = util::HashCombine(
       fp, static_cast<std::uint64_t>(options.threshold * 1e9));
   return fp;
 }
@@ -216,13 +216,15 @@ sim::InstanceResult AdaptiveController::ProcessInstance(
     // running schedule only when it improves the expected energy under
     // the new distribution estimate: the windowed estimate is noisy
     // (stddev ~ sqrt(p(1-p)/L)), and blindly adopting every candidate
-    // would let sampling noise undo the adaptation gains.
+    // would let sampling noise undo the adaptation gains. Both
+    // schedules are judged on one evaluation of that estimate.
     sched::Schedule candidate = Reschedule(
         RescheduleRequest{options_.dls.available_pes, 0.0, "threshold"});
     ++reschedule_count_;
     MetricsTarget().Increment("adaptive.reschedule_calls");
-    if (sim::ExpectedEnergy(candidate, in_use_) <
-        sim::ExpectedEnergy(schedule_, in_use_)) {
+    const ctg::ActivationProbabilities p = analysis_->Evaluate(in_use_);
+    if (sim::ExpectedEnergy(candidate, p) <
+        sim::ExpectedEnergy(schedule_, p)) {
       schedule_ = std::move(candidate);
     }
   }

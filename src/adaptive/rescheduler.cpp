@@ -9,6 +9,7 @@
 #include "runtime/fingerprint.h"
 #include "sim/energy.h"
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace actg::adaptive {
 
@@ -23,27 +24,27 @@ namespace {
 /// contract is bit-exactness.
 std::uint64_t FingerprintConfig(const ReschedulerConfig& config) {
   std::uint64_t fp = 0x9E3779B97F4A7C15ULL;
-  fp = runtime::HashCombine(
+  fp = util::HashCombine(
       fp, static_cast<std::uint64_t>(config.dls.level_policy));
-  fp = runtime::HashCombine(fp, config.dls.mutex_aware ? 1 : 2);
+  fp = util::HashCombine(fp, config.dls.mutex_aware ? 1 : 2);
   if (config.dls.fixed_mapping != nullptr) {
     for (PeId pe : *config.dls.fixed_mapping) {
-      fp = runtime::HashCombine(fp, static_cast<std::uint64_t>(pe.value));
+      fp = util::HashCombine(fp, static_cast<std::uint64_t>(pe.value));
     }
   }
   // Only folded in when restricting, so fingerprints (and the timeline
   // unit ids derived from them) of mask-free configs are unchanged.
   if (!config.dls.available_pes.IsAll()) {
-    fp = runtime::HashCombine(fp, config.dls.available_pes.removed_bits());
+    fp = util::HashCombine(fp, config.dls.available_pes.removed_bits());
   }
-  fp = runtime::HashCombine(fp, config.stretch.max_paths);
+  fp = util::HashCombine(fp, config.stretch.max_paths);
   for (const char c : config.policy) {
-    fp = runtime::HashCombine(fp, static_cast<std::uint64_t>(c));
+    fp = util::HashCombine(fp, static_cast<std::uint64_t>(c));
   }
   if (config.reschedule.mode != RescheduleMode::kFull) {
-    fp = runtime::HashCombine(
+    fp = util::HashCombine(
         fp, static_cast<std::uint64_t>(config.reschedule.mode) + 0xC0FFEE);
-    fp = runtime::HashDouble(fp, config.reschedule.max_dirty_ratio);
+    fp = util::HashDouble(fp, config.reschedule.max_dirty_ratio);
   }
   return fp;
 }
@@ -314,10 +315,11 @@ void Rescheduler::VerifyIncremental(const ctg::BranchProbabilities& probs,
   check::Validate(reference, expect);
   runtime::Metrics& metrics = MetricsTarget();
   metrics.Increment("resched.verify.runs");
-  const double e_ref = sim::ExpectedEnergy(reference, probs);
+  const ctg::ActivationProbabilities p = analysis_->Evaluate(probs);
+  const double e_ref = sim::ExpectedEnergy(reference, p);
   if (e_ref > 0.0) {
     metrics.Observe("resched.verify.energy_ratio",
-                    sim::ExpectedEnergy(got.schedule, probs) / e_ref);
+                    sim::ExpectedEnergy(got.schedule, p) / e_ref);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace actg::arch {
 
@@ -173,6 +174,40 @@ PlatformBuilder& PlatformBuilder::SetSpeedLevels(
   return *this;
 }
 
+namespace {
+
+/// The walk behind Platform::fingerprint. Schedule-cache keys derive
+/// from it, so its order and encoding are fixed.
+std::uint64_t PlatformHash(const Platform& platform) {
+  std::uint64_t hash = util::kFnvOffset;
+  hash = util::HashCombine(hash, platform.task_count());
+  hash = util::HashCombine(hash, platform.pe_count());
+  for (PeId pe : platform.PeIds()) {
+    const PeInfo& info = platform.pe(pe);
+    hash = util::HashDouble(hash, info.min_speed_ratio);
+    hash = util::HashCombine(hash, info.speed_levels.size());
+    for (double level : info.speed_levels) {
+      hash = util::HashDouble(hash, level);
+    }
+  }
+  for (std::size_t t = 0; t < platform.task_count(); ++t) {
+    const TaskId task{static_cast<int>(t)};
+    for (PeId pe : platform.PeIds()) {
+      hash = util::HashDouble(hash, platform.Wcet(task, pe));
+      hash = util::HashDouble(hash, platform.Energy(task, pe));
+    }
+  }
+  for (PeId a : platform.PeIds()) {
+    for (PeId b : platform.PeIds()) {
+      hash = util::HashDouble(hash, platform.Bandwidth(a, b));
+      hash = util::HashDouble(hash, platform.TxEnergyPerKb(a, b));
+    }
+  }
+  return hash;
+}
+
+}  // namespace
+
 Platform PlatformBuilder::Build() && {
   for (std::size_t t = 0; t < p_.task_count_; ++t) {
     for (std::size_t pe = 0; pe < p_.pes_.size(); ++pe) {
@@ -182,6 +217,7 @@ Platform PlatformBuilder::Build() && {
               std::to_string(pe));
     }
   }
+  p_.fingerprint_ = PlatformHash(p_);
   return std::move(p_);
 }
 

@@ -122,6 +122,12 @@ class Platform {
   /// deadline met at \p sigma is met at the returned speed).
   double QuantizeSpeed(PeId pe, double sigma) const;
 
+  /// FNV-1a hash of everything the scheduler reads from the platform:
+  /// sizes, DVFS capabilities, WCET/energy tables and link parameters
+  /// (PE names excluded). Computed once by PlatformBuilder::Build; the
+  /// platform is immutable afterwards.
+  std::uint64_t fingerprint() const { return fingerprint_; }
+
  private:
   friend class PlatformBuilder;
   Platform() = default;
@@ -132,6 +138,7 @@ class Platform {
   std::vector<double> energy_;  // task-major [task][pe]
   std::vector<double> bandwidth_;  // [pe][pe], KB/ms
   std::vector<double> tx_energy_;  // [pe][pe], mJ/KB
+  std::uint64_t fingerprint_ = 0;
 
   std::size_t TaskPe(TaskId t, PeId p) const {
     return t.index() * pes_.size() + p.index();

@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "util/hash.h"
+
 namespace actg::campaign {
 
 namespace {
@@ -97,13 +99,7 @@ struct CheckpointReader {
 std::uint64_t FingerprintSpec(const CampaignSpec& spec) {
   std::ostringstream text;
   WriteCampaignFile(text, spec);
-  // FNV-1a 64 over the canonical serialization.
-  std::uint64_t fp = 0xCBF29CE484222325ULL;
-  for (const char c : text.str()) {
-    fp ^= static_cast<unsigned char>(c);
-    fp *= 0x100000001B3ULL;
-  }
-  return fp;
+  return util::HashBytes(text.str());
 }
 
 void WriteCheckpoint(std::ostream& os, const CampaignSpec& spec,

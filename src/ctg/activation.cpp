@@ -16,20 +16,20 @@ ActivationAnalysis::ActivationAnalysis(const Ctg& graph) : graph_(&graph) {
 void ActivationAnalysis::ComputeGuards() {
   const Ctg& g = *graph_;
   const auto arity = g.ArityFn();
-  guards_.assign(g.task_count(), Guard::False());
+  std::vector<Guard> task_guards(g.task_count(), Guard::False());
 
   for (TaskId id : g.TopologicalOrder()) {
     const auto& in_edges = g.InEdges(id);
     if (in_edges.empty()) {
       // Entry tasks are activated in every instance.
-      guards_[id.index()] = Guard::True();
+      task_guards[id.index()] = Guard::True();
       continue;
     }
     Guard acc;
     bool first = true;
     for (EdgeId eid : in_edges) {
       const Edge& e = g.edge(eid);
-      Guard alternative = guards_[e.src.index()];
+      Guard alternative = task_guards[e.src.index()];
       if (e.condition.has_value()) {
         alternative = alternative.AndCondition(*e.condition, arity);
       }
@@ -42,8 +42,35 @@ void ActivationAnalysis::ComputeGuards() {
         acc = acc.Or(alternative, arity);
       }
     }
-    guards_[id.index()] = std::move(acc);
+    task_guards[id.index()] = std::move(acc);
   }
+
+  task_slots_.reserve(task_guards.size());
+  for (Guard& guard : task_guards) {
+    task_slots_.push_back(Intern(std::move(guard)));
+  }
+  // Edge guards in exactly this call sequence: Simplify is not a
+  // canonical form, so conjoining in another order could yield a
+  // different (equivalent) DNF and round its Shannon expansion
+  // differently.
+  edge_slots_.reserve(g.edge_count());
+  for (EdgeId eid : g.EdgeIds()) {
+    const Edge& e = g.edge(eid);
+    Guard guard = ActivationGuard(e.src).And(ActivationGuard(e.dst), arity);
+    if (e.condition.has_value()) {
+      guard = guard.AndCondition(*e.condition, arity);
+    }
+    edge_slots_.push_back(Intern(std::move(guard)));
+  }
+}
+
+std::size_t ActivationAnalysis::Intern(Guard guard) {
+  const auto it = std::find(guards_.begin(), guards_.end(), guard);
+  if (it != guards_.end()) {
+    return static_cast<std::size_t>(it - guards_.begin());
+  }
+  guards_.push_back(std::move(guard));
+  return guards_.size() - 1;
 }
 
 void ActivationAnalysis::CompileBitGuards() {
@@ -56,9 +83,10 @@ void ActivationAnalysis::CompileBitGuards() {
     CountDnfFallback();
     return;
   }
-  bit_guards_.resize(guards_.size());
-  for (std::size_t i = 0; i < guards_.size(); ++i) {
-    if (!space_.Encode(guards_[i], bit_guards_[i])) {
+  bit_guards_.resize(g.task_count());
+  for (std::size_t i = 0; i < bit_guards_.size(); ++i) {
+    if (!space_.Encode(ActivationGuard(TaskId{static_cast<int>(i)}),
+                       bit_guards_[i])) {
       // A guard the space cannot express; retire the whole compiled
       // layer so every caller consistently uses the DNF algebra.
       space_ = ConditionSpace();
@@ -80,7 +108,8 @@ void ActivationAnalysis::ComputeMutex() {
       // same answer as the DNF walk.
       const bool exclusive =
           use_bits ? !bit_guards_[i].CompatibleWith(bit_guards_[j])
-                   : !guards_[i].CompatibleWith(guards_[j]);
+                   : !guards_[task_slots_[i]].CompatibleWith(
+                         guards_[task_slots_[j]]);
       mutex_[i][j] = exclusive;
       mutex_[j][i] = exclusive;
     }
@@ -98,7 +127,7 @@ void ActivationAnalysis::ComputeImpliedDeps() {
     std::vector<TaskId> forks;
     for (EdgeId eid : g.InEdges(id)) {
       const Edge& e = g.edge(eid);
-      Guard alternative = guards_[e.src.index()];
+      Guard alternative = ActivationGuard(e.src);
       if (e.condition.has_value()) {
         alternative = alternative.AndCondition(*e.condition, arity);
       }
@@ -128,6 +157,21 @@ bool ActivationAnalysis::MutuallyExclusive(TaskId a, TaskId b) const {
 double ActivationAnalysis::ActivationProbability(
     TaskId task, const BranchProbabilities& probs) const {
   return ActivationGuard(task).Probability(probs);
+}
+
+ActivationProbabilities ActivationAnalysis::Evaluate(
+    const BranchProbabilities& probs) const {
+  std::vector<double> distinct;
+  distinct.reserve(guards_.size());
+  for (const Guard& guard : guards_) {
+    distinct.push_back(guard.Probability(probs));
+  }
+  ActivationProbabilities out;
+  out.task_.reserve(task_slots_.size());
+  for (std::size_t slot : task_slots_) out.task_.push_back(distinct[slot]);
+  out.edge_.reserve(edge_slots_.size());
+  for (std::size_t slot : edge_slots_) out.edge_.push_back(distinct[slot]);
+  return out;
 }
 
 bool ActivationAnalysis::IsActive(TaskId task,
@@ -187,8 +231,8 @@ std::vector<Minterm> ActivationAnalysis::EnumerateScenarioAssignments()
 
 std::vector<Minterm> ActivationAnalysis::AllMinterms() const {
   std::vector<Minterm> all;
-  for (const Guard& guard : guards_) {
-    for (const Minterm& m : guard.minterms()) {
+  for (std::size_t slot : task_slots_) {
+    for (const Minterm& m : guards_[slot].minterms()) {
       if (std::find(all.begin(), all.end(), m) == all.end()) {
         all.push_back(m);
       }

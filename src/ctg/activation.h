@@ -28,8 +28,36 @@ struct Scenario {
   double probability = 0.0;
 };
 
+/// One evaluation of every activation and edge guard under one branch
+/// distribution (ActivationAnalysis::Evaluate): P(X(τ)) per task and
+/// P(X(src) ∧ X(dst) ∧ C(e)) per edge. Every energy sum over the same
+/// distribution reads it instead of re-expanding the guards.
+class ActivationProbabilities {
+ public:
+  /// P(X(τ)): probability that task \p id is activated.
+  double task(TaskId id) const { return task_[id.index()]; }
+
+  /// Probability that edge \p id transfers data (its
+  /// ActivationAnalysis::EdgeGuard).
+  double edge(EdgeId id) const { return edge_[id.index()]; }
+
+  std::size_t task_count() const { return task_.size(); }
+  std::size_t edge_count() const { return edge_.size(); }
+
+ private:
+  friend class ActivationAnalysis;
+
+  std::vector<double> task_;
+  std::vector<double> edge_;
+};
+
 /// Immutable analysis result bound to one Ctg. The Ctg must outlive the
 /// analysis.
+///
+/// Task and edge guards are stored once per distinct DNF (Guard's
+/// operator==): the structured graphs repeat few guards (MPEG's 104
+/// task and edge guards are 19 distinct ones), so Evaluate expands each
+/// distinct guard once per distribution.
 class ActivationAnalysis {
  public:
   /// Runs the analysis (single topological pass plus pairwise mutex
@@ -40,8 +68,18 @@ class ActivationAnalysis {
 
   /// Activation condition X(τ).
   const Guard& ActivationGuard(TaskId task) const {
-    return guards_.at(task.index());
+    return guards_[task_slots_.at(task.index())];
   }
+
+  /// Guard of the event "edge e transfers data": X(src) ∧ X(dst) ∧ C(e)
+  /// (C(e) only for a conditional edge), built once at construction.
+  const Guard& EdgeGuard(EdgeId edge) const {
+    return guards_[edge_slots_.at(edge.index())];
+  }
+
+  /// Number of distinct DNFs among the task and edge guards: the
+  /// Guard::Probability expansions one Evaluate runs.
+  std::size_t distinct_guard_count() const { return guards_.size(); }
 
   /// Γ(τ): the minterms of X(τ).
   const std::vector<Minterm>& Gamma(TaskId task) const {
@@ -67,6 +105,12 @@ class ActivationAnalysis {
   /// Probability that \p task is activated, P(X(τ)), under \p probs.
   double ActivationProbability(TaskId task,
                                const BranchProbabilities& probs) const;
+
+  /// Every task's and edge's guard probability under \p probs, running
+  /// Guard::Probability once per distinct guard. Each entry is
+  /// bit-identical to Probability of the corresponding guard (equal
+  /// DNFs expand through the same arithmetic).
+  ActivationProbabilities Evaluate(const BranchProbabilities& probs) const;
 
   /// True when \p task is activated by the given full branch assignment.
   bool IsActive(TaskId task, const BranchAssignment& assignment) const;
@@ -99,6 +143,7 @@ class ActivationAnalysis {
 
  private:
   void ComputeGuards();
+  std::size_t Intern(Guard guard);
   void CompileBitGuards();
   void ComputeMutex();
   void ComputeImpliedDeps();
@@ -108,7 +153,9 @@ class ActivationAnalysis {
                              std::vector<Scenario>& out) const;
 
   const Ctg* graph_;
-  std::vector<Guard> guards_;
+  std::vector<Guard> guards_;             // distinct task and edge guards
+  std::vector<std::size_t> task_slots_;   // task index -> guards_ index
+  std::vector<std::size_t> edge_slots_;   // edge index -> guards_ index
   ConditionSpace space_;
   std::vector<BitGuard> bit_guards_;  // empty when !space_.valid()
   std::vector<std::vector<bool>> mutex_;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace actg::ctg {
 
@@ -108,6 +109,38 @@ void CtgBuilder::SetDeadline(double deadline_ms) {
   ACTG_CHECK(deadline_ms > 0.0, "Deadline must be positive");
   deadline_ms_ = deadline_ms;
 }
+
+namespace {
+
+/// The walk behind Ctg::structural_hash. Schedule-cache keys and trace
+/// timeline unit ids derive from it, so its order and encoding are
+/// fixed. The deadline stays out: runtime::FingerprintCtg folds it in.
+std::uint64_t StructuralHash(const Ctg& g) {
+  std::uint64_t hash = util::kFnvOffset;
+  hash = util::HashCombine(hash, g.task_count());
+  hash = util::HashCombine(hash, g.edge_count());
+  for (TaskId task : g.TaskIds()) {
+    hash = util::HashCombine(hash,
+                             static_cast<std::uint64_t>(g.task(task).join));
+    if (g.IsFork(task)) {
+      hash = util::HashCombine(
+          hash, static_cast<std::uint64_t>(g.OutcomeCount(task)));
+    }
+  }
+  for (EdgeId id : g.EdgeIds()) {
+    const Edge& edge = g.edge(id);
+    hash = util::HashCombine(hash, static_cast<std::uint64_t>(edge.src.value));
+    hash = util::HashCombine(hash, static_cast<std::uint64_t>(edge.dst.value));
+    hash = util::HashDouble(hash, edge.comm_kbytes);
+    hash = util::HashCombine(
+        hash, edge.condition.has_value()
+                  ? static_cast<std::uint64_t>(edge.condition->outcome) + 2
+                  : 1);
+  }
+  return hash;
+}
+
+}  // namespace
 
 Ctg CtgBuilder::Build() && {
   ACTG_CHECK(!tasks_.empty(), "A CTG needs at least one task");
@@ -214,6 +247,7 @@ Ctg CtgBuilder::Build() && {
     }
   }
 
+  g.structural_hash_ = StructuralHash(g);
   return g;
 }
 

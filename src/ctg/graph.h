@@ -11,6 +11,7 @@
 #ifndef ACTG_CTG_GRAPH_H
 #define ACTG_CTG_GRAPH_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -113,6 +114,12 @@ class Ctg {
   /// from the schedule length, e.g. deadline = 2x optimal, Table 3).
   void SetDeadline(double deadline_ms);
 
+  /// FNV-1a hash of everything the scheduler reads from the graph except
+  /// the deadline: task and edge counts, join types, fork arities, edge
+  /// endpoints, volumes and conditions. Computed once by
+  /// CtgBuilder::Build; runtime::FingerprintCtg folds the deadline in.
+  std::uint64_t structural_hash() const { return structural_hash_; }
+
   /// Task name lookup usable as the fork_name argument of
   /// Guard::ToString.
   std::string TaskName(TaskId id) const { return task(id).name; }
@@ -131,6 +138,7 @@ class Ctg {
   std::vector<TaskId> fork_ids_;
   std::vector<std::optional<ForkInfo>> forks_;  // dense by task index
   double deadline_ms_ = 0.0;
+  std::uint64_t structural_hash_ = 0;
 };
 
 /// Incremental builder for Ctg. All structural errors are reported by

@@ -1,78 +1,15 @@
 #include "runtime/fingerprint.h"
 
-#include <bit>
+#include "util/hash.h"
 
 namespace actg::runtime {
 
-namespace {
-
-constexpr std::uint64_t kOffset = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kPrime = 0x100000001B3ULL;
-
-}  // namespace
-
-std::uint64_t HashCombine(std::uint64_t hash, std::uint64_t value) {
-  // Mix all eight bytes of the value through the FNV-1a round.
-  for (int shift = 0; shift < 64; shift += 8) {
-    hash = (hash ^ ((value >> shift) & 0xFF)) * kPrime;
-  }
-  return hash;
-}
-
-std::uint64_t HashDouble(std::uint64_t hash, double value) {
-  return HashCombine(hash, std::bit_cast<std::uint64_t>(value));
-}
-
 std::uint64_t FingerprintCtg(const ctg::Ctg& graph) {
-  std::uint64_t hash = kOffset;
-  hash = HashCombine(hash, graph.task_count());
-  hash = HashCombine(hash, graph.edge_count());
-  for (TaskId task : graph.TaskIds()) {
-    hash = HashCombine(
-        hash, static_cast<std::uint64_t>(graph.task(task).join));
-    if (graph.IsFork(task)) {
-      hash = HashCombine(
-          hash, static_cast<std::uint64_t>(graph.OutcomeCount(task)));
-    }
-  }
-  for (EdgeId id : graph.EdgeIds()) {
-    const ctg::Edge& edge = graph.edge(id);
-    hash = HashCombine(hash, static_cast<std::uint64_t>(edge.src.value));
-    hash = HashCombine(hash, static_cast<std::uint64_t>(edge.dst.value));
-    hash = HashDouble(hash, edge.comm_kbytes);
-    hash = HashCombine(
-        hash, edge.condition.has_value()
-                  ? static_cast<std::uint64_t>(edge.condition->outcome) + 2
-                  : 1);
-  }
-  hash = HashDouble(hash, graph.deadline_ms());
-  return hash;
+  return util::HashDouble(graph.structural_hash(), graph.deadline_ms());
 }
 
 std::uint64_t FingerprintPlatform(const arch::Platform& platform) {
-  std::uint64_t hash = kOffset;
-  hash = HashCombine(hash, platform.task_count());
-  hash = HashCombine(hash, platform.pe_count());
-  for (PeId pe : platform.PeIds()) {
-    const arch::PeInfo& info = platform.pe(pe);
-    hash = HashDouble(hash, info.min_speed_ratio);
-    hash = HashCombine(hash, info.speed_levels.size());
-    for (double level : info.speed_levels) hash = HashDouble(hash, level);
-  }
-  for (std::size_t t = 0; t < platform.task_count(); ++t) {
-    const TaskId task{static_cast<int>(t)};
-    for (PeId pe : platform.PeIds()) {
-      hash = HashDouble(hash, platform.Wcet(task, pe));
-      hash = HashDouble(hash, platform.Energy(task, pe));
-    }
-  }
-  for (PeId a : platform.PeIds()) {
-    for (PeId b : platform.PeIds()) {
-      hash = HashDouble(hash, platform.Bandwidth(a, b));
-      hash = HashDouble(hash, platform.TxEnergyPerKb(a, b));
-    }
-  }
-  return hash;
+  return platform.fingerprint();
 }
 
 }  // namespace actg::runtime

@@ -8,6 +8,10 @@
 /// WCET/energy tables, link parameters and DVFS capabilities. Task and
 /// PE names are deliberately excluded — they never influence a
 /// schedule.
+///
+/// The table walks run once per model, when CtgBuilder::Build and
+/// PlatformBuilder::Build produce it (Ctg::structural_hash,
+/// Platform::fingerprint); these functions only read the stored values.
 
 #ifndef ACTG_RUNTIME_FINGERPRINT_H
 #define ACTG_RUNTIME_FINGERPRINT_H
@@ -19,14 +23,9 @@
 
 namespace actg::runtime {
 
-/// FNV-1a style single-step combine (not cryptographic; cache bucketing
-/// only).
-std::uint64_t HashCombine(std::uint64_t hash, std::uint64_t value);
-
-/// Hashes a double by its bit pattern (exact, no tolerance).
-std::uint64_t HashDouble(std::uint64_t hash, double value);
-
-/// Structural fingerprint of a CTG.
+/// Structural fingerprint of a CTG: its build-time structural hash with
+/// the current deadline folded in as the last step, so a later
+/// Ctg::SetDeadline is always reflected.
 std::uint64_t FingerprintCtg(const ctg::Ctg& graph);
 
 /// Structural fingerprint of a platform.

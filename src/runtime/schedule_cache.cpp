@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "runtime/fingerprint.h"
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace actg::runtime {
 
@@ -39,17 +39,17 @@ ScheduleCacheKey MakeCacheKey(const ctg::Ctg& graph,
 std::size_t ScheduleCache::KeyHash::operator()(
     const ScheduleCacheKey& key) const {
   std::uint64_t hash = key.graph_fingerprint;
-  hash = HashCombine(hash, key.platform_fingerprint);
-  hash = HashCombine(hash, key.config_fingerprint);
-  hash = HashCombine(hash, key.tenant);
+  hash = util::HashCombine(hash, key.platform_fingerprint);
+  hash = util::HashCombine(hash, key.config_fingerprint);
+  hash = util::HashCombine(hash, key.tenant);
   for (const char c : key.policy) {
-    hash = HashCombine(hash, static_cast<std::uint64_t>(c));
+    hash = util::HashCombine(hash, static_cast<std::uint64_t>(c));
   }
   for (double p : key.probs) {
     // Bucket by quantized probability; exact equality is checked by
     // operator== on the stored key, so collisions only cost a probe.
-    hash = HashCombine(hash, static_cast<std::uint64_t>(
-                                 std::llround(p * kHashQuantization)));
+    hash = util::HashCombine(
+        hash, static_cast<std::uint64_t>(std::llround(p * kHashQuantization)));
   }
   return static_cast<std::size_t>(hash);
 }

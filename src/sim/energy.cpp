@@ -1,48 +1,52 @@
 #include "sim/energy.h"
 
+#include "util/error.h"
+
 namespace actg::sim {
 
 namespace {
 
-/// Guard of the event "edge e transfers data": both endpoints active and
-/// the edge condition true.
-ctg::Guard EdgeGuard(const sched::Schedule& schedule, EdgeId eid) {
+/// An evaluation indexes tasks and edges densely; one taken from another
+/// graph's analysis would read past its tables.
+void CheckEvaluationFits(const sched::Schedule& schedule,
+                         const ctg::ActivationProbabilities& probs) {
   const ctg::Ctg& graph = schedule.graph();
-  const ctg::ActivationAnalysis& analysis = schedule.analysis();
-  const auto arity = graph.ArityFn();
-  const ctg::Edge& e = graph.edge(eid);
-  ctg::Guard guard = analysis.ActivationGuard(e.src).And(
-      analysis.ActivationGuard(e.dst), arity);
-  if (e.condition.has_value()) {
-    guard = guard.AndCondition(*e.condition, arity);
-  }
-  return guard;
+  ACTG_CHECK(probs.task_count() == graph.task_count() &&
+                 probs.edge_count() == graph.edge_count(),
+             "Activation probabilities were evaluated for another graph");
 }
 
 }  // namespace
 
 double ExpectedComputeEnergy(const sched::Schedule& schedule,
-                             const ctg::BranchProbabilities& probs) {
-  const ctg::Ctg& graph = schedule.graph();
-  const ctg::ActivationAnalysis& analysis = schedule.analysis();
+                             const ctg::ActivationProbabilities& probs) {
+  CheckEvaluationFits(schedule, probs);
   double total = 0.0;
-  for (TaskId task : graph.TaskIds()) {
-    total += analysis.ActivationProbability(task, probs) *
-             schedule.ScaledEnergy(task);
+  for (TaskId task : schedule.graph().TaskIds()) {
+    total += probs.task(task) * schedule.ScaledEnergy(task);
+  }
+  return total;
+}
+
+double ExpectedComputeEnergy(const sched::Schedule& schedule,
+                             const ctg::BranchProbabilities& probs) {
+  return ExpectedComputeEnergy(schedule, schedule.analysis().Evaluate(probs));
+}
+
+double ExpectedEnergy(const sched::Schedule& schedule,
+                      const ctg::ActivationProbabilities& probs) {
+  double total = ExpectedComputeEnergy(schedule, probs);
+  for (EdgeId eid : schedule.graph().EdgeIds()) {
+    const double energy = schedule.EdgeCommEnergy(eid);
+    if (energy <= 0.0) continue;
+    total += probs.edge(eid) * energy;
   }
   return total;
 }
 
 double ExpectedEnergy(const sched::Schedule& schedule,
                       const ctg::BranchProbabilities& probs) {
-  const ctg::Ctg& graph = schedule.graph();
-  double total = ExpectedComputeEnergy(schedule, probs);
-  for (EdgeId eid : graph.EdgeIds()) {
-    const double energy = schedule.EdgeCommEnergy(eid);
-    if (energy <= 0.0) continue;
-    total += EdgeGuard(schedule, eid).Probability(probs) * energy;
-  }
-  return total;
+  return ExpectedEnergy(schedule, schedule.analysis().Evaluate(probs));
 }
 
 double ScenarioEnergy(const sched::Schedule& schedule,
@@ -58,9 +62,8 @@ double ScenarioEnergy(const sched::Schedule& schedule,
   for (EdgeId eid : graph.EdgeIds()) {
     const double energy = schedule.EdgeCommEnergy(eid);
     if (energy <= 0.0) continue;
-    const ctg::Guard guard = EdgeGuard(schedule, eid);
     bool active = false;
-    for (const ctg::Minterm& m : guard.minterms()) {
+    for (const ctg::Minterm& m : analysis.EdgeGuard(eid).minterms()) {
       if (scenario.Implies(m)) {
         active = true;
         break;

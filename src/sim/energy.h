@@ -12,14 +12,29 @@
 #ifndef ACTG_SIM_ENERGY_H
 #define ACTG_SIM_ENERGY_H
 
+#include "ctg/activation.h"
 #include "ctg/condition.h"
 #include "sched/schedule.h"
 
 namespace actg::sim {
 
+/// Expected energy of one instance, in mJ, from \p probs: an
+/// evaluation (ActivationAnalysis::Evaluate) of the schedule's analysis,
+/// which any number of schedules of the same graph can share. Sums the
+/// tasks in id order, then the edges with positive energy in id order.
+/// Throws actg::InvalidArgument when \p probs was evaluated for a graph
+/// of another size.
+double ExpectedEnergy(const sched::Schedule& schedule,
+                      const ctg::ActivationProbabilities& probs);
+
 /// Expected energy of one instance under \p probs, in mJ.
 double ExpectedEnergy(const sched::Schedule& schedule,
                       const ctg::BranchProbabilities& probs);
+
+/// Expected computation-only energy (no communication), in mJ, from a
+/// shared evaluation; same contract as ExpectedEnergy.
+double ExpectedComputeEnergy(const sched::Schedule& schedule,
+                             const ctg::ActivationProbabilities& probs);
 
 /// Expected computation-only energy (no communication), in mJ.
 double ExpectedComputeEnergy(const sched::Schedule& schedule,

@@ -11,12 +11,14 @@ ScheduleReport BuildReport(const sched::Schedule& schedule,
   const ctg::ActivationAnalysis& analysis = schedule.analysis();
   const arch::Platform& platform = schedule.platform();
 
+  const ctg::ActivationProbabilities p = analysis.Evaluate(probs);
+
   ScheduleReport report;
   report.makespan_ms = schedule.Makespan();
   report.deadline_ms = graph.deadline_ms();
-  report.expected_energy_mj = ExpectedEnergy(schedule, probs);
+  report.expected_energy_mj = ExpectedEnergy(schedule, p);
   report.expected_comm_energy_mj =
-      report.expected_energy_mj - ExpectedComputeEnergy(schedule, probs);
+      report.expected_energy_mj - ExpectedComputeEnergy(schedule, p);
 
   report.pes.reserve(platform.pe_count());
   for (PeId pe : platform.PeIds()) {
@@ -27,13 +29,13 @@ ScheduleReport BuildReport(const sched::Schedule& schedule,
   double weight = 0.0;
   for (TaskId task : graph.TaskIds()) {
     const sched::TaskPlacement& placement = schedule.placement(task);
-    const double p = analysis.ActivationProbability(task, probs);
+    const double p_task = p.task(task);
     PeReport& pe_report = report.pes[placement.pe.index()];
     ++pe_report.task_count;
-    pe_report.expected_busy_ms += p * schedule.ScaledWcet(task);
-    pe_report.expected_energy_mj += p * schedule.ScaledEnergy(task);
-    weighted_speed += p * placement.speed_ratio;
-    weight += p;
+    pe_report.expected_busy_ms += p_task * schedule.ScaledWcet(task);
+    pe_report.expected_energy_mj += p_task * schedule.ScaledEnergy(task);
+    weighted_speed += p_task * placement.speed_ratio;
+    weight += p_task;
   }
   for (PeReport& pe_report : report.pes) {
     pe_report.expected_utilization =

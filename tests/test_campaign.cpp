@@ -508,6 +508,13 @@ TEST(CampaignCheckpoint, FingerprintTracksEveryKnob) {
   EXPECT_NE(FingerprintSpec(SmallSpec()), FingerprintSpec(quarantining));
 }
 
+TEST(CampaignCheckpoint, SpecFingerprintIsPinned) {
+  // A checkpoint binds to this value, so it must not move: checkpoints
+  // written by earlier builds would stop resuming. The malformed corpus
+  // substitutes @FP@ at test time and cannot catch a moved value.
+  EXPECT_EQ(FingerprintSpec(SmallSpec()), 0x135472F593D13F85ULL);
+}
+
 TEST(CampaignCheckpoint, StoreLoadStoreIsByteIdentical) {
   CampaignSpec spec = SmallSpec();
   spec.shards = 4;

@@ -6,10 +6,12 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "util/atomic_file.h"
 #include "util/csv.h"
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -65,6 +67,24 @@ TEST(ErrorStatus, InvalidCarriesMessageAndThrows) {
   EXPECT_TRUE(static_cast<bool>(err));
   EXPECT_EQ(err.message(), "bad knob");
   EXPECT_THROW(err.ThrowIfError(), InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// FNV-1a
+
+TEST(Hash, BytesMatchPublishedFnv1aVectors) {
+  EXPECT_EQ(HashBytes(""), 0xCBF29CE484222325ULL);
+  EXPECT_EQ(HashBytes("a"), 0xAF63DC4C8601EC8CULL);
+  EXPECT_EQ(HashBytes("foobar"), 0x85944171F73967E8ULL);
+}
+
+TEST(Hash, CombineFeedsAllEightBytesLeastSignificantFirst) {
+  // 'a' (0x61) followed by seven zero bytes.
+  std::string bytes(8, '\0');
+  bytes[0] = 'a';
+  EXPECT_EQ(HashCombine(kFnvOffset, 0x61), HashBytes(bytes));
+  EXPECT_EQ(HashDouble(kFnvOffset, 1.0),
+            HashCombine(kFnvOffset, 0x3FF0000000000000ULL));
 }
 
 // ---------------------------------------------------------------------------
