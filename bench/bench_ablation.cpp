@@ -61,7 +61,7 @@ struct SweepTotals {
   std::size_t calls = 0;
 };
 
-SweepTotals AdaptiveSweep(runtime::Pool& pool,
+SweepTotals AdaptiveSweep(runtime::Pool& pool, runtime::Metrics& metrics,
                           const std::vector<bench::TestCase>& cases,
                           std::size_t window, double threshold) {
   struct SweepRow {
@@ -81,7 +81,8 @@ SweepTotals AdaptiveSweep(runtime::Pool& pool,
         bench::ExperimentSpec spec(test.rc.graph, analysis,
                                    test.rc.platform);
         spec.WithProfile(profile).WithWindow(window)
-            .WithThreshold(threshold).WithScheduleCache();
+            .WithThreshold(threshold).WithScheduleCache()
+            .WithMetrics(&metrics);
         const sched::Schedule online = spec.BuildOnlineSchedule();
 
         SweepRow row;
@@ -107,6 +108,7 @@ SweepTotals AdaptiveSweep(runtime::Pool& pool,
 int main(int argc, char** argv) {
   obs::ScopedTracing tracing(argc, argv);
   runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Metrics metrics;
 
   std::vector<bench::TestCase> cases = bench::MakeTable45Cases();
 
@@ -190,7 +192,7 @@ int main(int argc, char** argv) {
       {"window", "adaptive energy", "vs online", "calls"});
   for (std::size_t window : {5u, 10u, 20u, 50u, 100u}) {
     const SweepTotals totals =
-        AdaptiveSweep(pool, cases, window, /*threshold=*/0.1);
+        AdaptiveSweep(pool, metrics, cases, window, /*threshold=*/0.1);
     window_table.BeginRow()
         .Cell(window)
         .Cell(totals.adaptive_total / 1000.0, 0)
@@ -214,7 +216,7 @@ int main(int argc, char** argv) {
       {"threshold", "adaptive energy", "vs online", "calls"});
   for (double threshold : {0.05, 0.1, 0.25, 0.5, 0.8}) {
     const SweepTotals totals =
-        AdaptiveSweep(pool, cases, /*window=*/20, threshold);
+        AdaptiveSweep(pool, metrics, cases, /*window=*/20, threshold);
     threshold_table.BeginRow()
         .Cell(threshold, 2)
         .Cell(totals.adaptive_total / 1000.0, 0)
@@ -301,6 +303,6 @@ int main(int argc, char** argv) {
                "available step; four levels already recover most of the "
                "continuous-DVFS savings.\n";
 
-  sim::WriteMetricsReport(std::cerr, runtime::Metrics::Global());
+  sim::WriteMetricsReport(std::cerr, metrics);
   return 0;
 }

@@ -84,13 +84,23 @@ adaptive::DegradeOptions LadderOn() {
   return degrade;
 }
 
-SweepRow RunOne(const Suite& suite, double intensity, bool degrade) {
+/// The adaptive setup every run of \p suite shares, recording into
+/// \p metrics.
+bench::ExperimentSpec SuiteSpec(const Suite& suite,
+                                runtime::Metrics& metrics) {
   bench::ExperimentSpec spec(*suite.graph, *suite.analysis,
                              *suite.platform);
   spec.WithProfile(suite.profile)
       .WithWindow(20)
       .WithThreshold(0.1)
-      .WithScheduleCache();
+      .WithScheduleCache()
+      .WithMetrics(&metrics);
+  return spec;
+}
+
+SweepRow RunOne(const Suite& suite, double intensity, bool degrade,
+                runtime::Metrics& metrics) {
+  bench::ExperimentSpec spec = SuiteSpec(suite, metrics);
   if (degrade) spec.WithDegrade(LadderOn());
   bench::AdaptiveHarness harness = spec.BuildAdaptive();
 
@@ -109,14 +119,8 @@ SweepRow RunOne(const Suite& suite, double intensity, bool degrade) {
 }
 
 /// The fault-free control the zero-intensity gate compares against.
-SweepRow RunControl(const Suite& suite) {
-  bench::ExperimentSpec spec(*suite.graph, *suite.analysis,
-                             *suite.platform);
-  spec.WithProfile(suite.profile)
-      .WithWindow(20)
-      .WithThreshold(0.1)
-      .WithScheduleCache();
-  bench::AdaptiveHarness harness = spec.BuildAdaptive();
+SweepRow RunControl(const Suite& suite, runtime::Metrics& metrics) {
+  bench::AdaptiveHarness harness = SuiteSpec(suite, metrics).BuildAdaptive();
   SweepRow row;
   row.summary = harness.Run(suite.vectors);
   row.reschedules = harness.reschedule_count();
@@ -132,6 +136,7 @@ bool BitIdentical(double a, double b) {
 int main(int argc, char** argv) {
   obs::ScopedTracing tracing(argc, argv);
   runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Metrics metrics;
 
   constexpr std::size_t kInstances = 1000;
 
@@ -200,9 +205,9 @@ int main(int argc, char** argv) {
   const std::vector<SweepRow> rows =
       runtime::ParallelMap(pool, jobs.size(), [&](std::size_t j) {
         const Job& job = jobs[j];
-        return job.control ? RunControl(suites[job.suite])
+        return job.control ? RunControl(suites[job.suite], metrics)
                            : RunOne(suites[job.suite], job.intensity,
-                                    job.degrade);
+                                    job.degrade, metrics);
       });
   const auto row_of = [&](std::size_t suite, double intensity,
                           bool degrade, bool control) -> const SweepRow& {
@@ -298,6 +303,6 @@ int main(int argc, char** argv) {
   csv_file.Commit().ThrowIfError();
   std::cout << "sweep series written to " << csv_path << "\n";
 
-  sim::WriteMetricsReport(std::cerr, runtime::Metrics::Global());
+  sim::WriteMetricsReport(std::cerr, metrics);
   return gates_ok ? 0 : 1;
 }

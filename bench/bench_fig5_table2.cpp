@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
 
   obs::ScopedTracing tracing(argc, argv);
   runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Metrics metrics;
 
   const apps::MpegModel model = apps::MakeMpegModel();
   const ctg::ActivationAnalysis analysis(model.graph);
@@ -57,7 +58,8 @@ int main(int argc, char** argv) {
         const ctg::BranchProbabilities profile =
             training.ProfiledProbabilities(model.graph);
         bench::ExperimentSpec spec(model.graph, analysis, model.platform);
-        spec.WithProfile(profile).WithWindow(20).WithScheduleCache();
+        spec.WithProfile(profile).WithWindow(20).WithScheduleCache()
+            .WithMetrics(&metrics);
         const sched::Schedule online = spec.BuildOnlineSchedule();
 
         Row row;
@@ -122,6 +124,6 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper reference: T=0.5 -> 5..32 calls (average 9); "
                "T=0.1 -> 153..276 calls (average 162).\n";
 
-  sim::WriteMetricsReport(std::cerr, runtime::Metrics::Global());
+  sim::WriteMetricsReport(std::cerr, metrics);
   return 0;
 }

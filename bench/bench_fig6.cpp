@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
 
   obs::ScopedTracing tracing(argc, argv);
   runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Metrics metrics;
 
   util::PrintBanner(std::cout,
                     "Figure 6 - Energy consumption with ideal profiling "
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
         bench::ExperimentSpec spec(test.rc.graph, analysis,
                                    test.rc.platform);
         spec.WithProfile(ideal).WithWindow(20).WithThreshold(0.5)
-            .WithScheduleCache();
+            .WithScheduleCache().WithMetrics(&metrics);
         const sched::Schedule online = spec.BuildOnlineSchedule();
 
         Row row;
@@ -112,6 +113,6 @@ int main(int argc, char** argv) {
                "heuristic shows a smaller ideal-profiling gain than the "
                "paper while preserving the ordering.\n";
 
-  sim::WriteMetricsReport(std::cerr, runtime::Metrics::Global());
+  sim::WriteMetricsReport(std::cerr, metrics);
   return 0;
 }

@@ -5,9 +5,6 @@
 /// stretching (paper: 0.6 ms vs 70 s per CTG), which is what makes it
 /// usable for runtime adaptation.
 
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <string>
 
 #include <benchmark/benchmark.h>
@@ -23,13 +20,10 @@
 #include "experiments.h"
 #include "obs/setup.h"
 #include "profiling/window.h"
-#include "runtime/metrics.h"
 #include "sched/dls.h"
 #include "sim/energy.h"
 #include "sim/executor.h"
-#include "sim/report.h"
 #include "tgff/random_ctg.h"
-#include "util/atomic_file.h"
 #include "util/error.h"
 
 namespace {
@@ -293,10 +287,7 @@ BENCHMARK(BM_SlidingWindowObserve);
 
 }  // namespace
 
-// BENCHMARK_MAIN, plus an optional metrics dump: when ACTG_METRICS_CSV
-// names a file, the accumulated runtime counters and stage timers of the
-// whole run (guard.dnf_fallbacks, cache hits, stage.* wall clocks) are
-// written there as CSV. CI uploads it as the perf artifact.
+// BENCHMARK_MAIN, after ScopedTracing has taken our --trace flag.
 int main(int argc, char** argv) {
   // --trace is ours, not google-benchmark's: strip it (and install the
   // session) before Initialize sees argv.
@@ -305,14 +296,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (const char* path = std::getenv("ACTG_METRICS_CSV")) {
-    actg::util::AtomicFile out(path);
-    actg::sim::WriteMetricsCsv(out.os(), actg::runtime::Metrics::Global());
-    const actg::util::Error err = out.Commit();
-    if (!err.ok()) {
-      std::cerr << "bench_micro: " << err.message() << "\n";
-      return 1;
-    }
-  }
   return 0;
 }

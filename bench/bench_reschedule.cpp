@@ -77,8 +77,8 @@ struct ModeResult {
   double p99_us = 0.0;
   double compute_p50_us = 0.0;
   double compute_p99_us = 0.0;
-  double dls_ms = 0.0;      ///< accumulated stage.dls (wall-clock)
-  double stretch_ms = 0.0;  ///< accumulated stage.stretch (wall-clock)
+  double dls_ms = 0.0;      ///< accumulated sched.dls (wall-clock)
+  double stretch_ms = 0.0;  ///< accumulated dvfs.stretch (wall-clock)
   adaptive::TierCounts tiers;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -91,9 +91,6 @@ ModeResult RunMode(const ctg::Ctg& graph,
                    adaptive::RescheduleMode mode, std::size_t steps) {
   runtime::Metrics metrics;
   runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
-  // stage.dls / stage.stretch accumulate into the global registry;
-  // reset it so each mode's breakdown is isolated.
-  runtime::Metrics::Global().Reset();
 
   adaptive::ReschedulerConfig config;
   config.cache = runtime::CacheBinding{&cache, 0};
@@ -117,8 +114,8 @@ ModeResult RunMode(const ctg::Ctg& graph,
       metrics.quantile("reschedule.compute_latency_us", 0.5);
   result.compute_p99_us =
       metrics.quantile("reschedule.compute_latency_us", 0.99);
-  result.dls_ms = runtime::Metrics::Global().timer_ms("stage.dls");
-  result.stretch_ms = runtime::Metrics::Global().timer_ms("stage.stretch");
+  result.dls_ms = metrics.timer_ms("sched.dls");
+  result.stretch_ms = metrics.timer_ms("dvfs.stretch");
   result.tiers = rescheduler.tier_counts();
   result.cache_hits = cache.hits();
   result.cache_misses = cache.misses();

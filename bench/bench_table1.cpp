@@ -15,7 +15,6 @@
 #include "obs/setup.h"
 #include "runtime/pool.h"
 #include "sim/energy.h"
-#include "sim/report.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -117,6 +116,5 @@ int main(int argc, char** argv) {
   std::cout << "Paper reference values: Ref1 = 195/145/130/139/290, "
                "Ref2 = 87/93/95/91/97.\n";
 
-  sim::WriteMetricsReport(std::cerr, runtime::Metrics::Global());
   return 0;
 }

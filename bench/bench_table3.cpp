@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
 
   obs::ScopedTracing tracing(argc, argv);
   runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Metrics metrics;
 
   const apps::CruiseModel model = apps::MakeCruiseModel();
   const ctg::ActivationAnalysis analysis(model.graph);
@@ -59,7 +60,8 @@ int main(int argc, char** argv) {
             apps::GenerateRoadTrace(model, sequence, 1000,
                                     /*seed=*/100 + sequence);
         bench::ExperimentSpec spec(model.graph, analysis, model.platform);
-        spec.WithProfile(profile).WithWindow(20).WithScheduleCache();
+        spec.WithProfile(profile).WithWindow(20).WithScheduleCache()
+            .WithMetrics(&metrics);
         const sched::Schedule online = spec.BuildOnlineSchedule();
 
         Row row;
@@ -101,6 +103,6 @@ int main(int argc, char** argv) {
          "equal in energy, and the deadline is double the optimum "
          "schedule length); ~150 calls at T=0.1 and ~9 at T=0.5.\n";
 
-  sim::WriteMetricsReport(std::cerr, runtime::Metrics::Global());
+  sim::WriteMetricsReport(std::cerr, metrics);
   return 0;
 }

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
 
   obs::ScopedTracing tracing(argc, argv);
   runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Metrics metrics;
 
   util::PrintBanner(std::cout,
                     "Table 4 - Energy savings with online algorithm "
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
         bench::ExperimentSpec spec(test.rc.graph, analysis,
                                    test.rc.platform);
         spec.WithProfile(profile).WithWindow(20).WithScheduleCache()
-            .WithPool(&pool);
+            .WithPool(&pool).WithMetrics(&metrics);
         return bench::CompareAdaptive(spec, vectors);
       });
 
@@ -110,6 +111,6 @@ int main(int argc, char** argv) {
             << "Energies are reported per 1000 instances in table "
                "units of 1000 mJ.\n";
 
-  sim::WriteMetricsReport(std::cerr, runtime::Metrics::Global());
+  sim::WriteMetricsReport(std::cerr, metrics);
   return 0;
 }

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
 
   obs::ScopedTracing tracing(argc, argv);
   runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Metrics metrics;
 
   util::PrintBanner(std::cout,
                     "Table 5 - Energy savings with online algorithm "
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
         bench::ExperimentSpec spec(test.rc.graph, analysis,
                                    test.rc.platform);
         spec.WithProfile(profile).WithWindow(20).WithScheduleCache()
-            .WithPool(&pool);
+            .WithPool(&pool).WithMetrics(&metrics);
         return bench::CompareAdaptive(spec, vectors);
       });
 
@@ -106,6 +107,6 @@ int main(int argc, char** argv) {
                    100.0 * (1.0 - cat2_adaptive / cat2_online), 1)
             << "% at T=0.1 (paper: ~7% vs ~3%).\n";
 
-  sim::WriteMetricsReport(std::cerr, runtime::Metrics::Global());
+  sim::WriteMetricsReport(std::cerr, metrics);
   return 0;
 }

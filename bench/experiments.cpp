@@ -151,6 +151,7 @@ AdaptiveHarness ExperimentSpec::BuildAdaptive() const {
   options.trace = trace_;
   options.cache = runtime::CacheBinding{harness.cache_.get(), 0};
   options.reschedule.mode = reschedule_mode_;
+  options.metrics = metrics_;
   options.degrade = degrade_;
   harness.controller_ = std::make_unique<adaptive::AdaptiveController>(
       *graph_, *analysis_, *platform_, *profile_, options);

@@ -8,7 +8,7 @@
 ///   actg_cli schedule <ctg.txt> <platform.txt> [ref1|ref2|--policy <p>]
 ///       Schedule + stretch (default: the online algorithm) and print
 ///       the Gantt chart and expected energy under uniform
-///       probabilities. --policy selects any registered stretch policy
+///       probabilities. --policy selects any built-in stretch policy
 ///       by name (see dvfs::PolicyNames); ref1/ref2 run the paper's
 ///       reference pipelines.
 ///   actg_cli simulate <ctg.txt> <platform.txt> <instances> <seed>
@@ -167,8 +167,8 @@ int CmdSchedule(int argc, char** argv) {
     if (algorithm == "ref2") {
       return dvfs::RunReference2(graph, analysis, platform, probs);
     }
-    // Everything else resolves through the policy registry (GetPolicy
-    // reports the registered names on an unknown one).
+    // Everything else resolves through the policy table (GetPolicy
+    // reports the known names on an unknown one).
     dvfs::GetPolicy(algorithm);
     return dvfs::RunWithPolicy(algorithm, graph, analysis, platform,
                                probs);

@@ -110,9 +110,8 @@ obs::TraceSession* AdaptiveController::TraceTarget() const {
                                    : obs::TraceSession::Current();
 }
 
-runtime::Metrics& AdaptiveController::MetricsTarget() const {
-  return options_.metrics != nullptr ? *options_.metrics
-                                     : runtime::Metrics::Global();
+void AdaptiveController::Count(const char* name) const {
+  if (options_.metrics != nullptr) options_.metrics->Increment(name);
 }
 
 sched::Schedule AdaptiveController::Reschedule(
@@ -221,7 +220,7 @@ sim::InstanceResult AdaptiveController::ProcessInstance(
     sched::Schedule candidate = Reschedule(
         RescheduleRequest{options_.dls.available_pes, 0.0, "threshold"});
     ++reschedule_count_;
-    MetricsTarget().Increment("adaptive.reschedule_calls");
+    Count("adaptive.reschedule_calls");
     const ctg::ActivationProbabilities p = analysis_->Evaluate(in_use_);
     if (sim::ExpectedEnergy(candidate, p) <
         sim::ExpectedEnergy(schedule_, p)) {
@@ -256,7 +255,6 @@ void AdaptiveController::LogDegrade(obs::TraceSession* trace,
 bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
                                    const faults::InstanceFaults* faults,
                                    obs::TraceSession* trace) {
-  runtime::Metrics& metrics = MetricsTarget();
   const DegradeOptions& opts = options_.degrade;
 
   // Failed-PE sightings accumulate over the degraded episode so an
@@ -291,7 +289,7 @@ bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
     schedule_ = Reschedule(
         RescheduleRequest{options_.dls.available_pes, 0.0, "recovery"});
     ++recovery_count_;
-    metrics.Increment("degrade.recoveries");
+    Count("degrade.recoveries");
     LogDegrade(trace, DegradeLevel::kNormal, "clean_streak");
     return true;
   }
@@ -324,8 +322,8 @@ bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
     level_ = DegradeLevel::kPanic;
     speed_floor_ = 1.0;
     ++escalation_count_;
-    metrics.Increment("degrade.escalations");
-    metrics.Increment("degrade.panic_entries");
+    Count("degrade.escalations");
+    Count("degrade.panic_entries");
     LogDegrade(trace, DegradeLevel::kPanic, "miss");
     return true;
   }
@@ -357,8 +355,8 @@ bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
   level_ = DegradeLevel::kFallback;
   ++escalation_count_;
   ++oob_reschedule_count_;
-  metrics.Increment("degrade.escalations");
-  metrics.Increment("degrade.oob_reschedules");
+  Count("degrade.escalations");
+  Count("degrade.oob_reschedules");
   LogDegrade(trace, DegradeLevel::kFallback, "miss_burst");
   return true;
 }

@@ -101,7 +101,7 @@ struct AdaptiveOptions {
   /// Stretcher configuration.
   dvfs::StretchOptions stretch;
   /// Stretch policy applied after every (re)scheduling pass, resolved
-  /// through the dvfs::Policy registry (paper: the online heuristic).
+  /// by name through dvfs::GetPolicy (paper: the online heuristic).
   std::string policy = "online";
   /// Explicit trace session for the controller's spans and timeline
   /// rows; when null, the process-wide obs::TraceSession::Current() is
@@ -124,11 +124,11 @@ struct AdaptiveOptions {
   /// warm-start incremental DLS (see adaptive::RescheduleOptions / the
   /// Rescheduler facade).
   RescheduleOptions reschedule;
-  /// Metrics registry the controller reports its stage timers and
-  /// counters into; nullptr (the default) means the process-wide
-  /// runtime::Metrics::Global(). A multi-tenant host passes its own
-  /// registry so thousands of coexisting controllers do not funnel
-  /// through — or pollute — process-global state.
+  /// Metrics registry the controller reports its counters into, and
+  /// hands to its Rescheduler — so the reschedule, DLS, enumeration and
+  /// stretch timers land here too. nullptr (the default) records
+  /// nothing. Each owner (a campaign shard, a serve daemon, a bench
+  /// main) passes its own registry; there is no process-wide one.
   runtime::Metrics* metrics = nullptr;
   /// Graceful-degradation ladder (off by default; see DegradeOptions).
   DegradeOptions degrade;
@@ -143,7 +143,7 @@ struct AdaptiveOptions {
   bool validate_schedules = false;
 
   /// Ok when every knob is usable: window_length must be positive,
-  /// threshold must lie in (0, 1], the policy must be registered, and
+  /// threshold must lie in (0, 1], the policy must be a known one, and
   /// the nested dls/stretch/degrade options must validate. The
   /// controller rejects invalid options up front (constructor throws)
   /// instead of failing mid-run.
@@ -158,11 +158,12 @@ struct AdaptiveOptions {
 /// profiler, the reschedule engine, the ladder) — it holds no hidden
 /// globals, so thousands of instances coexist in one process and
 /// distinct instances may run on distinct threads concurrently. The
-/// only process-wide services it touches are explicitly injectable:
-/// the metrics registry (options.metrics, default Global()), the trace
-/// session (options.trace, default Current()) and the schedule cache
-/// (options.cache, default unbound); the dvfs::Policy registry is
-/// resolved once at construction and policies themselves are stateless.
+/// shared services it touches are explicitly injectable: the metrics
+/// registry (options.metrics, default none), the trace session
+/// (options.trace, default Current()) and the schedule cache
+/// (options.cache, default unbound); the stretch policy is resolved
+/// once at construction from dvfs's fixed table, and policies
+/// themselves are stateless.
 /// A single controller instance is NOT thread-safe — drive each one
 /// from one thread at a time.
 class AdaptiveController {
@@ -236,9 +237,8 @@ class AdaptiveController {
   sched::Schedule Reschedule(const RescheduleRequest& request);
   /// The session this controller records into (explicit or current).
   obs::TraceSession* TraceTarget() const;
-  /// The metrics registry this controller reports into (explicit or
-  /// the process-wide Global()).
-  runtime::Metrics& MetricsTarget() const;
+  /// Bumps counter \p name in options.metrics, if set.
+  void Count(const char* name) const;
   void RecordTimeline(obs::TraceSession& trace,
                       const ctg::BranchAssignment& assignment) const;
   /// Applies one instance's outcome to the degradation ladder. Returns

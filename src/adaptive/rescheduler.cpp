@@ -1,7 +1,6 @@
 #include "adaptive/rescheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <utility>
 
@@ -123,15 +122,11 @@ Rescheduler::Rescheduler(const ctg::Ctg& graph,
       platform_fingerprint_(runtime::FingerprintPlatform(platform)),
       config_fingerprint_(0),
       engine_(graph, analysis, platform,
-              dvfs::PathEngineOptions{.max_paths = config_.stretch.max_paths}) {
+              dvfs::PathEngineOptions{.max_paths = config_.stretch.max_paths,
+                                      .metrics = config_.metrics}) {
   config_.Validate().ThrowIfError();
   policy_ = &dvfs::GetPolicy(config_.policy);
   config_fingerprint_ = FingerprintConfig(config_);
-}
-
-runtime::Metrics& Rescheduler::MetricsTarget() const {
-  return config_.metrics != nullptr ? *config_.metrics
-                                    : runtime::Metrics::Global();
 }
 
 runtime::ScheduleCacheKey Rescheduler::MakeKey(
@@ -234,7 +229,9 @@ std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
       config_.reschedule.max_dirty_ratio, &engine_.dls_workspace());
   if (inc.fell_back) {
     ++tiers_.incremental_fallbacks;
-    MetricsTarget().Increment("resched.incremental_fallbacks");
+    if (config_.metrics != nullptr) {
+      config_.metrics->Increment("resched.incremental_fallbacks");
+    }
     // The fallback already ran the full tier's DLS (same options, same
     // workspace, bit-identical by RunIncrementalDls's contract): finish
     // the full tier on it instead of scheduling again.
@@ -289,7 +286,8 @@ void Rescheduler::VerifyIncremental(const ctg::BranchProbabilities& probs,
   // oracle would perturb the production ladder it is checking. The
   // scratch engine also means ApplyStretch must not be used here (it
   // records engine_shape_/engine_enum_id_ against engine_); the policy
-  // is applied directly instead.
+  // is applied directly instead. The scratch engine has no registry:
+  // its recomputes are not production work and must not count as such.
   if (verify_engine_ == nullptr) {
     verify_engine_ = std::make_unique<dvfs::PathEngine>(
         *graph_, *analysis_, *platform_,
@@ -313,13 +311,13 @@ void Rescheduler::VerifyIncremental(const ctg::BranchProbabilities& probs,
   expect.speed_floor = req.speed_floor;
   check::Validate(got.schedule, expect);
   check::Validate(reference, expect);
-  runtime::Metrics& metrics = MetricsTarget();
-  metrics.Increment("resched.verify.runs");
+  if (config_.metrics == nullptr) return;
+  config_.metrics->Increment("resched.verify.runs");
   const ctg::ActivationProbabilities p = analysis_->Evaluate(probs);
   const double e_ref = sim::ExpectedEnergy(reference, p);
   if (e_ref > 0.0) {
-    metrics.Observe("resched.verify.energy_ratio",
-                    sim::ExpectedEnergy(got.schedule, p) / e_ref);
+    config_.metrics->Observe("resched.verify.energy_ratio",
+                             sim::ExpectedEnergy(got.schedule, p) / e_ref);
   }
 }
 
@@ -341,8 +339,10 @@ void Rescheduler::CountTier(RescheduleTier tier) {
       ++tiers_.full;
       break;
   }
-  MetricsTarget().Increment(std::string("resched.tier.") +
-                            RescheduleTierName(tier));
+  if (config_.metrics != nullptr) {
+    config_.metrics->Increment(std::string("resched.tier.") +
+                               RescheduleTierName(tier));
+  }
 }
 
 void Rescheduler::RememberBasis(const ctg::BranchProbabilities& probs,
@@ -356,10 +356,8 @@ void Rescheduler::RememberBasis(const ctg::BranchProbabilities& probs,
 RescheduleResult Rescheduler::Reschedule(
     const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
     obs::TraceSession* trace) {
-  const runtime::ScopedTimer stage_timer(MetricsTarget(),
-                                         "stage.reschedule");
-  obs::ScopedSpan span(trace, "adaptive.reschedule", "adaptive");
-  const auto begin = std::chrono::steady_clock::now();
+  runtime::StageProbe probe(config_.metrics, trace, "adaptive.reschedule",
+                            "adaptive");
   // Degraded requests (restricted PEs and/or a speed floor) bypass the
   // cache: its key encodes neither constraint, and a degraded schedule
   // must never be served back to a healthy lookup. They also skip the
@@ -385,9 +383,9 @@ RescheduleResult Rescheduler::Reschedule(
     // Arg order matches the pre-facade controller byte for byte
     // ("cached" first, "degraded" only when set) so golden traces of
     // full-mode runs are unchanged.
-    if (span.enabled()) {
-      span.AddArg(obs::IntArg("cached", 0));
-      if (degraded) span.AddArg(obs::IntArg("degraded", 1));
+    if (probe.tracing()) {
+      probe.AddArg(obs::IntArg("cached", 0));
+      if (degraded) probe.AddArg(obs::IntArg("degraded", 1));
     }
     if (!degraded &&
         config_.reschedule.mode == RescheduleMode::kIncremental) {
@@ -402,24 +400,22 @@ RescheduleResult Rescheduler::Reschedule(
       result = ComputeFull(probs, req, cache_ok ? &key : nullptr);
     }
   }
-  if (span.enabled()) {
-    if (from_cache) span.AddArg(obs::IntArg("cached", 1));
+  if (probe.tracing()) {
+    if (from_cache) probe.AddArg(obs::IntArg("cached", 1));
     if (config_.reschedule.mode != RescheduleMode::kFull) {
-      span.AddArg(obs::StrArg("tier", RescheduleTierName(result->tier)));
-      span.AddArg(obs::StrArg("reason", req.reason));
+      probe.AddArg(obs::StrArg("tier", RescheduleTierName(result->tier)));
+      probe.AddArg(obs::StrArg("reason", req.reason));
     }
   }
   CountTier(result->tier);
   if (!degraded) RememberBasis(probs, result->schedule);
-  const double us =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - begin)
-          .count() *
-      1e-3;
-  runtime::Metrics& metrics = MetricsTarget();
-  metrics.Observe("reschedule.latency_us", us);
-  if (result->tier != RescheduleTier::kExact) {
-    metrics.Observe("reschedule.compute_latency_us", us);
+  // One clock sample ends the stage timer and both latency samples.
+  const double us = static_cast<double>(probe.Finish()) * 1e-3;
+  if (config_.metrics != nullptr) {
+    config_.metrics->Observe("reschedule.latency_us", us);
+    if (result->tier != RescheduleTier::kExact) {
+      config_.metrics->Observe("reschedule.compute_latency_us", us);
+    }
   }
   return std::move(*result);
 }

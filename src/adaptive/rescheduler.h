@@ -25,10 +25,14 @@
 ///                          requests (restricted mask or speed floor)
 ///                          take, bypassing the cache entirely.
 ///
-/// Every outcome is counted (tier_counts(), metrics counters
-/// "resched.tier.*") and every call's latency lands in the
-/// "reschedule.latency_us" metrics distribution ("…compute_latency_us"
-/// excludes exact hits), which bench_reschedule reads back as p50/p99.
+/// Every outcome is counted (tier_counts(), and with a configured
+/// registry the counters "resched.tier.*"), and every call is one
+/// "adaptive.reschedule" stage probe whose duration also lands in the
+/// "reschedule.latency_us" distribution ("…compute_latency_us" excludes
+/// exact hits), which bench_reschedule reads back as p50/p99. The facade
+/// hands the same registry to its PathEngine and that engine's DLS
+/// workspace, so "sched.dls", "dvfs.enumerate" and "dvfs.stretch" land
+/// beside it; without a registry nothing is recorded.
 ///
 /// Exactness contract per tier: kExact returns the bytes a recompute
 /// would produce (the cache key folds the reschedule mode into the
@@ -160,12 +164,15 @@ struct ReschedulerConfig {
   /// dls.available_pes defines which requests count as degraded).
   sched::DlsOptions dls;
   dvfs::StretchOptions stretch;
-  /// Stretch policy, resolved through the dvfs::Policy registry.
+  /// Stretch policy, resolved by name through dvfs::GetPolicy.
   std::string policy = "online";
   /// Optional schedule memoization (cache + tenant in one value).
   runtime::CacheBinding cache;
   RescheduleOptions reschedule;
-  /// Metrics registry; nullptr means runtime::Metrics::Global().
+  /// Metrics registry for the facade's tier counters, latency samples
+  /// and "adaptive.reschedule" timer; the facade hands it to its
+  /// PathEngine and that engine's DlsWorkspace, so the DLS, enumeration
+  /// and stretch timers land here too. nullptr records nothing.
   runtime::Metrics* metrics = nullptr;
   /// Oracle-check every freshly computed schedule (see
   /// AdaptiveOptions::validate_schedules).
@@ -212,7 +219,6 @@ class Rescheduler {
   std::uint64_t config_fingerprint() const { return config_fingerprint_; }
 
  private:
-  runtime::Metrics& MetricsTarget() const;
   runtime::ScheduleCacheKey MakeKey(
       const ctg::BranchProbabilities& probs) const;
   /// Full DLS + stretch under \p req; validates and (when \p key is

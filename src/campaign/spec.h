@@ -142,7 +142,7 @@ struct CampaignSpec {
   /// Ok when the campaign is runnable: instances, shards,
   /// trace_instances, model_seeds, cache_capacity and window positive,
   /// oracle_rate in [0, 1], threshold in (0, 1], every axis non-empty,
-  /// policies registered, storm names unique and every storm valid.
+  /// policies known, storm names unique and every storm valid.
   util::Error Validate() const;
 };
 

@@ -45,7 +45,7 @@ namespace actg::check {
 struct FuzzCase {
   ctg::Ctg graph;            ///< deadline already assigned
   arch::Platform platform;
-  std::string policy = "online";  ///< dvfs policy registry key
+  std::string policy = "online";  ///< dvfs policy name (dvfs::PolicyNames)
   bool mutex_aware = true;
   bool prob_weighted = true;      ///< DLS level policy
   std::uint64_t masked_pes = 0;   ///< PeMask bits (never all PEs)

@@ -79,10 +79,7 @@ void ActivationAnalysis::CompileBitGuards() {
   arities.reserve(g.ForkIds().size());
   for (TaskId fork : g.ForkIds()) arities.push_back(g.OutcomeCount(fork));
   space_ = ConditionSpace(g.ForkIds(), arities);
-  if (!space_.valid()) {
-    CountDnfFallback();
-    return;
-  }
+  if (!space_.valid()) return;
   bit_guards_.resize(g.task_count());
   for (std::size_t i = 0; i < bit_guards_.size(); ++i) {
     if (!space_.Encode(ActivationGuard(TaskId{static_cast<int>(i)}),
@@ -91,7 +88,6 @@ void ActivationAnalysis::CompileBitGuards() {
       // layer so every caller consistently uses the DNF algebra.
       space_ = ConditionSpace();
       bit_guards_.clear();
-      CountDnfFallback();
       return;
     }
   }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "runtime/metrics.h"
-
 namespace actg::ctg {
 
 void BitGuard::AddMinterm(const BitMinterm& m) {
@@ -140,10 +138,6 @@ bool ConditionSpace::EncodeAssignment(const BranchAssignment& assignment,
   }
   out = acc;
   return true;
-}
-
-void CountDnfFallback() {
-  runtime::Metrics::Global().Increment("guard.dnf_fallbacks");
 }
 
 }  // namespace actg::ctg

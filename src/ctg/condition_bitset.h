@@ -25,9 +25,10 @@
 /// Graphs whose packed width exceeds kMaxBits — or degenerate inputs
 /// (outcome index outside the fork's arity, unknown fork) — do not fit
 /// the fixed width; every compile entry point then reports failure so
-/// callers fall back to the DNF algebra, counting the event under the
-/// "guard.dnf_fallbacks" metrics counter. Overflow is a supported slow
-/// path, never undefined behavior.
+/// callers fall back to the DNF algebra (ActivationAnalysis records it
+/// as an invalid space(); a PathEngine with a metrics registry counts it
+/// under "guard.dnf_fallbacks"). Overflow is a supported slow path,
+/// never undefined behavior.
 
 #ifndef ACTG_CTG_CONDITION_BITSET_H
 #define ACTG_CTG_CONDITION_BITSET_H
@@ -236,11 +237,6 @@ class ConditionSpace {
   std::size_t bit_count_ = 0;
   bool valid_ = false;
 };
-
-/// Increments the process-wide "guard.dnf_fallbacks" metrics counter.
-/// Called by the users of ConditionSpace whenever they take the DNF
-/// slow path because a space is invalid or an encode failed.
-void CountDnfFallback();
 
 }  // namespace actg::ctg
 

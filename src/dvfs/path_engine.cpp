@@ -31,8 +31,9 @@ PathEngine::PathEngine(const ctg::Ctg& graph,
       options_(options) {
   ACTG_CHECK(&analysis.graph() == &graph,
              "PathEngine analysis must be over the engine's graph");
+  dls_workspace_.metrics = options_.metrics;
   use_bitset_ = !options_.force_dnf && analysis.space().valid();
-  if (!options_.force_dnf && !use_bitset_) ctg::CountDnfFallback();
+  if (!options_.force_dnf && !use_bitset_) Count("guard.dnf_fallbacks");
 
   edge_has_cond_.assign(graph.edge_count(), 0);
   for (EdgeId eid : graph.EdgeIds()) {
@@ -53,7 +54,7 @@ PathEngine::PathEngine(const ctg::Ctg& graph,
         // compiled layer entirely so all guards use one representation.
         use_bitset_ = false;
         edge_cond_bits_.clear();
-        ctg::CountDnfFallback();
+        Count("guard.dnf_fallbacks");
         break;
       }
       edge_cond_bits_[eid.index()] = bm;
@@ -67,6 +68,10 @@ PathEngine::PathEngine(const ctg::Ctg& graph,
     dnf_stack_.resize(n + 1);
   }
   ClearPaths();
+}
+
+void PathEngine::Count(const char* name, std::uint64_t delta) const {
+  if (options_.metrics != nullptr) options_.metrics->Increment(name, delta);
 }
 
 void PathEngine::ClearPaths() {
@@ -93,11 +98,8 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
                            bool drop_unrealizable) {
   ACTG_CHECK(&schedule.graph() == graph_,
              "Enumerate requires a schedule over the engine's graph");
-  const runtime::ScopedTimer timer(runtime::Metrics::Global(),
-                                   "stage.path_enum");
-  runtime::Metrics::Global().Increment("engine.enumerations");
-  obs::ScopedSpan span(obs::TraceSession::Current(), "dvfs.enumerate",
-                       "dvfs");
+  runtime::StageProbe probe(options_.metrics, obs::TraceSession::Current(),
+                            "dvfs.enumerate", "dvfs");
 
   // Invalidate the previous enumeration before the DFS: if it throws, a
   // caller still holding the old id must not rewind what is left.
@@ -143,10 +145,10 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
   nominal_delay_ = delay_;
   nominal_unlocked_ = unlocked_;
   BuildSpanning();
-  runtime::Metrics::Global().Increment("engine.paths", size());
-  if (span.enabled()) {
-    span.AddArg(obs::IntArg("paths", static_cast<std::int64_t>(size())));
-    span.AddArg(obs::IntArg("bitset", use_bitset_ ? 1 : 0));
+  Count("engine.paths", size());
+  if (probe.tracing()) {
+    probe.AddArg(obs::IntArg("paths", static_cast<std::int64_t>(size())));
+    probe.AddArg(obs::IntArg("bitset", use_bitset_ ? 1 : 0));
   }
 }
 
@@ -375,7 +377,6 @@ void PathEngine::CommitTask(TaskId task, double extra_ms,
 }
 
 void PathEngine::RewindCommits() {
-  runtime::Metrics::Global().Increment("engine.rewinds");
   edge_prob_.clear();
   std::copy(nominal_delay_.begin(), nominal_delay_.end(), delay_.begin());
   std::copy(nominal_unlocked_.begin(), nominal_unlocked_.end(),

@@ -24,8 +24,8 @@
 /// (ScanSpanning) — with the same factors in the same order as
 /// ProbAfter, so the results are bit-identical (DESIGN.md §8.1).
 ///
-/// The engine falls back to the DNF algebra (with the
-/// "guard.dnf_fallbacks" metrics counter) when the graph does not fit
+/// The engine falls back to the DNF algebra (counted under
+/// "guard.dnf_fallbacks" in its registry) when the graph does not fit
 /// the fixed bit width; PathEngineOptions::force_dnf selects the same
 /// DNF mode explicitly so benchmarks can compare the two
 /// representations in one binary. Both modes enumerate the same paths
@@ -37,6 +37,11 @@
 /// Enumerate() call must pass a Schedule over those same objects. One
 /// engine serves one thread at a time; concurrent controllers each own
 /// their own engine (see adaptive::AdaptiveController).
+///
+/// Metrics: an engine built with PathEngineOptions::metrics records its
+/// "dvfs.enumerate" timer, the stretch policies' "dvfs.stretch" timer
+/// (Policy::Apply) and its DLS workspace's "sched.dls" timer into that
+/// registry; an engine built without one records only trace spans.
 
 #ifndef ACTG_DVFS_PATH_ENGINE_H
 #define ACTG_DVFS_PATH_ENGINE_H
@@ -53,6 +58,10 @@
 #include "sched/dls.h"
 #include "sched/schedule.h"
 
+namespace actg::runtime {
+class Metrics;
+}  // namespace actg::runtime
+
 namespace actg::dvfs {
 
 /// Construction-time knobs of a PathEngine.
@@ -64,6 +73,11 @@ struct PathEngineOptions {
   /// bitset width. Exists so bench_micro can measure bitset vs DNF in
   /// one binary; production callers leave it false.
   bool force_dnf = false;
+  /// Registry the engine, the policies applied on it and its
+  /// dls_workspace() record their stage timers and counters into; null
+  /// records nothing. It only says where to report, never what is
+  /// computed. Must outlive the engine.
+  runtime::Metrics* metrics = nullptr;
 };
 
 /// Reusable path-enumeration + stretch workspace. See the file comment
@@ -207,13 +221,16 @@ class PathEngine {
   const ctg::Guard& DnfGuard(std::size_t i) const;
 
   /// Scratch buffers for sched::RunDls, so a controller-owned engine
-  /// also amortizes the scheduler's per-call allocations.
+  /// also amortizes the scheduler's per-call allocations. Carries the
+  /// engine's metrics registry.
   sched::DlsWorkspace& dls_workspace() { return dls_workspace_; }
 
  private:
   void VisitBit(TaskId task, std::size_t depth, bool drop_unrealizable);
   void VisitDnf(TaskId task, std::size_t depth, bool drop_unrealizable);
   void Emit(std::size_t depth);
+  /// Adds \p delta to counter \p name in the engine's registry, if any.
+  void Count(const char* name, std::uint64_t delta = 1) const;
   void ClearPaths();
   void BuildSpanning();
   std::size_t PositionOf(std::size_t i, TaskId task) const;

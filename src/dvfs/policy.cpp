@@ -1,10 +1,7 @@
 #include "dvfs/policy.h"
 
-#include <map>
-#include <mutex>
-#include <utility>
-
 #include "obs/trace.h"
+#include "runtime/metrics.h"
 #include "util/error.h"
 
 namespace actg::dvfs {
@@ -52,34 +49,23 @@ class NlpPolicy final : public Policy {
   }
 };
 
-/// The process-wide registry. Guarded by a mutex so tests registering
-/// custom policies and pool workers resolving built-ins never race.
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, std::unique_ptr<Policy>, std::less<>> policies;
+const OnlinePolicy kOnline;
+const ProportionalPolicy kProportional;
+const NlpPolicy kNlp;
 
-  Registry() {
-    policies.emplace("online", std::make_unique<OnlinePolicy>());
-    policies.emplace("proportional",
-                     std::make_unique<ProportionalPolicy>());
-    policies.emplace("nlp", std::make_unique<NlpPolicy>());
-  }
-
-  static Registry& Instance() {
-    static Registry registry;
-    return registry;
-  }
-};
+/// The built-in policies, sorted by name (PolicyNames() order).
+constexpr const Policy* kPolicies[] = {&kNlp, &kOnline, &kProportional};
 
 }  // namespace
 
 StretchStats Policy::Apply(PathEngine& engine, PolicyContext& ctx) const {
   ACTG_CHECK(ctx.schedule != nullptr,
              "PolicyContext: schedule must be set");
-  obs::ScopedSpan span(obs::TraceSession::Current(), "dvfs.stretch",
-                       "dvfs");
-  if (span.enabled()) {
-    span.AddArg(obs::StrArg("policy", std::string(Name())));
+  runtime::StageProbe probe(engine.options().metrics,
+                            obs::TraceSession::Current(), "dvfs.stretch",
+                            "dvfs");
+  if (probe.tracing()) {
+    probe.AddArg(obs::StrArg("policy", std::string(Name())));
   }
   const StretchStats stats = DoApply(engine, ctx);
   if (ctx.speed_floor > 0.0) {
@@ -98,21 +84,21 @@ StretchStats Policy::Apply(PathEngine& engine, PolicyContext& ctx) const {
     }
     if (changed) schedule.RecomputeTimes();
   }
-  if (span.enabled()) {
+  if (probe.tracing()) {
     if (ctx.speed_floor > 0.0) {
-      span.AddArg(obs::NumArg("speed_floor", ctx.speed_floor));
+      probe.AddArg(obs::NumArg("speed_floor", ctx.speed_floor));
     }
-    span.AddArg(obs::IntArg(
+    probe.AddArg(obs::IntArg(
         "paths", static_cast<std::int64_t>(stats.path_count)));
   }
   return stats;
 }
 
 const Policy* FindPolicy(std::string_view name) {
-  Registry& registry = Registry::Instance();
-  const std::lock_guard<std::mutex> lock(registry.mu);
-  const auto it = registry.policies.find(name);
-  return it == registry.policies.end() ? nullptr : it->second.get();
+  for (const Policy* policy : kPolicies) {
+    if (policy->Name() == name) return policy;
+  }
+  return nullptr;
 }
 
 const Policy& GetPolicy(std::string_view name) {
@@ -130,26 +116,11 @@ const Policy& GetPolicy(std::string_view name) {
 }
 
 std::vector<std::string> PolicyNames() {
-  Registry& registry = Registry::Instance();
-  const std::lock_guard<std::mutex> lock(registry.mu);
   std::vector<std::string> names;
-  names.reserve(registry.policies.size());
-  for (const auto& [name, policy] : registry.policies) {
-    names.push_back(name);
+  for (const Policy* policy : kPolicies) {
+    names.emplace_back(policy->Name());
   }
-  return names;  // std::map iterates sorted
-}
-
-void RegisterPolicy(std::unique_ptr<Policy> policy) {
-  ACTG_CHECK(policy != nullptr && !policy->Name().empty(),
-             "RegisterPolicy: policy must be non-null and named");
-  Registry& registry = Registry::Instance();
-  const std::lock_guard<std::mutex> lock(registry.mu);
-  const std::string name(policy->Name());
-  const auto [it, inserted] =
-      registry.policies.emplace(name, std::move(policy));
-  (void)it;
-  ACTG_CHECK(inserted, "RegisterPolicy: duplicate policy '" + name + "'");
+  return names;
 }
 
 StretchStats ApplyPolicy(std::string_view name, sched::Schedule& schedule,

@@ -6,20 +6,21 @@
 /// signatures; every consumer that wanted to select a stretcher at
 /// runtime (the ablation bench, the CLI, the experiment builder) had to
 /// branch over them by hand. A Policy packages one stretcher behind
-/// Name() + Apply(PathEngine&, PolicyContext&), and a string-keyed
-/// registry makes the selection data-driven: bench::ExperimentSpec,
-/// actg_cli --policy and the adaptive controller all resolve policies
-/// by name. The legacy free functions remain the implementation (and
-/// stay callable for tests) but are no longer referenced outside
-/// src/dvfs.
+/// Name() + Apply(PathEngine&, PolicyContext&), and a fixed table of
+/// the three built-ins, looked up by name, makes the selection
+/// data-driven: bench::ExperimentSpec, actg_cli --policy and the
+/// adaptive controller all resolve policies by name. The legacy free
+/// functions remain the implementation (and stay callable for tests)
+/// but are no longer referenced outside src/dvfs.
 ///
-/// Every Apply() records a "dvfs.stretch" span on the current trace
-/// session (obs/trace.h) with the policy name and resulting path count.
+/// Every Apply() is one "dvfs.stretch" stage probe (runtime/metrics.h):
+/// a span on the current trace session with the policy name and
+/// resulting path count, and the "dvfs.stretch" timer in the engine's
+/// metrics registry, if it has one.
 
 #ifndef ACTG_DVFS_POLICY_H
 #define ACTG_DVFS_POLICY_H
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,16 +58,16 @@ struct PolicyContext {
 };
 
 /// One named stretcher. Implementations are stateless and immutable, so
-/// a registered Policy may be applied concurrently from pool workers.
+/// a Policy may be applied concurrently from pool workers.
 class Policy {
  public:
   virtual ~Policy() = default;
 
-  /// Registry key, e.g. "online".
+  /// Lookup key, e.g. "online".
   virtual std::string_view Name() const = 0;
 
   /// Stretches ctx.schedule in place on \p engine, recording the
-  /// "dvfs.stretch" trace span around the concrete stretcher.
+  /// "dvfs.stretch" probe around the concrete stretcher.
   StretchStats Apply(PathEngine& engine, PolicyContext& ctx) const;
 
  protected:
@@ -74,21 +75,16 @@ class Policy {
                                PolicyContext& ctx) const = 0;
 };
 
-/// Looks up a registered policy; nullptr when unknown.
+/// Looks up a built-in policy; nullptr when unknown.
 const Policy* FindPolicy(std::string_view name);
 
-/// Looks up a registered policy; throws actg::InvalidArgument listing
-/// the registered names when unknown.
+/// Looks up a built-in policy; throws actg::InvalidArgument listing
+/// the known names when unknown.
 const Policy& GetPolicy(std::string_view name);
 
-/// Names of all registered policies, sorted (built-ins: "nlp",
-/// "online", "proportional").
+/// Names of the built-in policies, sorted: "nlp", "online",
+/// "proportional".
 std::vector<std::string> PolicyNames();
-
-/// Registers a custom policy; throws actg::InvalidArgument on a
-/// duplicate or empty name. The registry owns the policy for the rest
-/// of the process lifetime.
-void RegisterPolicy(std::unique_ptr<Policy> policy);
 
 /// Convenience entry point: applies the named policy to \p schedule,
 /// building a transient PathEngine when \p engine is null (identical

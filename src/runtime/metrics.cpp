@@ -4,11 +4,6 @@
 
 namespace actg::runtime {
 
-Metrics& Metrics::Global() {
-  static Metrics metrics;
-  return metrics;
-}
-
 void Metrics::Increment(const std::string& name, std::uint64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
   counters_[name] += delta;
@@ -20,9 +15,11 @@ std::uint64_t Metrics::counter(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-void Metrics::RecordTime(const std::string& name, std::int64_t ns) {
+void Metrics::RecordCall(const std::string& name, std::int64_t ns) {
+  const std::string calls = name + ".calls";
   std::lock_guard<std::mutex> lock(mu_);
   timer_ns_[name] += ns;
+  ++counters_[calls];
 }
 
 double Metrics::timer_ms(const std::string& name) const {
@@ -80,13 +77,6 @@ void Metrics::MergeFrom(const Metrics& other) {
   }
 }
 
-void Metrics::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  timer_ns_.clear();
-  observations_.clear();
-}
-
 void Metrics::WriteText(std::ostream& os) const {
   for (const auto& [name, value] : Counters()) {
     os << name << " " << value << "\n";
@@ -99,22 +89,6 @@ void Metrics::WriteText(std::ostream& os) const {
     os << name << "_count " << histogram.count() << "\n";
     os << name << "_p50 " << histogram.Quantile(0.5) << "\n";
     os << name << "_p99 " << histogram.Quantile(0.99) << "\n";
-  }
-}
-
-void Metrics::WriteCsv(std::ostream& os) const {
-  os << "metric,kind,value\n";
-  for (const auto& [name, value] : Counters()) {
-    os << name << ",counter," << value << "\n";
-  }
-  for (const auto& [name, ms] : TimersMs()) {
-    os << name << ",timer_ms," << ms << "\n";
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, histogram] : observations_) {
-    os << name << ",dist_count," << histogram.count() << "\n";
-    os << name << ",dist_p50," << histogram.Quantile(0.5) << "\n";
-    os << name << ",dist_p99," << histogram.Quantile(0.99) << "\n";
   }
 }
 

@@ -74,13 +74,14 @@ Schedule RunDls(const ctg::Ctg& graph,
                 const arch::Platform& platform,
                 const ctg::BranchProbabilities& probs,
                 const DlsOptions& options, DlsWorkspace* workspace) {
-  const runtime::ScopedTimer stage_timer(runtime::Metrics::Global(),
-                                         "stage.dls");
   options.Validate().ThrowIfError();
   const std::size_t n = graph.task_count();
-  obs::ScopedSpan span(obs::TraceSession::Current(), "sched.dls", "sched");
-  if (span.enabled()) {
-    span.AddArg(obs::IntArg("tasks", static_cast<std::int64_t>(n)));
+  runtime::StageProbe probe(workspace != nullptr ? workspace->metrics
+                                                 : nullptr,
+                            obs::TraceSession::Current(), "sched.dls",
+                            "sched");
+  if (probe.tracing()) {
+    probe.AddArg(obs::IntArg("tasks", static_cast<std::int64_t>(n)));
   }
   Schedule schedule(graph, analysis, platform);
   if (options.fixed_mapping != nullptr) {

@@ -28,6 +28,10 @@
 #include "sched/static_level.h"
 #include "util/error.h"
 
+namespace actg::runtime {
+class Metrics;
+}  // namespace actg::runtime
+
 namespace actg::sched {
 
 /// Configuration of the DLS machinery.
@@ -74,8 +78,9 @@ std::vector<PeId> RoundRobinMapping(const ctg::Ctg& graph,
 /// reschedules (e.g. inside a dvfs::PathEngine) lets repeated DLS runs
 /// on the same graph skip all per-call vector growth; the produced
 /// schedules are identical with or without one, and one workspace may
-/// serve graphs and platforms of any size. Contents are meaningless
-/// between calls.
+/// serve graphs and platforms of any size. The scratch buffers are
+/// meaningless between calls; `metrics` is the one setting that
+/// persists.
 struct DlsWorkspace {
   /// One committed busy interval of a PE timeline.
   struct Interval {
@@ -103,6 +108,9 @@ struct DlsWorkspace {
   /// ceil(task_count / 64) words per task, bit a of row b set when a
   /// reaches b.
   std::vector<std::uint64_t> ancestors;
+  /// Registry RunDls records its "sched.dls" timer into; null records
+  /// nothing. It only says where to report, never what is computed.
+  runtime::Metrics* metrics = nullptr;
 };
 
 /// Runs DLS and returns the complete schedule (placements, commit order,
@@ -110,7 +118,8 @@ struct DlsWorkspace {
 ///
 /// \p probs must cover every fork of the graph. The referenced objects
 /// must outlive the returned schedule. \p workspace, when given,
-/// provides reusable scratch storage (see DlsWorkspace).
+/// provides reusable scratch storage and the metrics registry (see
+/// DlsWorkspace); without one the call records only its trace span.
 Schedule RunDls(const ctg::Ctg& graph,
                 const ctg::ActivationAnalysis& analysis,
                 const arch::Platform& platform,

@@ -49,7 +49,7 @@ struct TenantRequest {
   std::string policy = "online";
 
   /// Ok when the request is runnable: non-empty name, instances > 0,
-  /// threshold in (0, 1], window > 0, registered policy.
+  /// threshold in (0, 1], window > 0, known policy.
   util::Error Validate() const;
 };
 

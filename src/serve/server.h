@@ -102,8 +102,7 @@ struct ServerOptions {
   /// Pool concurrency (--jobs); 1 = serial.
   std::size_t jobs = 1;
   /// Metrics registry for latency distributions, per-class counters and
-  /// the controllers' stage timers; null = a server-private registry
-  /// (the daemon never pollutes Global() by default).
+  /// the controllers' stage timers; null = a server-private registry.
   runtime::Metrics* metrics = nullptr;
   /// Cooperative watchdog deadline for one session's dispatch-round
   /// slice, wall-clock milliseconds; 0 = off (the default — armed

@@ -73,7 +73,8 @@ struct SessionOptions {
   /// shard and the tenant id its keys carry, in one value. Default
   /// (unbound) disables memoization.
   runtime::CacheBinding cache;
-  /// Metrics registry the controller reports into; null = Global().
+  /// Metrics registry the controller reports into; null records
+  /// nothing.
   runtime::Metrics* metrics = nullptr;
   /// Oracle: validate every freshly computed schedule.
   bool validate = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "runtime/metrics.h"
 #include "util/error.h"
 
 namespace actg::sim {
@@ -109,27 +108,16 @@ InstanceResult ExecuteInstance(const sched::Schedule& schedule,
 void RunSummary::Add(const InstanceResult& r) {
   ++instances;
   total_energy_mj += r.energy_mj;
-  if (!r.deadline_met) {
-    ++deadline_misses;
-    runtime::Metrics::Global().Increment("sim.deadline_misses");
-  }
+  if (!r.deadline_met) ++deadline_misses;
   max_makespan_ms = std::max(max_makespan_ms, r.makespan_ms);
   total_overrun_ms += r.overrun_ms;
-  if (r.overrun_ms > 0.0) {
-    ++overrun_instances;
-    runtime::Metrics::Global().Increment("sim.overrun_instances");
-  }
+  if (r.overrun_ms > 0.0) ++overrun_instances;
   failed_pe_hits += r.failed_pe_hits;
-  if (r.faults_injected) {
-    ++faulted_instances;
-    runtime::Metrics::Global().Increment("faults.injected_instances");
-  }
+  if (r.faults_injected) ++faulted_instances;
 }
 
 RunSummary RunTrace(const sched::Schedule& schedule,
                     const trace::BranchTrace& trace) {
-  const runtime::ScopedTimer stage_timer(runtime::Metrics::Global(),
-                                         "stage.sim");
   obs::ScopedSpan span(obs::TraceSession::Current(), "sim.run", "sim");
   if (span.enabled()) {
     span.AddArg(obs::IntArg(
@@ -145,8 +133,6 @@ RunSummary RunTrace(const sched::Schedule& schedule,
 RunSummary RunTraceWithFaults(const sched::Schedule& schedule,
                               const trace::BranchTrace& trace,
                               const faults::Injector& injector) {
-  const runtime::ScopedTimer stage_timer(runtime::Metrics::Global(),
-                                         "stage.sim");
   obs::ScopedSpan span(obs::TraceSession::Current(), "sim.run", "sim");
   if (span.enabled()) {
     span.AddArg(obs::IntArg(

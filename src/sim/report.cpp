@@ -76,16 +76,14 @@ namespace {
 
 /// Counter snapshot with the health counters callers watch for always
 /// materialized: guard.dnf_fallbacks stays visible (as 0) even when the
-/// bitset guard algebra never fell back, and the miss/overrun/fault and
-/// degradation counters stay visible (as 0) on clean runs, so their
-/// absence is never mistaken for "not measured".
+/// bitset guard algebra never fell back, and degrade.escalations (as 0)
+/// on clean runs, so their absence is never mistaken for "not
+/// measured". Deadline misses, overruns and injected faults live in
+/// sim::RunSummary, not in any registry.
 std::map<std::string, std::uint64_t> ReportedCounters(
     const runtime::Metrics& metrics) {
   auto counters = metrics.Counters();
-  for (const char* name :
-       {"guard.dnf_fallbacks", "sim.deadline_misses",
-        "sim.overrun_instances", "faults.injected_instances",
-        "degrade.escalations"}) {
+  for (const char* name : {"guard.dnf_fallbacks", "degrade.escalations"}) {
     counters.try_emplace(name, metrics.counter(name));
   }
   return counters;
@@ -115,18 +113,6 @@ void WriteMetricsReport(std::ostream& os,
           .Cell(calls == 0 ? 0.0 : ms / static_cast<double>(calls), 4);
     }
     table.Print(os);
-  }
-}
-
-void WriteMetricsCsv(std::ostream& os, const runtime::Metrics& metrics) {
-  // Same layout as Metrics::WriteCsv, over the report's counter view
-  // (guard.dnf_fallbacks always present).
-  os << "metric,kind,value\n";
-  for (const auto& [name, value] : ReportedCounters(metrics)) {
-    os << name << ",counter," << value << "\n";
-  }
-  for (const auto& [name, ms] : metrics.TimersMs()) {
-    os << name << ",timer_ms," << ms << "\n";
   }
 }
 

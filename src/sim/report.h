@@ -57,9 +57,6 @@ void WriteReport(std::ostream& os, const ScheduleReport& report);
 void WriteMetricsReport(std::ostream& os,
                         const runtime::Metrics& metrics);
 
-/// Dumps a runtime metrics registry as CSV ("metric,kind,value").
-void WriteMetricsCsv(std::ostream& os, const runtime::Metrics& metrics);
-
 }  // namespace actg::sim
 
 #endif  // ACTG_SIM_REPORT_H

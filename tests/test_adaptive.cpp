@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 
 #include "adaptive/controller.h"
 #include "apps/common.h"
 #include "dvfs/stretch.h"
 #include "apps/fig1_example.h"
+#include "runtime/metrics.h"
+#include "runtime/schedule_cache.h"
 #include "sim/energy.h"
 #include "tgff/random_ctg.h"
 #include "trace/generators.h"
@@ -258,6 +261,80 @@ TEST(AdaptiveRandom, BeatsMisprofiledOnlineOnDriftingTraces) {
     adaptive_total += summary.total_energy_mj;
   }
   EXPECT_LT(adaptive_total, online_total);
+}
+
+// ---------------------------------------------------------------------------
+// Metrics: each controller reports into the registry it was given.
+
+struct UnitCounts {
+  TierCounts tiers;
+  std::size_t reschedule_calls = 0;
+};
+
+/// Drives one controller with a private cache over a drifting trace,
+/// recording into \p metrics.
+UnitCounts DriveController(std::uint64_t seed, RescheduleMode mode,
+                           runtime::Metrics& metrics) {
+  tgff::RandomCtgParams params;
+  params.task_count = 20;
+  params.fork_count = 2;
+  params.category = tgff::Category::kForkJoin;
+  params.seed = seed;
+  tgff::RandomCase rc = tgff::MakeRandomCtg(params).value();
+  apps::AssignDeadline(rc.graph, rc.platform, 1.3);
+  const ctg::ActivationAnalysis analysis(rc.graph);
+  trace::TraceGenerator gen(rc.graph);
+  for (TaskId f : rc.graph.ForkIds()) {
+    trace::SinusoidProcess::Params sp;
+    sp.amplitude = 0.45;
+    sp.period = 120.0;
+    gen.SetProcess(f, std::make_unique<trace::SinusoidProcess>(sp));
+  }
+  util::Random rng(seed * 13);
+  const trace::BranchTrace trace = gen.Generate(400, rng);
+
+  runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
+  AdaptiveOptions options;
+  options.window_length = 20;
+  options.threshold = 0.1;
+  options.reschedule.mode = mode;
+  options.reschedule.max_dirty_ratio = 0.9;
+  options.cache = runtime::CacheBinding{&cache, 0};
+  options.metrics = &metrics;
+  AdaptiveController ctrl(rc.graph, analysis, rc.platform,
+                          apps::UniformProbabilities(rc.graph), options);
+  RunAdaptive(ctrl, trace);
+  return UnitCounts{ctrl.rescheduler().tier_counts(),
+                    ctrl.reschedule_count()};
+}
+
+// Two controllers with private registries, driven on two threads (the
+// TSan job runs this binary): each registry's layer counts match its own
+// controller's tiers, so no layer reports anywhere else.
+TEST(AdaptiveMetrics, ConcurrentControllersFillOnlyTheirOwnRegistries) {
+  runtime::Metrics metrics[2];
+  UnitCounts counts[2];
+  std::thread other([&] {
+    counts[1] = DriveController(2, RescheduleMode::kIncremental, metrics[1]);
+  });
+  counts[0] = DriveController(1, RescheduleMode::kFull, metrics[0]);
+  other.join();
+
+  EXPECT_GT(counts[1].tiers.warm_prior, 0u);
+  for (int u = 0; u < 2; ++u) {
+    SCOPED_TRACE(u);
+    const TierCounts& tiers = counts[u].tiers;
+    const std::uint64_t computed = tiers.full + tiers.warm_prior;
+    ASSERT_GT(computed, 1u);
+    EXPECT_EQ(metrics[u].counter("sched.dls.calls"), computed);
+    EXPECT_EQ(metrics[u].counter("dvfs.stretch.calls"), computed);
+    EXPECT_GE(metrics[u].counter("dvfs.enumerate.calls"), 1u);
+    EXPECT_LE(metrics[u].counter("dvfs.enumerate.calls"), computed);
+    EXPECT_EQ(metrics[u].counter("adaptive.reschedule.calls"),
+              tiers.total());
+    EXPECT_EQ(metrics[u].counter("adaptive.reschedule_calls"),
+              counts[u].reschedule_calls);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -311,6 +312,40 @@ TEST(CampaignRunner, FullReportIsJobsInvariant) {
     reports.push_back(os.str());
   }
   EXPECT_EQ(reports[0], reports[1]);
+}
+
+// Every layer's timer lands in the shard registries the campaign
+// merges: the layer call counts are a function of the spec, not of the
+// worker count, and match the report's tiers (one DLS and one stretch
+// per computed reschedule, one "adaptive.reschedule" call per request).
+TEST(CampaignRunner, LayerCallCountsAreJobsInvariantAndMatchTheTiers) {
+  const CampaignSpec spec = SyntheticCampaign(160, 7);
+  std::vector<std::map<std::string, std::uint64_t>> calls;
+  for (std::size_t jobs : {1u, 4u}) {
+    CampaignOptions options;
+    options.jobs = jobs;
+    Campaign run(spec, options);
+    const CampaignResult& result = run.Run();
+    ASSERT_EQ(result.quarantined, 0u);
+    const runtime::Metrics& metrics = run.metrics();
+    const std::uint64_t computed =
+        result.tiers.full + result.tiers.warm_prior;
+    ASSERT_GT(computed, 0u);
+    EXPECT_EQ(metrics.counter("sched.dls.calls"), computed);
+    EXPECT_EQ(metrics.counter("dvfs.stretch.calls"), computed);
+    EXPECT_EQ(metrics.counter("adaptive.reschedule.calls"),
+              result.tiers.total());
+    EXPECT_GE(metrics.counter("dvfs.enumerate.calls"), 1u);
+    EXPECT_LE(metrics.counter("dvfs.enumerate.calls"), computed);
+    std::map<std::string, std::uint64_t> layer_calls;
+    for (const char* layer : {"sched.dls", "dvfs.enumerate", "dvfs.stretch",
+                              "adaptive.reschedule"}) {
+      const std::string name = std::string(layer) + ".calls";
+      layer_calls[name] = metrics.counter(name);
+    }
+    calls.push_back(std::move(layer_calls));
+  }
+  EXPECT_EQ(calls[0], calls[1]);
 }
 
 TEST(CampaignRunner, EveryNonEmptyShardRunsAnOracleValidation) {
@@ -867,14 +902,15 @@ TEST(MetricsMerge, CountersTimersAndObservationsFold) {
   a.Increment("x", 2);
   b.Increment("x", 3);
   b.Increment("y", 1);
-  a.RecordTime("t", 1000000);
-  b.RecordTime("t", 2000000);
+  a.RecordCall("t", 1000000);
+  b.RecordCall("t", 2000000);
   a.Observe("lat", 1.0);
   b.Observe("lat", 3.0);
   a.MergeFrom(b);
   EXPECT_EQ(a.counter("x"), 5u);
   EXPECT_EQ(a.counter("y"), 1u);
   EXPECT_DOUBLE_EQ(a.timer_ms("t"), 3.0);
+  EXPECT_EQ(a.counter("t.calls"), 2u);
   EXPECT_DOUBLE_EQ(a.quantile("lat", 1.0), 3.0);
 }
 

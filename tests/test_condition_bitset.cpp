@@ -12,10 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/platform.h"
 #include "ctg/activation.h"
 #include "ctg/condition.h"
 #include "ctg/condition_bitset.h"
 #include "ctg/graph.h"
+#include "dvfs/path_engine.h"
 #include "runtime/metrics.h"
 
 namespace actg::ctg {
@@ -233,9 +235,9 @@ TEST(ConditionSpace, PackedWidthOverflowFallsBackToDnf) {
 
 TEST(ConditionSpace, ActivationAnalysisFallbackCountsMetric) {
   // End-to-end: a graph whose forks exceed the packed width must make
-  // ActivationAnalysis retire its bitset layer, bump the
-  // "guard.dnf_fallbacks" counter and still answer every query through
-  // the DNF algebra.
+  // ActivationAnalysis retire its bitset layer (an invalid space()), a
+  // PathEngine over it count "guard.dnf_fallbacks" in its registry, and
+  // every query still be answered through the DNF algebra.
   CtgBuilder builder;
   const TaskId source = builder.AddTask("src");
   TaskId prev = source;
@@ -260,12 +262,19 @@ TEST(ConditionSpace, ActivationAnalysisFallbackCountsMetric) {
   builder.SetDeadline(1000.0);
   const Ctg graph = std::move(builder).Build();
 
-  const std::uint64_t before =
-      runtime::Metrics::Global().counter("guard.dnf_fallbacks");
   const ActivationAnalysis analysis(graph);
-  EXPECT_GT(runtime::Metrics::Global().counter("guard.dnf_fallbacks"),
-            before);
   EXPECT_FALSE(analysis.space().valid());
+
+  arch::PlatformBuilder platform_builder(graph.task_count(), 1);
+  for (TaskId task : graph.TaskIds()) {
+    platform_builder.SetTaskCost(task, PeId{0}, 1.0, 1.0);
+  }
+  const arch::Platform platform = std::move(platform_builder).Build();
+  runtime::Metrics metrics;
+  const dvfs::PathEngine engine(graph, analysis, platform,
+                                dvfs::PathEngineOptions{.metrics = &metrics});
+  EXPECT_FALSE(engine.using_bitset());
+  EXPECT_EQ(metrics.counter("guard.dnf_fallbacks"), 1u);
 
   // The DNF algebra still answers every query: two branches of one
   // fork are mutually exclusive, branches of different forks are not.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -220,7 +221,6 @@ TEST(IncrementalDifferential, TinyDirtyRatioForcesBitIdenticalFallback) {
 // equal to a full-mode facade's, and unchanged tier accounting.
 TEST(Rescheduler, IncrementalFallbackRunsOneDlsPerRequest) {
   const FacadeCase fc;
-  runtime::Metrics& global = runtime::Metrics::Global();
   for (const bool with_cache : {false, true}) {
     SCOPED_TRACE(with_cache ? "with cache" : "without cache");
     runtime::Metrics inc_metrics;
@@ -252,9 +252,9 @@ TEST(Rescheduler, IncrementalFallbackRunsOneDlsPerRequest) {
       // first has a seed and a nonempty dirty region.
       const ctg::BranchProbabilities probs = WithForkAt(
           fc.graph, fc.base, fc.fork, 0.1 + 0.07 * static_cast<double>(i));
-      const std::uint64_t dls_before = global.counter("stage.dls.calls");
+      const std::uint64_t dls_before = inc_metrics.counter("sched.dls.calls");
       const adaptive::RescheduleResult got = incremental.Reschedule(probs, req);
-      EXPECT_EQ(global.counter("stage.dls.calls") - dls_before, 1u)
+      EXPECT_EQ(inc_metrics.counter("sched.dls.calls") - dls_before, 1u)
           << "step " << i;
       const adaptive::RescheduleResult want = full.Reschedule(probs, req);
       EXPECT_EQ(got.tier, adaptive::RescheduleTier::kFull) << "step " << i;
@@ -447,6 +447,64 @@ TEST(Rescheduler, ExactRepeatsAreServedFromTheCache) {
   EXPECT_EQ(cache.misses(), 2u);
 }
 
+// Every layer reports into the registry the facade was configured with:
+// one DLS and one stretch per computed (full or warm-prior) result, at
+// most one enumeration per stretch (a warm stretch may rewind instead),
+// and one "adaptive.reschedule" call per request, exact hits included.
+// The registry only says where to report: a facade without one computes
+// bitwise-equal results.
+TEST(Rescheduler, LayerTimersLandInTheInjectedRegistry) {
+  const FacadeCase fc;
+  runtime::Metrics metrics;
+  runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
+  runtime::ScheduleCache bare_cache(runtime::ScheduleCacheOptions{},
+                                    nullptr);
+  adaptive::ReschedulerConfig config;
+  config.reschedule.mode = adaptive::RescheduleMode::kIncremental;
+  config.reschedule.max_dirty_ratio = 0.9;
+  config.cache = runtime::CacheBinding{&bare_cache, 0};
+  adaptive::Rescheduler bare(fc.graph, *fc.analysis, fc.platform, config);
+  config.cache = runtime::CacheBinding{&cache, 0};
+  config.metrics = &metrics;
+  adaptive::Rescheduler recorded(fc.graph, *fc.analysis, fc.platform,
+                                 config);
+  const adaptive::RescheduleRequest req{config.dls.available_pes, 0.0,
+                                        "test"};
+
+  // Twelve distinct operating points, then every one of them again.
+  constexpr int kPoints = 12;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < kPoints; ++i) {
+      const ctg::BranchProbabilities probs =
+          WithForkAt(fc.graph, fc.base, fc.fork, 0.1 + 0.07 * i);
+      const adaptive::RescheduleResult got = recorded.Reschedule(probs, req);
+      const adaptive::RescheduleResult want = bare.Reschedule(probs, req);
+      EXPECT_EQ(got.tier, want.tier) << "pass " << pass << " point " << i;
+      EXPECT_TRUE(SameResult(fc.graph, got, want))
+          << "pass " << pass << " point " << i;
+    }
+  }
+
+  const adaptive::TierCounts& tiers = recorded.tier_counts();
+  ASSERT_GT(tiers.full, 0u);
+  ASSERT_GT(tiers.warm_prior, 0u);
+  ASSERT_GT(tiers.exact, 0u);
+  EXPECT_EQ(tiers.total(), 2u * kPoints);
+  const std::uint64_t computed = tiers.full + tiers.warm_prior;
+  EXPECT_EQ(metrics.counter("sched.dls.calls"), computed);
+  EXPECT_EQ(metrics.counter("dvfs.stretch.calls"), computed);
+  EXPECT_EQ(metrics.counter("adaptive.reschedule.calls"), tiers.total());
+  EXPECT_GE(metrics.counter("dvfs.enumerate.calls"), 1u);
+  EXPECT_LE(metrics.counter("dvfs.enumerate.calls"), computed);
+  const std::map<std::string, double> timers = metrics.TimersMs();
+  for (const char* layer : {"sched.dls", "dvfs.enumerate", "dvfs.stretch",
+                            "adaptive.reschedule"}) {
+    EXPECT_EQ(timers.count(layer), 1u) << layer;
+  }
+  EXPECT_EQ(metrics.samples("reschedule.latency_us"), tiers.total());
+  EXPECT_EQ(metrics.samples("reschedule.compute_latency_us"), computed);
+}
+
 // Every healthy result, an exact hit included, becomes the next
 // warm-start basis. After a, b and a cache hit on a, the warm start for
 // c is seeded from a's schedule — the same result a facade gets that
@@ -590,6 +648,7 @@ TEST(Rescheduler, ConfigFingerprintSeparatesModes) {
 TEST(Rescheduler, DebugOracleIsSideEffectFree) {
   std::vector<adaptive::RescheduleResult> runs[2];
   adaptive::TierCounts tiers[2];
+  std::uint64_t layer_calls[2][3] = {};
   for (int armed = 0; armed < 2; ++armed) {
     const FacadeCase fc;
     adaptive::ReschedulerConfig config;
@@ -612,6 +671,9 @@ TEST(Rescheduler, DebugOracleIsSideEffectFree) {
           WithForkAt(fc.graph, fc.base, fc.fork, p), req));
     }
     tiers[armed] = rescheduler.tier_counts();
+    layer_calls[armed][0] = metrics.counter("sched.dls.calls");
+    layer_calls[armed][1] = metrics.counter("dvfs.enumerate.calls");
+    layer_calls[armed][2] = metrics.counter("dvfs.stretch.calls");
   }
 
   const FacadeCase fc;
@@ -632,6 +694,12 @@ TEST(Rescheduler, DebugOracleIsSideEffectFree) {
   EXPECT_EQ(tiers[0].full, tiers[1].full);
   // The armed run actually exercised the oracle on warm results.
   EXPECT_GT(tiers[1].warm_prior, 0u);
+  // The oracle's reference recomputes run on an engine with no registry,
+  // so they never count as production work.
+  for (int layer = 0; layer < 3; ++layer) {
+    EXPECT_EQ(layer_calls[0][layer], layer_calls[1][layer]) << layer;
+  }
+  EXPECT_EQ(layer_calls[1][0], tiers[1].full + tiers[1].warm_prior);
 }
 
 // A degraded request (restricted mask) must bypass the cache and the

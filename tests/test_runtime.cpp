@@ -555,13 +555,29 @@ TEST(MetricsTest, CountersAndTimers) {
   EXPECT_EQ(metrics.counter("a"), 5u);
   EXPECT_EQ(metrics.counter("never"), 0u);
 
-  { const ScopedTimer timer(metrics, "stage.x"); }
+  { const StageProbe probe(&metrics, nullptr, "stage.x", "test"); }
   EXPECT_EQ(metrics.counter("stage.x.calls"), 1u);
+  EXPECT_EQ(metrics.TimersMs().count("stage.x"), 1u);
   EXPECT_GE(metrics.timer_ms("stage.x"), 0.0);
 
-  metrics.Reset();
-  EXPECT_EQ(metrics.counter("a"), 0u);
-  EXPECT_TRUE(metrics.Counters().empty());
+  // Finish() ends the stage once, with the duration the timer recorded;
+  // later calls and the destructor add nothing.
+  {
+    StageProbe probe(&metrics, nullptr, "stage.y", "test");
+    const std::int64_t ns = probe.Finish();
+    EXPECT_EQ(probe.Finish(), 0);
+    EXPECT_DOUBLE_EQ(metrics.timer_ms("stage.y"),
+                     static_cast<double>(ns) * 1e-6);
+  }
+  EXPECT_EQ(metrics.counter("stage.y.calls"), 1u);
+
+  // Without a registry or a session the probe records nothing.
+  {
+    StageProbe probe(nullptr, nullptr, "stage.z", "test");
+    EXPECT_FALSE(probe.tracing());
+    EXPECT_EQ(probe.Finish(), 0);
+  }
+  EXPECT_EQ(metrics.counter("stage.z.calls"), 0u);
 }
 
 TEST(MetricsTest, ConcurrentIncrementsSumExactly) {
@@ -573,16 +589,29 @@ TEST(MetricsTest, ConcurrentIncrementsSumExactly) {
   EXPECT_EQ(metrics.counter("hits"), 1000u);
 }
 
-TEST(MetricsTest, CsvDumpHasHeaderAndRows) {
+TEST(MetricsTest, ProbeFeedsTheSpanAndTheTimerFromOnePoint) {
   Metrics metrics;
-  metrics.Increment("cache.hits", 3);
-  metrics.RecordTime("stage.dls", 2'000'000);
-  std::ostringstream os;
-  metrics.WriteCsv(os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("metric,kind,value"), std::string::npos);
-  EXPECT_NE(csv.find("cache.hits,counter,3"), std::string::npos);
-  EXPECT_NE(csv.find("stage.dls"), std::string::npos);
+  obs::TraceSession session(obs::TraceOptions{.deterministic_clock = true});
+  {
+    StageProbe probe(&metrics, &session, "stage.x", "test");
+    ASSERT_TRUE(probe.tracing());
+    probe.AddArg(obs::IntArg("n", 3));
+  }
+  std::vector<obs::TraceEvent> events = session.Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].phase, obs::EventPhase::kBegin);
+  EXPECT_EQ(events[1].phase, obs::EventPhase::kEnd);
+  EXPECT_EQ(events[1].name, "stage.x");
+  ASSERT_EQ(events[1].args.size(), 1u);
+  EXPECT_EQ(events[1].args[0].key, "n");
+  EXPECT_EQ(metrics.counter("stage.x.calls"), 1u);
+
+  // A session alone traces and touches no registry.
+  { const StageProbe probe(nullptr, &session, "stage.y", "test"); }
+  events = session.Events();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[3].name, "stage.y");
+  EXPECT_EQ(metrics.counter("stage.y.calls"), 0u);
 }
 
 TEST(MetricsTest, DistributionsReportNearestRankQuantiles) {
@@ -602,9 +631,6 @@ TEST(MetricsTest, DistributionsReportNearestRankQuantiles) {
   metrics.WriteText(os);
   EXPECT_NE(os.str().find("lat_count 100"), std::string::npos);
   EXPECT_NE(os.str().find("lat_p99"), std::string::npos);
-
-  metrics.Reset();
-  EXPECT_EQ(metrics.samples("lat"), 0u);
 }
 
 // ------------------------------------------------------------ Watchdog
