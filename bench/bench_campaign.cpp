@@ -21,8 +21,6 @@
 #include <iostream>
 #include <string>
 
-#include <sys/resource.h>
-
 #include "campaign/runner.h"
 #include "campaign/spec.h"
 #include "cli_common.h"
@@ -30,18 +28,7 @@
 #include "util/atomic_file.h"
 #include "util/error.h"
 
-namespace {
-
 using namespace actg;
-
-/// Peak resident set in KiB, or 0 where getrusage is unavailable.
-long MaxRssKb() {
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return usage.ru_maxrss;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -90,7 +77,7 @@ int main(int argc, char** argv) {
     os << "  \"jobs\": " << jobs << ",\n";
     os << "  \"wall_ms\": " << wall_ms << ",\n";
     os << "  \"instances_per_sec\": " << instances_per_sec << ",\n";
-    os << "  \"max_rss_kb\": " << MaxRssKb() << ",\n";
+    os << "  \"max_rss_kb\": " << cli::MaxRssKb() << ",\n";
     os << "  \"executions\": " << result.fleet.instances << ",\n";
     os << "  \"deadline_misses\": " << result.fleet.deadline_misses
        << ",\n";
@@ -121,7 +108,7 @@ int main(int argc, char** argv) {
               << result.keys.size() << " cells, shards "
               << result.spec.shards << ", jobs " << jobs << ", wall "
               << wall_ms << " ms (" << instances_per_sec
-              << " instances/s), rss " << MaxRssKb() << " KiB -> "
+              << " instances/s), rss " << cli::MaxRssKb() << " KiB -> "
               << out_path << "\n";
     std::cout << "  miss_rate " << result.fleet.MissRate() << "  energy "
               << result.fleet.total_energy_mj << " mJ  reschedules "

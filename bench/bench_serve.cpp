@@ -7,7 +7,10 @@
 /// deadline-miss counts and the schedule-cache counters. CI gates the
 /// latency-critical (SLA0) p99 against the committed baseline
 /// (bench/baselines/BENCH_serve.json) with generous noise headroom; the
-/// deterministic fields double as a cheap fleet regression check.
+/// deterministic fields double as a cheap fleet regression check, and
+/// max RSS (when the platform reports it) backs the memory contract: a
+/// finished tenant keeps its result, not its reschedule workspace, so
+/// RSS grows with the tenants live at once, not with the fleet size.
 ///
 ///   bench_serve [--jobs N] [--tenants T] [--instances I] [--seed S]
 ///               [--out <file>]        (default BENCH_serve.json)
@@ -87,6 +90,7 @@ int main(int argc, char** argv) {
     os << "  \"seed\": " << seed << ",\n";
     os << "  \"jobs\": " << jobs << ",\n";
     os << "  \"wall_ms\": " << wall_ms << ",\n";
+    os << "  \"max_rss_kb\": " << cli::MaxRssKb() << ",\n";
     os << "  \"rounds\": " << report.rounds << ",\n";
     os << "  \"shed_tenants\": " << report.shed_tenants << ",\n";
     os << "  \"deferred_rounds\": " << report.deferred_rounds << ",\n";

@@ -229,6 +229,14 @@ class AdaptiveController {
   /// (exact / warm / full outcomes) and fingerprints.
   const Rescheduler& rescheduler() const { return *rescheduler_; }
 
+  /// Frees the reschedule workspace (Rescheduler::ReleaseWorkspace) of
+  /// a controller that is done for now, e.g. a finished serve session.
+  /// The current schedule, the in-use probabilities, the profiler, the
+  /// ladder state and every counter stay as they are. Any later call
+  /// returns bit-identically what it would have without the release:
+  /// the next reschedule only regrows the buffers.
+  void ReleaseWorkspace() { rescheduler_->ReleaseWorkspace(); }
+
  private:
   /// One reschedule through the facade (see adaptive::Rescheduler): the
   /// request carries the PE mask and speed floor, the facade owns the

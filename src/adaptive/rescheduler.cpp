@@ -174,9 +174,11 @@ void Rescheduler::ApplyStretch(sched::Schedule& schedule,
   // The engine now holds an enumeration for this schedule's shape
   // (either freshly enumerated or rewound-and-recommitted); record the
   // pair that lets the next warm stretch rewind instead of re-running
-  // the path DFS.
-  engine_shape_ = ShapeSignature(schedule);
-  engine_enum_id_ = engine_.enumeration_id();
+  // the path DFS. Only the warm-start rung reads it.
+  if (incremental()) {
+    engine_shape_ = ShapeSignature(schedule);
+    engine_enum_id_ = engine_.enumeration_id();
+  }
 }
 
 void Rescheduler::MaybeValidate(const sched::Schedule& schedule,
@@ -345,6 +347,16 @@ void Rescheduler::CountTier(RescheduleTier tier) {
   }
 }
 
+void Rescheduler::ReleaseWorkspace() {
+  engine_.ReleaseWorkspace();
+  verify_engine_.reset();
+  // The engine's enumeration id has advanced past engine_enum_id_
+  // already; dropping the pair as well frees the shape and makes the
+  // no-rewind state explicit.
+  engine_shape_ = {};
+  engine_enum_id_ = 0;
+}
+
 void Rescheduler::RememberBasis(const ctg::BranchProbabilities& probs,
                                 const sched::Schedule& schedule) {
   basis_probs_ = probs;
@@ -387,8 +399,7 @@ RescheduleResult Rescheduler::Reschedule(
       probe.AddArg(obs::IntArg("cached", 0));
       if (degraded) probe.AddArg(obs::IntArg("degraded", 1));
     }
-    if (!degraded &&
-        config_.reschedule.mode == RescheduleMode::kIncremental) {
+    if (!degraded && incremental()) {
       std::optional<RescheduleResult> warm =
           ComputeIncremental(probs, req, cache_ok ? &key : nullptr);
       if (warm.has_value()) {
@@ -408,7 +419,7 @@ RescheduleResult Rescheduler::Reschedule(
     }
   }
   CountTier(result->tier);
-  if (!degraded) RememberBasis(probs, result->schedule);
+  if (!degraded && incremental()) RememberBasis(probs, result->schedule);
   // One clock sample ends the stage timer and both latency samples.
   const double us = static_cast<double>(probe.Finish()) * 1e-3;
   if (config_.metrics != nullptr) {

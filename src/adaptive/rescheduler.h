@@ -205,10 +205,20 @@ class Rescheduler {
 
   /// Runs the decision ladder for \p probs under \p req and returns
   /// the schedule, its stretch stats and the tier that produced it.
-  /// Non-degraded results become the next warm-start basis.
+  /// In incremental mode, non-degraded results become the next
+  /// warm-start basis.
   RescheduleResult Reschedule(const ctg::BranchProbabilities& probs,
                               const RescheduleRequest& req,
                               obs::TraceSession* trace = nullptr);
+
+  /// Frees the reusable workspace: the PathEngine's buffers (see
+  /// dvfs::PathEngine::ReleaseWorkspace), the lazily built verify
+  /// engine and the recorded enumeration shape, so the next warm
+  /// stretch re-enumerates instead of rewinding. Keeps the fingerprints,
+  /// the tier counts and the warm-start basis. Every later Reschedule()
+  /// returns exactly what it would have without the release; it only
+  /// regrows the buffers.
+  void ReleaseWorkspace();
 
   const ReschedulerConfig& config() const { return config_; }
   const TierCounts& tier_counts() const { return tiers_; }
@@ -255,6 +265,11 @@ class Rescheduler {
                          const RescheduleRequest& req,
                          const RescheduleResult& got);
   void CountTier(RescheduleTier tier);
+  /// True in incremental mode, the only mode whose warm-start rung
+  /// reads the basis and the recorded enumeration shape.
+  bool incremental() const {
+    return config_.reschedule.mode == RescheduleMode::kIncremental;
+  }
   void RememberBasis(const ctg::BranchProbabilities& probs,
                      const sched::Schedule& schedule);
 
@@ -278,6 +293,7 @@ class Rescheduler {
   std::unique_ptr<dvfs::PathEngine> verify_engine_;
   /// Warm-start basis: the last non-degraded result (full schedule, so
   /// the warm stretch can replay its committed speed assignment).
+  /// Incremental mode only, like engine_shape_ / engine_enum_id_.
   std::optional<sched::Schedule> basis_schedule_;
   ctg::BranchProbabilities basis_probs_;
   /// Shape the engine's current enumeration was built for, plus the

@@ -98,6 +98,9 @@ InstanceEval EvalInstance(const sched::Schedule& schedule,
   const ctg::ActivationAnalysis& analysis = schedule.analysis();
   const std::size_t n = graph.task_count();
   const bool faulted = faults != nullptr && faults->any;
+  ACTG_CHECK(!faulted || faults->task_time_factor.empty() ||
+                 faults->task_time_factor.size() == n,
+             "InstanceFaults::task_time_factor needs one entry per task");
 
   InstanceEval eval;
   std::vector<bool> active(n, false);

@@ -19,6 +19,12 @@ std::uint32_t Offset(std::size_t size) {
   return static_cast<std::uint32_t>(size);
 }
 
+/// Replaces each container with an empty one, freeing its storage.
+template <typename... Containers>
+void Free(Containers&... containers) {
+  ((containers = Containers{}), ...);
+}
+
 }  // namespace
 
 PathEngine::PathEngine(const ctg::Ctg& graph,
@@ -61,12 +67,6 @@ PathEngine::PathEngine(const ctg::Ctg& graph,
     }
   }
 
-  const std::size_t n = graph.task_count();
-  if (use_bitset_) {
-    bit_stack_.resize(n + 1);
-  } else {
-    dnf_stack_.resize(n + 1);
-  }
   ClearPaths();
 }
 
@@ -109,6 +109,11 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
   edge_stack_.clear();
 
   const std::size_t n = graph_->task_count();
+  if (use_bitset_) {
+    bit_stack_.resize(n + 1);
+  } else {
+    dnf_stack_.resize(n + 1);
+  }
   task_exec_ms_.resize(n);
   for (std::size_t t = 0; t < n; ++t) {
     task_exec_ms_[t] = schedule.ScaledWcet(TaskId{static_cast<int>(t)});
@@ -381,6 +386,20 @@ void PathEngine::RewindCommits() {
   std::copy(nominal_delay_.begin(), nominal_delay_.end(), delay_.begin());
   std::copy(nominal_unlocked_.begin(), nominal_unlocked_.end(),
             unlocked_.begin());
+}
+
+void PathEngine::ReleaseWorkspace() {
+  ++enumeration_id_;
+  Free(adj_, has_pred_, bit_stack_, dnf_stack_, and_scratch_, task_stack_,
+       edge_stack_, task_exec_ms_, edge_comm_ms_, task_begin_, task_pool_,
+       cond_begin_, cond_pool_, guard_begin_, guard_pool_, dnf_guards_,
+       comm_, delay_, unlocked_, nominal_delay_, nominal_unlocked_,
+       span_begin_, span_pool_, span_cursor_, edge_prob_, scan_prob_after_,
+       scan_slack_ratio_);
+  runtime::Metrics* const metrics = dls_workspace_.metrics;
+  dls_workspace_ = sched::DlsWorkspace{};
+  dls_workspace_.metrics = metrics;
+  ClearPaths();
 }
 
 double PathEngine::MaxDelay() const {

@@ -225,6 +225,15 @@ class PathEngine {
   /// engine's metrics registry.
   sched::DlsWorkspace& dls_workspace() { return dls_workspace_; }
 
+  /// Frees every reusable buffer: the path store and spanning lists,
+  /// the DFS stacks and adjacency, the per-enumeration and scan scratch
+  /// and the DLS workspace's buffers (its registry stays). The engine
+  /// is then empty as after a failed enumeration: size() is 0 and
+  /// enumeration_id() has advanced, so no caller can rewind the freed
+  /// store. Later calls regrow the buffers and compute exactly what an
+  /// engine that never released would.
+  void ReleaseWorkspace();
+
  private:
   void VisitBit(TaskId task, std::size_t depth, bool drop_unrealizable);
   void VisitDnf(TaskId task, std::size_t depth, bool drop_unrealizable);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/error.h"
 
@@ -9,17 +10,56 @@ namespace actg::profiling {
 
 SlidingWindowProfiler::SlidingWindowProfiler(const ctg::Ctg& graph,
                                              std::size_t window)
-    : graph_(&graph), window_(window), buffers_(graph.task_count()) {
+    : graph_(&graph), window_(window) {
   ACTG_CHECK(window_ >= 1, "Window length must be >= 1");
+  std::vector<TaskId> forks = graph.ForkIds();
+  std::sort(forks.begin(), forks.end());
+  windows_.reserve(forks.size());
+  std::size_t outcomes = 0;
+  for (TaskId fork : forks) {
+    windows_.push_back(ForkWindow{fork, outcomes, 0, 0});
+    outcomes += static_cast<std::size_t>(graph.OutcomeCount(fork));
+  }
+  counts_.assign(outcomes, 0);
+}
+
+std::size_t SlidingWindowProfiler::IndexOf(TaskId fork,
+                                          const char* op) const {
+  ACTG_CHECK(graph_->IsFork(fork), std::string(op) + ": task is not a fork");
+  return static_cast<std::size_t>(
+      std::lower_bound(
+          windows_.begin(), windows_.end(), fork,
+          [](const ForkWindow& w, TaskId id) { return w.fork < id; }) -
+      windows_.begin());
+}
+
+void SlidingWindowProfiler::Grow() {
+  const std::size_t grown = std::min(window_, 2 * capacity_ + 1);
+  std::vector<int> ring(windows_.size() * grown);
+  for (std::size_t k = 0; k < windows_.size(); ++k) {
+    std::copy_n(ring_.begin() + static_cast<std::ptrdiff_t>(k * capacity_),
+                windows_[k].size,
+                ring.begin() + static_cast<std::ptrdiff_t>(k * grown));
+  }
+  ring_ = std::move(ring);
+  capacity_ = grown;
 }
 
 void SlidingWindowProfiler::Observe(TaskId fork, int outcome) {
-  ACTG_CHECK(graph_->IsFork(fork), "Observe: task is not a fork");
+  const std::size_t k = IndexOf(fork, "Observe");
   ACTG_CHECK(outcome >= 0 && outcome < graph_->OutcomeCount(fork),
              "Observe: outcome out of range");
-  auto& buffer = buffers_[fork.index()];
-  buffer.push_back(outcome);
-  if (buffer.size() > window_) buffer.pop_front();
+  ForkWindow& w = windows_[k];
+  if (w.size == capacity_ && capacity_ < window_) Grow();
+  int& slot = ring_[k * capacity_ + w.head];
+  if (w.size == window_) {
+    --counts_[w.count_begin + static_cast<std::size_t>(slot)];
+  } else {
+    ++w.size;
+  }
+  slot = outcome;
+  ++counts_[w.count_begin + static_cast<std::size_t>(outcome)];
+  w.head = w.head + 1 == window_ ? 0 : w.head + 1;
 }
 
 void SlidingWindowProfiler::ObserveInstance(
@@ -33,8 +73,7 @@ void SlidingWindowProfiler::ObserveInstance(
 }
 
 std::size_t SlidingWindowProfiler::Count(TaskId fork) const {
-  ACTG_CHECK(graph_->IsFork(fork), "Count: task is not a fork");
-  return buffers_[fork.index()].size();
+  return windows_[IndexOf(fork, "Count")].size;
 }
 
 double SlidingWindowProfiler::WindowedProbability(TaskId fork,
@@ -48,22 +87,24 @@ double SlidingWindowProfiler::WindowedProbability(TaskId fork,
 
 std::vector<double> SlidingWindowProfiler::WindowedDistribution(
     TaskId fork) const {
-  ACTG_CHECK(graph_->IsFork(fork),
-             "WindowedDistribution: task is not a fork");
-  const auto& buffer = buffers_[fork.index()];
-  ACTG_CHECK(!buffer.empty(),
+  const ForkWindow& w =
+      windows_[IndexOf(fork, "WindowedDistribution")];
+  ACTG_CHECK(w.size > 0,
              "WindowedDistribution: no decisions buffered yet");
+  // A count of whole decisions is the exact sum of 1.0 per buffered
+  // entry, so the quotient equals the per-entry summation bit for bit.
   std::vector<double> dist(
-      static_cast<std::size_t>(graph_->OutcomeCount(fork)), 0.0);
-  for (int outcome : buffer) {
-    dist[static_cast<std::size_t>(outcome)] += 1.0;
+      static_cast<std::size_t>(graph_->OutcomeCount(fork)));
+  for (std::size_t o = 0; o < dist.size(); ++o) {
+    dist[o] = static_cast<double>(counts_[w.count_begin + o]) /
+              static_cast<double>(w.size);
   }
-  for (double& p : dist) p /= static_cast<double>(buffer.size());
   return dist;
 }
 
 void SlidingWindowProfiler::Reset() {
-  for (auto& buffer : buffers_) buffer.clear();
+  for (ForkWindow& w : windows_) w.head = w.size = 0;
+  std::fill(counts_.begin(), counts_.end(), 0);
 }
 
 double DistributionDistance(const std::vector<double>& a,

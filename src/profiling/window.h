@@ -10,7 +10,8 @@
 #ifndef ACTG_PROFILING_WINDOW_H
 #define ACTG_PROFILING_WINDOW_H
 
-#include <deque>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "ctg/activation.h"
@@ -20,6 +21,12 @@
 namespace actg::profiling {
 
 /// Per-fork circular buffers of the most recent branch decisions.
+///
+/// Storage covers the forks only: one ring of up to L slots per fork
+/// plus a count per outcome of how often it occurs in that ring, in
+/// three flat arrays. Non-fork tasks cost nothing. The rings start
+/// empty and double (all together) up to L as decisions arrive, so a
+/// window longer than the run costs only the decisions seen.
 class SlidingWindowProfiler {
  public:
   /// Creates buffers of length \p window for every fork of \p graph.
@@ -46,17 +53,42 @@ class SlidingWindowProfiler {
   /// one buffered decision.
   double WindowedProbability(TaskId fork, int outcome) const;
 
-  /// Windowed distribution over all outcomes of \p fork. Requires at
-  /// least one buffered decision.
+  /// Windowed distribution over all outcomes of \p fork: each outcome's
+  /// count over the buffered size. Requires at least one buffered
+  /// decision.
   std::vector<double> WindowedDistribution(TaskId fork) const;
 
   /// Drops all buffered decisions.
   void Reset();
 
  private:
+  /// One fork's window: the fork's ring holds its last `size`
+  /// decisions, counts_[count_begin, + arity) how often each outcome
+  /// occurs among them.
+  struct ForkWindow {
+    TaskId fork;
+    std::size_t count_begin = 0;
+    /// Ring slot the next decision goes to: `size` until the ring holds
+    /// a full window, then the oldest decision.
+    std::size_t head = 0;
+    std::size_t size = 0;
+  };
+
+  /// Index of \p fork's window; throws, naming \p op, unless it is a
+  /// fork.
+  std::size_t IndexOf(TaskId fork, const char* op) const;
+  /// Doubles every ring's capacity, capped at the window. Only rings
+  /// that are not full exist below the cap, and those have not wrapped,
+  /// so each keeps its first `size` slots.
+  void Grow();
+
   const ctg::Ctg* graph_;
   std::size_t window_;
-  std::vector<std::deque<int>> buffers_;  // dense by task index
+  std::vector<ForkWindow> windows_;  // sorted by fork id
+  /// Slots per ring: window k's ring is ring_[k * capacity_, +capacity_).
+  std::size_t capacity_ = 0;
+  std::vector<int> ring_;
+  std::vector<std::uint32_t> counts_;
 };
 
 /// Largest per-outcome absolute difference between two distributions of

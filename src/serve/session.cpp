@@ -116,6 +116,7 @@ void Session::Shutdown() {
   if (pending_.has_value()) {
     Reject("Shutdown", "has an unacknowledged result pending");
   }
+  ReleaseWorkspace();
   state_ = SessionState::kShutdown;
 }
 
@@ -128,7 +129,12 @@ void Session::Quarantine() {
   // NewInstance and its InstanceComplete ack — but drop any pending
   // result defensively so the summary never half-counts an instance.
   pending_.reset();
+  ReleaseWorkspace();
   state_ = SessionState::kQuarantined;
+}
+
+void Session::ReleaseWorkspace() {
+  if (controller_ != nullptr) controller_->ReleaseWorkspace();
 }
 
 const apps::TenantModel& Session::model() const {

@@ -16,6 +16,11 @@
 ///   Shutdown          finalizes the session; afterwards every event is
 ///                     rejected.
 ///
+/// A session that ends (Shutdown or Quarantine) frees its controller's
+/// reschedule workspace and keeps only its result: the summary, the
+/// model, the trace and the controller's current schedule and counters
+/// stay readable for the fleet report and the post-run oracle.
+///
 /// Out-of-order events (NewInstance before NewApp, InstanceComplete
 /// without a pending result, anything after Shutdown, a second NewApp)
 /// throw actg::InvalidArgument — the daemon's dispatch loop is expected
@@ -104,7 +109,8 @@ class Session {
   SessionStatus PeriodicCheck() const;
 
   /// Finalizes the session (any state except kShutdown or kQuarantined;
-  /// a pending unacknowledged instance is rejected).
+  /// a pending unacknowledged instance is rejected) and frees the
+  /// controller's reschedule workspace.
   void Shutdown();
 
   /// Marks the session watchdog-quarantined: its dispatcher caught
@@ -112,6 +118,7 @@ class Session {
   /// NewInstance are the cooperative check points). Terminal — every
   /// further event is rejected; the partial summary stays readable so
   /// the fleet report can account for what completed before the stall.
+  /// Frees the controller's reschedule workspace like Shutdown.
   void Quarantine();
 
   // -- Accessors ----------------------------------------------------
@@ -140,6 +147,8 @@ class Session {
 
  private:
   [[noreturn]] void Reject(const char* event, const char* why) const;
+  /// AdaptiveController::ReleaseWorkspace, once the app is built.
+  void ReleaseWorkspace();
 
   TenantRequest request_;
   SessionOptions options_;

@@ -51,6 +51,9 @@ InstanceResult ExecuteInstance(const sched::Schedule& schedule,
   ACTG_ASSERT(order.size() == n, "scheduled DAG contains a cycle");
 
   const bool faulted = faults != nullptr && faults->any;
+  ACTG_CHECK(!faulted || faults->task_time_factor.empty() ||
+                 faults->task_time_factor.size() == n,
+             "InstanceFaults::task_time_factor needs one entry per task");
   result.faults_injected = faulted;
 
   std::vector<double> ready(n, 0.0);

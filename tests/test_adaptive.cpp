@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <thread>
 
@@ -7,6 +8,8 @@
 #include "apps/common.h"
 #include "dvfs/stretch.h"
 #include "apps/fig1_example.h"
+#include "faults/injector.h"
+#include "faults/plan.h"
 #include "runtime/metrics.h"
 #include "runtime/schedule_cache.h"
 #include "sim/energy.h"
@@ -334,6 +337,124 @@ TEST(AdaptiveMetrics, ConcurrentControllersFillOnlyTheirOwnRegistries) {
               tiers.total());
     EXPECT_EQ(metrics[u].counter("adaptive.reschedule_calls"),
               counts[u].reschedule_calls);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Release contract: freeing the reschedule workspace changes no result.
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void ExpectSameSchedule(const sched::Schedule& want,
+                        const sched::Schedule& got) {
+  const ctg::Ctg& graph = want.graph();
+  for (TaskId task : graph.TaskIds()) {
+    const sched::TaskPlacement& a = want.placement(task);
+    const sched::TaskPlacement& b = got.placement(task);
+    EXPECT_EQ(a.pe, b.pe) << "task " << task.value;
+    EXPECT_EQ(a.order_index, b.order_index) << "task " << task.value;
+    EXPECT_EQ(Bits(a.speed_ratio), Bits(b.speed_ratio))
+        << "task " << task.value;
+    EXPECT_EQ(Bits(a.start_ms), Bits(b.start_ms)) << "task " << task.value;
+    EXPECT_EQ(Bits(a.finish_ms), Bits(b.finish_ms)) << "task " << task.value;
+  }
+  for (EdgeId edge : graph.EdgeIds()) {
+    EXPECT_EQ(Bits(want.comm(edge).start_ms), Bits(got.comm(edge).start_ms));
+    EXPECT_EQ(Bits(want.comm(edge).finish_ms),
+              Bits(got.comm(edge).finish_ms));
+  }
+  EXPECT_EQ(want.pseudo_edges().size(), got.pseudo_edges().size());
+}
+
+// Two controllers over the same faulted, drifting trace with the ladder
+// on, each with a private cache: one releases its workspace after every
+// instance, the other never does. Every instance result, every adopted
+// schedule and every count must agree, in both reschedule modes.
+TEST(AdaptiveRelease, ReleasingAfterEveryInstanceChangesNothing) {
+  tgff::RandomCtgParams params;
+  params.task_count = 20;
+  params.fork_count = 3;
+  params.category = tgff::Category::kForkJoin;
+  params.seed = 5;
+  tgff::RandomCase rc = tgff::MakeRandomCtg(params).value();
+  apps::AssignDeadline(rc.graph, rc.platform, 1.3);
+  const ctg::ActivationAnalysis analysis(rc.graph);
+  trace::TraceGenerator gen(rc.graph);
+  for (TaskId f : rc.graph.ForkIds()) {
+    trace::SinusoidProcess::Params sp;
+    sp.amplitude = 0.45;
+    sp.period = 90.0;
+    gen.SetProcess(f, std::make_unique<trace::SinusoidProcess>(sp));
+  }
+  util::Random rng(77);
+  const trace::BranchTrace trace = gen.Generate(500, rng);
+
+  faults::FaultPlan plan;
+  plan.overrun.probability = 0.15;
+  plan.overrun.min_factor = 1.2;
+  plan.overrun.max_factor = 1.8;
+  plan.dropout.probability = 0.05;
+  plan.dropout.duration = 3;
+  plan.dropout.rerun_penalty = 2.0;
+  const faults::Injector injector(plan, rc.graph, rc.platform, 21);
+
+  for (const RescheduleMode mode :
+       {RescheduleMode::kFull, RescheduleMode::kIncremental}) {
+    SCOPED_TRACE(RescheduleModeName(mode));
+    runtime::ScheduleCache caches[2];
+    std::vector<std::unique_ptr<AdaptiveController>> units;
+    for (runtime::ScheduleCache& cache : caches) {
+      AdaptiveOptions options;
+      options.window_length = 20;
+      options.threshold = 0.1;
+      options.reschedule.mode = mode;
+      options.reschedule.max_dirty_ratio = 0.9;
+      options.reschedule.verify_incremental =
+          mode == RescheduleMode::kIncremental;
+      options.cache = runtime::CacheBinding{&cache, 0};
+      options.degrade.enabled = true;
+      units.push_back(std::make_unique<AdaptiveController>(
+          rc.graph, analysis, rc.platform,
+          apps::UniformProbabilities(rc.graph), options));
+    }
+    AdaptiveController& kept = *units[0];
+    AdaptiveController& released = *units[1];
+    released.ReleaseWorkspace();
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      SCOPED_TRACE("instance " + std::to_string(i));
+      const faults::InstanceFaults f = injector.ForInstance(i);
+      ctg::BranchAssignment assignment = trace.At(i);
+      injector.ApplyDrift(i, assignment);
+      const sim::InstanceResult a = kept.ProcessInstance(assignment, &f);
+      const sim::InstanceResult b = released.ProcessInstance(assignment, &f);
+      released.ReleaseWorkspace();
+      ASSERT_EQ(Bits(a.energy_mj), Bits(b.energy_mj));
+      ASSERT_EQ(Bits(a.makespan_ms), Bits(b.makespan_ms));
+      ASSERT_EQ(Bits(a.overrun_ms), Bits(b.overrun_ms));
+      ASSERT_EQ(a.deadline_met, b.deadline_met);
+      ASSERT_EQ(a.active_tasks, b.active_tasks);
+      ASSERT_EQ(a.failed_pe_hits, b.failed_pe_hits);
+      ExpectSameSchedule(kept.current_schedule(), released.current_schedule());
+      ASSERT_FALSE(::testing::Test::HasFailure());
+    }
+    const TierCounts& want = kept.rescheduler().tier_counts();
+    const TierCounts& got = released.rescheduler().tier_counts();
+    EXPECT_EQ(got.exact, want.exact);
+    EXPECT_EQ(got.warm_prior, want.warm_prior);
+    EXPECT_EQ(got.full, want.full);
+    EXPECT_EQ(got.incremental_fallbacks, want.incremental_fallbacks);
+    EXPECT_EQ(released.reschedule_count(), kept.reschedule_count());
+    EXPECT_EQ(released.oob_reschedule_count(), kept.oob_reschedule_count());
+    EXPECT_EQ(released.escalation_count(), kept.escalation_count());
+    EXPECT_EQ(released.recovery_count(), kept.recovery_count());
+    // The run reaches every rung the release could disturb.
+    EXPECT_GT(want.exact, 0u);
+    EXPECT_GT(want.full, 0u);
+    EXPECT_GT(kept.oob_reschedule_count(), 0u);
+    EXPECT_GT(kept.reschedule_count(), 5u);
+    if (mode == RescheduleMode::kIncremental) {
+      EXPECT_GT(want.warm_prior, 0u);
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 #include "campaign/spec.h"
 #include "check/fuzz.h"
 #include "check/validator.h"
+#include "golden_file.h"
 #include "runtime/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -493,7 +494,9 @@ TEST(CampaignRunner, MakespanQuantilesNeverExceedTheMax) {
 }
 
 // The committed 1k-instance fleet: the golden --jobs byte-equality the
-// CI smoke job also replays through the actg_campaign binary.
+// CI smoke job also replays through the actg_campaign binary, and the
+// report itself pinned byte for byte (tests/golden; ACTG_REGOLDEN=1
+// regenerates it).
 TEST(CampaignGolden, CommittedFleetReportIsJobsInvariant) {
   const std::filesystem::path path =
       std::filesystem::path(ACTG_TEST_DATA_DIR) /
@@ -511,6 +514,7 @@ TEST(CampaignGolden, CommittedFleetReportIsJobsInvariant) {
   // The fleet really is the committed one.
   EXPECT_NE(reports[0].find("instances 1000 shards 8"),
             std::string::npos);
+  actg::golden::ExpectMatches(reports[0], "campaign_fleet1k.report");
 }
 
 // ---------------------------------- Checkpoint / resume / quarantine

@@ -1,17 +1,20 @@
-// Differential suite of the shared guard evaluation: the energy sums and
-// the schedule report over one ActivationAnalysis::Evaluate against a
-// reference copy of their per-call formulation (every edge guard rebuilt
-// as X(src) ∧ X(dst) ∧ C(e) and every task and edge guard Shannon-
-// expanded on each call). The production path builds the edge guards
-// once, expands each distinct guard once per probability vector and
-// shares the result between callers; every value it produces must be
-// bit-identical to the reference's.
+// Differential suite of the shared guard evaluation: the energy sums,
+// the schedule report and the online and NLP stretchers over one
+// ActivationAnalysis::Evaluate against a reference copy of their
+// per-call formulation (every edge guard rebuilt as X(src) ∧ X(dst) ∧
+// C(e) and every task and edge guard Shannon-expanded on each call, one
+// ActivationProbability per task in the stretchers). The production
+// path builds the edge guards once, expands each distinct guard once per
+// probability vector and shares the result between callers; every value
+// it produces must be bit-identical to the reference's.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "ctg/activation.h"
 #include "ctg/condition.h"
 #include "ctg/graph.h"
+#include "dvfs/path_engine.h"
 #include "dvfs/stretch.h"
 #include "sched/dls.h"
 #include "sched/schedule.h"
@@ -139,6 +143,196 @@ ScheduleReport RefBuildReport(const sched::Schedule& schedule,
   }
   report.mean_speed_ratio = weight > 0.0 ? weighted_speed / weight : 1.0;
   return report;
+}
+
+/// The stretchers' shared step: speed for \p slack_ms, lock, commit.
+void RefApplySlack(sched::Schedule& schedule, dvfs::PathEngine& paths,
+                   TaskId task, double slack_ms) {
+  const double wcet = schedule.NominalWcet(task);
+  const double allotted = wcet + std::max(slack_ms, 0.0);
+  const double sigma = schedule.platform().QuantizeSpeed(
+      schedule.placement(task).pe, wcet / allotted);
+  schedule.placement(task).speed_ratio = sigma;
+  paths.CommitTask(task, wcet / sigma - wcet, wcet);
+}
+
+/// StretchOnline (no warm start) with one ActivationProbability per task.
+void RefStretchOnline(sched::Schedule& schedule,
+                      const ctg::BranchProbabilities& probs) {
+  constexpr double kProbEps = 1e-9;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const ctg::ActivationAnalysis& analysis = schedule.analysis();
+  const double deadline = schedule.graph().deadline_ms();
+  dvfs::PathEngine paths(schedule.graph(), analysis, schedule.platform());
+  paths.Enumerate(schedule);
+  paths.BindProbabilities(probs);
+  std::vector<TaskId> order = schedule.graph().TaskIds();
+  std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+    return schedule.placement(a).order_index <
+           schedule.placement(b).order_index;
+  });
+  for (TaskId task : order) {
+    if (paths.Spanning(task).empty()) continue;
+    const double wcet = schedule.NominalWcet(task);
+    const double p_task = analysis.ActivationProbability(task, probs);
+    const dvfs::PathEngine::SpanningScan scan =
+        paths.ScanSpanning(task, deadline);
+    double slk1 = 0.0;
+    bool any_uncertain = false;
+    for (const ctg::Minterm& m : analysis.Gamma(task)) {
+      const dvfs::PathEngine::MintermProbe probe = paths.Probe(m);
+      double best_ratio = kInf;
+      double best_prob = 0.0;
+      for (std::size_t j = 0; j < scan.entries.size(); ++j) {
+        if (scan.prob_after[j] >= 1.0 - kProbEps) continue;
+        if (!paths.GuardCompatibleWith(scan.entries[j].path, probe)) continue;
+        if (scan.slack_ratio[j] < best_ratio) {
+          best_ratio = scan.slack_ratio[j];
+          best_prob = scan.prob_after[j];
+        }
+      }
+      if (best_ratio < kInf) {
+        any_uncertain = true;
+        slk1 += best_prob * wcet * best_ratio * p_task;
+      }
+    }
+    double slk2 = kInf;
+    bool any_certain = false;
+    for (std::size_t j = 0; j < scan.entries.size(); ++j) {
+      if (scan.prob_after[j] < 1.0 - kProbEps) continue;
+      const double candidate = wcet * scan.slack_ratio[j] * p_task;
+      if (candidate < slk2) {
+        slk2 = candidate;
+        any_certain = true;
+      }
+    }
+    double slack = 0.0;
+    if (any_uncertain && any_certain) {
+      slack = std::min(slk1, slk2);
+    } else if (any_uncertain) {
+      slack = slk1;
+    } else if (any_certain) {
+      slack = slk2;
+    }
+    for (const dvfs::PathEngine::SpanEntry& entry : paths.Spanning(task)) {
+      slack = std::min(slack, deadline - paths.delay_ms(entry.path));
+    }
+    RefApplySlack(schedule, paths, task, std::max(slack, 0.0));
+  }
+  schedule.RecomputeTimes();
+}
+
+/// StretchNlp with one ActivationProbability per task.
+void RefStretchNlp(sched::Schedule& schedule,
+                   const ctg::BranchProbabilities& probs,
+                   const dvfs::NlpOptions& options) {
+  const ctg::ActivationAnalysis& analysis = schedule.analysis();
+  const double deadline = schedule.graph().deadline_ms();
+  dvfs::PathEngine paths(schedule.graph(), analysis, schedule.platform());
+  paths.Enumerate(schedule);
+  const std::size_t n = schedule.graph().task_count();
+  std::vector<double> w(n), ub(n), g(n), t(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TaskId id{static_cast<int>(i)};
+    const PeId pe = schedule.placement(id).pe;
+    w[i] = schedule.NominalWcet(id);
+    ub[i] = w[i] / schedule.platform().pe(pe).min_speed_ratio;
+    g[i] = analysis.ActivationProbability(id, probs) *
+           schedule.platform().Energy(id, pe) * w[i] * w[i];
+    t[i] = w[i];
+  }
+  struct Constraint {
+    std::vector<std::size_t> members;
+    double cap;
+    double nominal;
+  };
+  std::vector<Constraint> constraints;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    Constraint c{{}, deadline - paths.comm_ms(i), 0.0};
+    for (TaskId task : paths.TasksOf(i)) {
+      c.members.push_back(task.index());
+      c.nominal += w[task.index()];
+    }
+    constraints.push_back(std::move(c));
+  }
+  const auto project = [&](int max_sweeps) {
+    for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+      bool violated = false;
+      for (const Constraint& c : constraints) {
+        double total = 0.0;
+        for (std::size_t i : c.members) total += t[i];
+        if (total <= c.cap + 1e-9) continue;
+        violated = true;
+        const double denom = total - c.nominal;
+        const double beta =
+            denom > 1e-12
+                ? std::clamp((c.cap - c.nominal) / denom, 0.0, 1.0)
+                : 0.0;
+        for (std::size_t i : c.members) t[i] = w[i] + beta * (t[i] - w[i]);
+      }
+      if (!violated) return true;
+    }
+    return false;
+  };
+  const auto objective = [&]() {
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) total += g[i] / (t[i] * t[i]);
+    return total;
+  };
+  ASSERT_TRUE(project(1 << 20));
+  std::vector<double> best_t = t;
+  double best_obj = objective();
+  double step = options.initial_step;
+  for (int iter = 0; iter < options.iterations; ++iter) {
+    double max_dir = 0.0;
+    std::vector<double> dir(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      dir[i] = 2.0 * g[i] / (t[i] * t[i] * t[i]);
+      max_dir = std::max(max_dir, dir[i]);
+    }
+    if (max_dir <= 0.0) break;
+    for (std::size_t i = 0; i < n; ++i) {
+      t[i] = std::clamp(t[i] + step * w[i] * dir[i] / max_dir, w[i], ub[i]);
+    }
+    const bool feasible = project(options.projection_sweeps);
+    const double obj = objective();
+    if (feasible && obj < best_obj - 1e-12) {
+      best_obj = obj;
+      best_t = t;
+    } else {
+      t = best_t;
+      step *= 0.7;
+      if (step < 1e-6) break;
+    }
+  }
+  t = best_t;
+  std::vector<std::vector<std::size_t>> memberships(n);
+  std::vector<double> path_total(constraints.size(), 0.0);
+  for (std::size_t c = 0; c < constraints.size(); ++c) {
+    for (std::size_t i : constraints[c].members) {
+      memberships[i].push_back(c);
+      path_total[c] += t[i];
+    }
+  }
+  for (int round = 0; round < 8; ++round) {
+    bool grew = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      double room = ub[i] - t[i];
+      for (std::size_t c : memberships[i]) {
+        room = std::min(room, constraints[c].cap - path_total[c]);
+      }
+      if (room > 1e-9) {
+        t[i] += room;
+        grew = true;
+        for (std::size_t c : memberships[i]) path_total[c] += room;
+      }
+    }
+    if (!grew) break;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    RefApplySlack(schedule, paths, TaskId{static_cast<int>(i)}, t[i] - w[i]);
+  }
+  schedule.RecomputeTimes();
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +516,64 @@ TEST(EnergyDifferential, SharedEvaluationSumsEqualTheReference) {
                     RefScenarioEnergy(stretched, scenario));
         }
       }
+    }
+  }
+}
+
+void ExpectSameSpeeds(const sched::Schedule& got,
+                      const sched::Schedule& want) {
+  for (TaskId task : got.graph().TaskIds()) {
+    EXPECT_EQ(Bits(got.placement(task).speed_ratio),
+              Bits(want.placement(task).speed_ratio))
+        << "task " << task.value;
+    EXPECT_EQ(Bits(got.placement(task).finish_ms),
+              Bits(want.placement(task).finish_ms))
+        << "task " << task.value;
+  }
+}
+
+TEST(StretchDifferential, OnlineSpeedsEqualThePerTaskReference) {
+  for (const Model& model : Models()) {
+    SCOPED_TRACE(model.name);
+    const ctg::ActivationAnalysis analysis(model.graph);
+    dvfs::PathEngine engine(model.graph, analysis, model.platform);
+    for (int k = 0; k < kVectors; ++k) {
+      SCOPED_TRACE("vector " + std::to_string(k));
+      const ctg::BranchProbabilities probs = Vector(model.graph, k);
+      const sched::Schedule nominal =
+          sched::RunDls(model.graph, analysis, model.platform, probs);
+      sched::Schedule want = nominal;
+      RefStretchOnline(want, probs);
+      sched::Schedule got = nominal;
+      dvfs::StretchOnline(got, probs);
+      ExpectSameSpeeds(got, want);
+      sched::Schedule reused = nominal;
+      dvfs::StretchOnline(reused, probs, {}, &engine);
+      ExpectSameSpeeds(reused, want);
+    }
+  }
+}
+
+TEST(StretchDifferential, NlpSpeedsEqualThePerTaskReference) {
+  dvfs::NlpOptions options;
+  options.iterations = 300;
+  std::size_t checked = 0;
+  for (const Model& model : Models()) {
+    // Every structured model and one random model in four keep the
+    // 300-iteration NLP cheap.
+    if (model.name.rfind("random", 0) == 0 && checked++ % 4 != 0) continue;
+    SCOPED_TRACE(model.name);
+    const ctg::ActivationAnalysis analysis(model.graph);
+    for (int k = 0; k < 4; ++k) {
+      SCOPED_TRACE("vector " + std::to_string(k));
+      const ctg::BranchProbabilities probs = Vector(model.graph, 3 * k);
+      const sched::Schedule nominal =
+          sched::RunDls(model.graph, analysis, model.platform, probs);
+      sched::Schedule want = nominal;
+      RefStretchNlp(want, probs, options);
+      sched::Schedule got = nominal;
+      dvfs::StretchNlp(got, probs, options);
+      ExpectSameSpeeds(got, want);
     }
   }
 }

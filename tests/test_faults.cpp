@@ -230,6 +230,42 @@ TEST_F(InjectorFixture, DropoutWindowsCoverConsecutiveInstances) {
                           << " instances";
 }
 
+// InstanceFaults is a public struct: a caller-built factor vector that
+// is shorter than the task count must be rejected, not read past its end
+// (by the executor or by the oracle's independent replay).
+TEST_F(InjectorFixture, ShortTaskTimeFactorIsRejected) {
+  const auto probs = apps::UniformProbabilities(ex_.graph);
+  const sched::Schedule schedule =
+      sched::RunDls(ex_.graph, analysis_, ex_.platform, probs);
+  ctg::BranchAssignment assignment(ex_.graph.task_count());
+  for (TaskId fork : ex_.graph.ForkIds()) assignment.Set(fork, 0);
+  const sim::InstanceResult clean =
+      sim::ExecuteInstance(schedule, assignment);
+
+  InstanceFaults faults;
+  faults.any = true;
+  faults.task_time_factor.assign(ex_.graph.task_count() - 1, 1.5);
+  EXPECT_THROW(sim::ExecuteInstance(schedule, assignment, &faults),
+               InvalidArgument);
+  EXPECT_THROW(check::CheckInstance(schedule, assignment, clean, &faults),
+               InvalidArgument);
+  EXPECT_THROW(check::ValidateInstance(schedule, assignment, clean, &faults),
+               InvalidArgument);
+  faults.task_time_factor.assign(ex_.graph.task_count() + 1, 1.5);
+  EXPECT_THROW(sim::ExecuteInstance(schedule, assignment, &faults),
+               InvalidArgument);
+
+  // One entry per task, or none, is accepted.
+  faults.task_time_factor.assign(ex_.graph.task_count(), 1.5);
+  EXPECT_NO_THROW(sim::ExecuteInstance(schedule, assignment, &faults));
+  faults.task_time_factor.clear();
+  faults.failed_pes = 1ULL;
+  faults.rerun_penalty = 2.0;
+  const sim::InstanceResult hit =
+      sim::ExecuteInstance(schedule, assignment, &faults);
+  EXPECT_NO_THROW(check::ValidateInstance(schedule, assignment, hit, &faults));
+}
+
 TEST_F(InjectorFixture, ExecutorReportsOverrunsAndFailedPeHits) {
   const auto probs = apps::UniformProbabilities(ex_.graph);
   const sched::Schedule schedule =

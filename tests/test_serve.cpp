@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "check/validator.h"
+#include "golden_file.h"
 #include "serve/admission.h"
 #include "serve/request.h"
 #include "serve/server.h"
@@ -220,6 +221,52 @@ TEST(Session, RunsToCompletionAndAggregates) {
   session.Shutdown();
 }
 
+// A session that ends, by Shutdown or by Quarantine, frees its
+// reschedule workspace but keeps its result: the schedule in force, the
+// counters and the trace read as before, and the oracle still replays
+// them.
+TEST(Session, EndingKeepsTheScheduleInForce) {
+  for (const bool quarantine : {false, true}) {
+    SCOPED_TRACE(quarantine ? "quarantine" : "shutdown");
+    Session session = MakeSession(40);
+    session.NewApp();
+    while (session.remaining() > 0) {
+      session.NewInstance();
+      session.InstanceComplete();
+    }
+    const adaptive::AdaptiveController& controller = session.controller();
+    ASSERT_GT(controller.reschedule_count(), 0u);
+    const sched::Schedule before = controller.current_schedule();
+    const std::size_t reschedules = controller.reschedule_count();
+    const std::uint64_t requests =
+        controller.rescheduler().tier_counts().total();
+
+    if (quarantine) {
+      session.Quarantine();
+    } else {
+      session.Shutdown();
+    }
+    const sched::Schedule& after = session.controller().current_schedule();
+    for (TaskId task : session.model().graph().TaskIds()) {
+      const sched::TaskPlacement& a = before.placement(task);
+      const sched::TaskPlacement& b = after.placement(task);
+      EXPECT_EQ(a.pe, b.pe);
+      EXPECT_EQ(a.order_index, b.order_index);
+      EXPECT_EQ(a.speed_ratio, b.speed_ratio);
+      EXPECT_EQ(a.start_ms, b.start_ms);
+      EXPECT_EQ(a.finish_ms, b.finish_ms);
+    }
+    EXPECT_EQ(session.controller().reschedule_count(), reschedules);
+    EXPECT_EQ(session.controller().rescheduler().tier_counts().total(),
+              requests);
+    EXPECT_EQ(session.summary().instances, 40u);
+    check::Validate(after);
+    const sim::InstanceResult replay =
+        sim::ExecuteInstance(after, session.assignment(39));
+    check::ValidateInstance(after, session.assignment(39), replay);
+  }
+}
+
 TEST(Session, IdenticalInputsReproduceIdenticalSummaries) {
   Session a = MakeSession(6);
   Session b = MakeSession(6);
@@ -335,6 +382,24 @@ TEST(Server, CommittedSmokeFleetReplaysDeterministically) {
     for (const TenantReport& row : server.value()->report().tenants) {
       EXPECT_EQ(row.completed, row.requested);
     }
+  }
+}
+
+// The committed 104-tenant fleet CI also replays through actg_serve:
+// its report pinned byte for byte at two --jobs values (tests/golden;
+// ACTG_REGOLDEN=1 regenerates it).
+TEST(ServeGolden, CommittedFleet100ReportMatchesGolden) {
+  const std::filesystem::path path =
+      std::filesystem::path(ACTG_TEST_DATA_DIR) / "serve_fleet100.serve";
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::ifstream is(path);
+    ASSERT_TRUE(is) << path;
+    std::ostringstream report;
+    auto server = RunServeFile(is, jobs, report);
+    ASSERT_TRUE(server.ok()) << server.error().message();
+    EXPECT_NE(report.str().find("tenants 104 "), std::string::npos);
+    actg::golden::ExpectMatches(report.str(), "serve_fleet100.report");
   }
 }
 

@@ -346,8 +346,6 @@ TEST_F(TraceFixture, MarkovProcessDrivesGenerator) {
 // ---------------------------------------------------------------------------
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -357,6 +355,7 @@ TEST_F(TraceFixture, MarkovProcessDrivesGenerator) {
 #include "apps/common.h"
 #include "dvfs/algorithms.h"
 #include "dvfs/policy.h"
+#include "golden_file.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "runtime/pool.h"
@@ -504,21 +503,7 @@ TEST(ObsTrace, GoldenChromeTraceFig1) {
   }
   std::ostringstream out;
   WriteChromeTrace(out, session);
-
-  const std::string golden_path =
-      std::string(ACTG_TEST_GOLDEN_DIR) + "/fig1_trace.json";
-  if (std::getenv("ACTG_REGOLDEN") != nullptr) {
-    std::ofstream file(golden_path);
-    ASSERT_TRUE(file.good()) << "cannot write " << golden_path;
-    file << out.str();
-    GTEST_SKIP() << "regenerated " << golden_path;
-  }
-  std::ifstream file(golden_path);
-  ASSERT_TRUE(file.good()) << "missing golden file " << golden_path
-                           << " (run with ACTG_REGOLDEN=1)";
-  std::ostringstream expected;
-  expected << file.rdbuf();
-  EXPECT_EQ(out.str(), expected.str());
+  actg::golden::ExpectMatches(out.str(), "fig1_trace.json");
 }
 
 TEST(ObsTrace, ChromeExportEscapesJson) {

@@ -2,6 +2,8 @@
 
 #include <iostream>
 
+#include <sys/resource.h>
+
 #include "util/atomic_file.h"
 #include "util/error.h"
 
@@ -105,6 +107,12 @@ int DumpMetrics(std::string_view tool, const std::string& path,
   const util::Error err = file.Commit();
   if (!err.ok()) return Fail(tool, err.message());
   return 0;
+}
+
+long MaxRssKb() {
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return usage.ru_maxrss;
 }
 
 }  // namespace actg::cli

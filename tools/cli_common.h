@@ -87,6 +87,10 @@ class ReportSink {
 int DumpMetrics(std::string_view tool, const std::string& path,
                 const runtime::Metrics& metrics);
 
+/// Peak resident set of this process in KiB (getrusage), or 0 where the
+/// platform does not report it.
+long MaxRssKb();
+
 }  // namespace actg::cli
 
 #endif  // ACTG_TOOLS_CLI_COMMON_H
