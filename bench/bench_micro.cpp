@@ -20,6 +20,7 @@
 #include "experiments.h"
 #include "obs/setup.h"
 #include "profiling/window.h"
+#include "runtime/schedule_cache.h"
 #include "sched/dls.h"
 #include "sim/energy.h"
 #include "sim/executor.h"
@@ -284,6 +285,39 @@ void BM_SlidingWindowObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlidingWindowObserve);
+
+// One schedule-cache request per iteration (Lookup, then Insert on a
+// miss) at capacity state.range(0): three in five on a recurring key of
+// a hot set half the capacity, two in five on a key never seen before.
+// Eviction takes its victim from an ordered index, so the cost per
+// request should grow with log capacity; a scan of every resident per
+// eviction would grow with capacity.
+void BM_ScheduleCacheChurn(benchmark::State& state) {
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  const Workbench wb(10, 2, 2);
+  const runtime::ScheduleCacheEntry entry{
+      sched::RunDls(wb.rc.graph, wb.analysis, wb.rc.platform, wb.probs), {}};
+  runtime::ScheduleCache cache(
+      runtime::ScheduleCacheOptions{.capacity = capacity});
+  runtime::ScheduleCacheKey key = runtime::MakeCacheKey(
+      wb.rc.graph, wb.probs, 1, 2, 3, /*tenant=*/0, "online");
+  const std::size_t hot = capacity / 2;
+  std::size_t request = 0;
+  double one_off = 2.0;
+  for (auto _ : state) {
+    key.probs[0] = request % 5 < 3
+                       ? static_cast<double>(request * 7919 % hot)
+                       : one_off++;
+    ++request;
+    auto hit = cache.Lookup(key);
+    if (!hit) cache.Insert(key, entry);
+    benchmark::DoNotOptimize(hit);
+  }
+  state.counters["hit_ratio"] =
+      static_cast<double>(cache.hits()) /
+      static_cast<double>(cache.hits() + cache.misses());
+}
+BENCHMARK(BM_ScheduleCacheChurn)->Arg(64)->Arg(4096);
 
 }  // namespace
 

@@ -11,8 +11,9 @@
 /// operating point to schedule for and under which constraints; the
 /// facade decides *how* — consulting the tiers in order:
 ///
-///   1. exact cache hit   — Lookup; bit-identical to a from-scratch
-///                          recompute.
+///   1. exact cache hit   — Lookup; the entry cached for exactly these
+///                          probabilities (in full mode bit-identical
+///                          to a from-scratch recompute).
 ///   2. warm start        — incremental mode only: dirty-region DLS
 ///                          seeded by the facade's own last result
 ///                          (kWarmPrior), then a warm stretch that
@@ -34,9 +35,14 @@
 /// workspace, so "sched.dls", "dvfs.enumerate" and "dvfs.stretch" land
 /// beside it; without a registry nothing is recorded.
 ///
-/// Exactness contract per tier: kExact returns the bytes a recompute
-/// would produce (the cache key folds the reschedule mode into the
-/// config fingerprint, so entries never cross modes). kWarmPrior
+/// Exactness contract per tier: kExact returns the entry inserted for
+/// exactly these probabilities in this mode (the cache key folds the
+/// reschedule mode into the config fingerprint, so entries never cross
+/// modes). In full mode those are the bytes a recompute would produce.
+/// In incremental mode they are what a warm start produced earlier,
+/// possibly another controller's sharing the key space, so the cache's
+/// capacity and eviction order can move incremental-mode schedules and
+/// energies (each one oracle-valid either way). kWarmPrior
 /// returns oracle-valid, deadline-safe schedules that may differ from a
 /// full recompute — the controller's energy-acceptance gate decides
 /// adoption, exactly as it does for noisy windowed estimates. kFull is

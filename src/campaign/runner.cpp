@@ -190,9 +190,9 @@ void RunShard(const CampaignSpec& spec, const CampaignOptions& options,
       // so cross-instance exact hits do the heavy lifting — which
       // couples an instance's outcome to the shard-mates that filled
       // the cache. The control arm gives each instance a private cache
-      // instead: its own keys AND its own LRU budget, so hit/miss
-      // patterns (and therefore the result) stay a pure function of
-      // (spec, i).
+      // instead: its own keys AND its own capacity and eviction history,
+      // so hit/miss patterns (and therefore the result) stay a pure
+      // function of (spec, i).
       std::optional<runtime::ScheduleCache> private_cache;
       if (!spec.share_cache) {
         private_cache.emplace(ScheduleCacheOptionsFor(spec),

@@ -14,6 +14,19 @@ namespace {
 /// on the stored key keeps results unchanged at any resolution.
 constexpr double kHashQuantization = 1u << 16;
 
+/// Identifies a key in the eviction history: every field's exact bits,
+/// unlike KeyHash, which buckets probabilities.
+std::uint64_t ExactHash(const ScheduleCacheKey& key) {
+  std::uint64_t hash = util::HashCombine(util::kFnvOffset,
+                                         key.graph_fingerprint);
+  hash = util::HashCombine(hash, key.platform_fingerprint);
+  hash = util::HashCombine(hash, key.config_fingerprint);
+  hash = util::HashCombine(hash, key.tenant);
+  hash = util::HashCombine(hash, util::HashBytes(key.policy));
+  for (double p : key.probs) hash = util::HashDouble(hash, p);
+  return hash;
+}
+
 }  // namespace
 
 ScheduleCacheKey MakeCacheKey(const ctg::Ctg& graph,
@@ -55,51 +68,56 @@ std::size_t ScheduleCache::KeyHash::operator()(
 }
 
 ScheduleCache::ScheduleCache(ScheduleCacheOptions options, Metrics* metrics)
-    : options_(options), metrics_(metrics), index_(/*bucket_count=*/16) {}
+    : options_(options), metrics_(metrics) {}
 
 std::optional<ScheduleCacheEntry> ScheduleCache::Lookup(
     const ScheduleCacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
+  const auto it = slots_.find(key);
+  if (it == slots_.end()) {
     ++misses_;
     if (metrics_) metrics_->Increment("schedule_cache.misses");
     return std::nullopt;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
+  Use(*it);
   ++hits_;
   if (metrics_) metrics_->Increment("schedule_cache.hits");
-  return it->second->entry;
+  return it->second.entry;
 }
 
 void ScheduleCache::Insert(const ScheduleCacheKey& key,
                            ScheduleCacheEntry entry) {
   if (options_.capacity == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->entry = std::move(entry);
-    lru_.splice(lru_.begin(), lru_, it->second);
+  if (const auto it = slots_.find(key); it != slots_.end()) {
+    it->second.entry = std::move(entry);
+    Use(*it);
     return;
   }
-  lru_.push_front(Slot{key, std::move(entry)});
-  index_.emplace(key, lru_.begin());
-  if (lru_.size() > options_.capacity) {
-    const auto victim = std::prev(lru_.end());
-    index_.erase(victim->key);
-    lru_.pop_back();
-    ++evictions_;
-    if (metrics_) metrics_->Increment("schedule_cache.evictions");
+  const std::uint64_t hash = ExactHash(key);
+  std::uint64_t uses = 1;
+  if (const auto record = history_index_.find(hash);
+      record != history_index_.end()) {
+    uses += record->second->uses;
+    history_.erase(record->second);
+    history_index_.erase(record);
   }
+  // Evicting before the new key joins the order keeps it from being
+  // its own victim.
+  if (slots_.size() == options_.capacity) EvictOne();
+  const auto it =
+      slots_.emplace(key, Slot{std::move(entry), hash, Rank{uses, ++clock_}})
+          .first;
+  order_.emplace(it->second.rank, &*it);
 }
 
 std::size_t ScheduleCache::Purge(std::uint64_t tenant) {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t removed = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->key.tenant == tenant) {
-      index_.erase(it->key);
-      it = lru_.erase(it);
+  for (auto it = slots_.begin(); it != slots_.end();) {
+    if (it->first.tenant == tenant) {
+      order_.erase(it->second.rank);
+      it = slots_.erase(it);
       ++removed;
     } else {
       ++it;
@@ -110,7 +128,38 @@ std::size_t ScheduleCache::Purge(std::uint64_t tenant) {
 
 std::size_t ScheduleCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
+  return slots_.size();
+}
+
+void ScheduleCache::Use(Resident& resident) {
+  Rank& rank = resident.second.rank;
+  auto node = order_.extract(rank);
+  rank = Rank{rank.uses + 1, ++clock_};
+  node.key() = rank;
+  order_.insert(std::move(node));
+}
+
+void ScheduleCache::EvictOne() {
+  const auto victim = order_.begin();
+  const auto it = slots_.find(victim->second->first);
+  const Evicted record{it->second.exact_hash, it->second.rank.uses};
+  order_.erase(victim);
+  slots_.erase(it);
+  ++evictions_;
+  if (metrics_) metrics_->Increment("schedule_cache.evictions");
+
+  // Only a 64-bit collision finds a record here; the newer one wins.
+  if (const auto old = history_index_.find(record.exact_hash);
+      old != history_index_.end()) {
+    history_.erase(old->second);
+    history_index_.erase(old);
+  }
+  history_.push_back(record);
+  history_index_.emplace(record.exact_hash, std::prev(history_.end()));
+  if (history_.size() > options_.capacity) {
+    history_index_.erase(history_.front().exact_hash);
+    history_.pop_front();
+  }
 }
 
 namespace {

@@ -1,6 +1,6 @@
 /// \file schedule_cache.h
-/// LRU memoization of (schedule, stretch) results for the adaptive
-/// controller.
+/// Frequency-aware memoization of (schedule, stretch) results for the
+/// adaptive controller.
 ///
 /// The adaptive framework recomputes DLS + stretching every time a
 /// threshold crossing occurs — even when the windowed branch-probability
@@ -13,12 +13,33 @@
 ///
 /// Lookup() is exact. Probabilities are *quantized only for hashing*
 /// (bucket selection, round(p * 2^16)); a lookup hits only when the
-/// stored probability vector matches the query bit-for-bit. A hit
-/// therefore returns exactly what recomputation would have produced
-/// (DLS and the stretcher are deterministic), so enabling the cache
-/// never changes any result — it only skips work. Windowed estimates
-/// are ratios of small integer counts over a fixed window length, so
+/// stored probability vector matches the query bit-for-bit, and a hit
+/// returns the entry inserted for that key. Windowed estimates are
+/// ratios of small integer counts over a fixed window length, so
 /// recurring operating points reproduce identical doubles and do hit.
+///
+/// What a hit is worth depends on the reschedule mode (the config
+/// fingerprint separates the modes, so entries never cross them). In
+/// full mode an entry is a from-scratch DLS + stretch, which is
+/// deterministic, so a hit returns exactly what a recompute would and
+/// enabling the cache — at any capacity — never changes a result. In
+/// incremental mode an entry is whatever a warm start produced for
+/// those probabilities from its controller's basis at the time,
+/// possibly another controller's sharing the key space; a hit returns
+/// that oracle-valid schedule, which a recompute need not reproduce. So
+/// in incremental mode the capacity and the eviction policy (which
+/// decide what is still cached) can move schedules and energies.
+///
+/// Eviction keeps recurring operating points and lets one-off estimates
+/// go. Each resident entry counts its uses (the insert and every hit);
+/// beyond capacity the entry with the fewest uses goes, the least
+/// recently used among equals. An evicted key leaves a fixed-size record
+/// (exact-key hash, uses) in a FIFO history of at most capacity records,
+/// so a key that returns resumes its count instead of starting over.
+/// Counts never decay: a hot set that stops recurring keeps its slots
+/// until keys with more uses displace it. Each operation costs
+/// O(log capacity); the history only ever picks the victim, so a history
+/// hash collision can change what is evicted, never a result.
 ///
 /// Cached Schedule objects reference the graph/analysis/platform they
 /// were built from; those must outlive the cache.
@@ -33,8 +54,10 @@
 #define ACTG_RUNTIME_SCHEDULE_CACHE_H
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -97,7 +120,9 @@ struct ScheduleCacheEntry {
 
 /// Configuration of the cache.
 struct ScheduleCacheOptions {
-  /// Maximum number of entries; the least recently used is evicted.
+  /// Maximum number of resident entries. Beyond it the entry with the
+  /// fewest uses is evicted (the least recently used among equals), and
+  /// the cache remembers up to this many evicted keys' use counts.
   std::size_t capacity = 128;
 };
 
@@ -123,25 +148,29 @@ struct CacheBinding {
   explicit operator bool() const { return cache != nullptr; }
 };
 
-/// Thread-safe LRU table of (key -> schedule, stretch stats).
+/// Thread-safe frequency-aware table of (key -> schedule, stretch
+/// stats); see the file comment for the eviction policy.
 class ScheduleCache {
  public:
   /// \p metrics, when set, mirrors the hit/miss/eviction counters into
   /// a Metrics registry under "schedule_cache.{hits,misses,evictions}".
+  /// Allocates nothing until the first insert.
   explicit ScheduleCache(ScheduleCacheOptions options = {},
                          Metrics* metrics = nullptr);
 
-  /// Returns a copy of the entry for \p key and marks it most recently
-  /// used; nullopt (and a miss) when absent.
+  /// Returns a copy of the entry for \p key and counts a use of it;
+  /// nullopt (and a miss) when absent.
   std::optional<ScheduleCacheEntry> Lookup(const ScheduleCacheKey& key);
 
-  /// Inserts (or replaces) the entry for \p key as most recently used,
-  /// evicting the least recently used entry beyond capacity.
+  /// Inserts (or replaces) the entry for \p key and counts a use of it.
+  /// A new key starts at one use, or one more than its history record
+  /// holds; beyond capacity the resident with the fewest uses (least
+  /// recently used among equals) is evicted, never \p key itself.
   void Insert(const ScheduleCacheKey& key, ScheduleCacheEntry entry);
 
   /// Drops every entry whose key carries \p tenant (session shutdown in
   /// the serve daemon). Returns the number of entries removed; purged
-  /// entries do not count as evictions.
+  /// entries do not count as evictions and leave no history record.
   std::size_t Purge(std::uint64_t tenant);
 
   std::size_t size() const;
@@ -150,20 +179,43 @@ class ScheduleCache {
   std::uint64_t evictions() const { return evictions_; }
 
  private:
+  /// Eviction order: fewer uses first, then the older last use. Every
+  /// use takes a new tick of the cache's clock, so ranks never tie.
+  struct Rank {
+    std::uint64_t uses = 0;
+    std::uint64_t last_use = 0;
+    friend auto operator<=>(const Rank&, const Rank&) = default;
+  };
   struct Slot {
-    ScheduleCacheKey key;
     ScheduleCacheEntry entry;
+    std::uint64_t exact_hash = 0;
+    Rank rank;
+  };
+  /// What an evicted key leaves behind: its use count, no result.
+  struct Evicted {
+    std::uint64_t exact_hash = 0;
+    std::uint64_t uses = 0;
   };
   struct KeyHash {
     std::size_t operator()(const ScheduleCacheKey& key) const;
   };
+  using SlotMap = std::unordered_map<ScheduleCacheKey, Slot, KeyHash>;
+  using Resident = SlotMap::value_type;
+
+  /// Counts a use: one more use, a new tick, a new place in order_.
+  void Use(Resident& resident);
+  /// Evicts the lowest-ranked resident into the history.
+  void EvictOne();
 
   ScheduleCacheOptions options_;
   Metrics* metrics_;
   mutable std::mutex mu_;
-  std::list<Slot> lru_;  // front = most recently used
-  std::unordered_map<ScheduleCacheKey, std::list<Slot>::iterator, KeyHash>
-      index_;
+  SlotMap slots_;
+  std::map<Rank, Resident*> order_;  // begin() = next victim
+  std::list<Evicted> history_;       // front = oldest record
+  std::unordered_map<std::uint64_t, std::list<Evicted>::iterator>
+      history_index_;                // exact_hash -> record
+  std::uint64_t clock_ = 0;
   std::atomic<std::uint64_t> hits_ = 0;
   std::atomic<std::uint64_t> misses_ = 0;
   std::atomic<std::uint64_t> evictions_ = 0;
@@ -175,7 +227,7 @@ struct ShardedScheduleCacheOptions {
   /// SplitMix-mixed(t) % shards, so consecutive tenant ids spread
   /// evenly. Must be > 0.
   std::size_t shards = 8;
-  /// Per-shard LRU capacity (see ScheduleCacheOptions).
+  /// Per-shard capacity (see ScheduleCacheOptions).
   std::size_t shard_capacity = 64;
 };
 
@@ -183,7 +235,7 @@ struct ShardedScheduleCacheOptions {
 /// shards, routed by the key's tenant id. Thousands of controllers in
 /// one process contend only within their own shard's mutex, and a
 /// tenant's entries can be purged on session shutdown without touching
-/// the other shards' LRU order. Thread-safe like the shards it owns.
+/// the other shards' eviction order. Thread-safe like the shards it owns.
 class ShardedScheduleCache {
  public:
   /// \p metrics mirrors each shard's counters under

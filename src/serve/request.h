@@ -62,7 +62,8 @@ struct ServeConfig {
   std::size_t shard_capacity = 64;
   /// When true every tenant keys the cache with tenant 0: explicit
   /// cross-tenant sharing (identical graphs/configs hit each other's
-  /// entries; results are unchanged by the cache's exactness contract).
+  /// entries; full-mode results are unchanged by the cache's exactness
+  /// contract, see runtime/schedule_cache.h).
   /// When false (default) the key space is tenant-partitioned and a
   /// session shutdown purges exactly its own entries.
   bool share_cache = false;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "adaptive/controller.h"
 #include "adaptive/rescheduler.h"
 #include "apps/common.h"
 #include "check/fuzz.h"
@@ -859,6 +861,87 @@ TEST(Rescheduler, WarmStartDeterministicAcrossJobCounts) {
       EXPECT_TRUE(SamePlacements(fc.graph, serial[k].schedules[i],
                                  parallel[k].schedules[i]))
           << "instance " << k << " step " << i;
+    }
+  }
+}
+
+// The cache contract per mode, at capacity 0 (nothing cached), 1 (every
+// new key evicts) and 64. Three controllers share one key space, as the
+// instances of a campaign shard do. In full mode an entry is a
+// deterministic recompute, so the capacity never changes a result. In
+// incremental mode an entry is a warm start from the basis of whichever
+// controller inserted it, so the capacity may move results; every
+// schedule a controller adopts must still pass the oracle.
+TEST(Rescheduler, CacheCapacityChangesNoFullModeResult) {
+  const FacadeCase fc;
+  constexpr int kControllers = 3;
+  constexpr int kInstances = 160;
+  check::Expectations expect;
+  expect.deadline_feasible = true;
+
+  struct Run {
+    std::vector<double> energies;
+    std::vector<sched::Schedule> schedules;
+    std::uint64_t hits = 0;
+    std::uint64_t evictions = 0;
+  };
+  const auto run = [&](adaptive::RescheduleMode mode, std::size_t capacity) {
+    runtime::ScheduleCache cache(
+        runtime::ScheduleCacheOptions{.capacity = capacity});
+    Run out;
+    for (int c = 0; c < kControllers; ++c) {
+      adaptive::AdaptiveOptions options;
+      options.window_length = 4;
+      options.threshold = 0.1;
+      options.reschedule.mode = mode;
+      options.cache = runtime::CacheBinding{&cache, 0};
+      adaptive::AdaptiveController controller(fc.graph, *fc.analysis,
+                                              fc.platform, fc.base, options);
+      util::Random rng(static_cast<std::uint64_t>(c) + 1);
+      for (int i = 0; i < kInstances; ++i) {
+        ctg::BranchAssignment assignment(fc.graph.task_count());
+        for (TaskId fork : fc.graph.ForkIds()) {
+          assignment.Set(fork,
+                         rng.UniformInt(0, fc.graph.OutcomeCount(fork) - 1));
+        }
+        out.energies.push_back(
+            controller.ProcessInstance(assignment).energy_mj);
+        EXPECT_NO_THROW(check::Validate(controller.current_schedule(), expect))
+            << "controller " << c << " instance " << i;
+      }
+      out.schedules.push_back(controller.current_schedule());
+    }
+    out.hits = cache.hits();
+    out.evictions = cache.evictions();
+    return out;
+  };
+
+  const Run full_none = run(adaptive::RescheduleMode::kFull, 0);
+  for (const std::size_t capacity : {1u, 64u}) {
+    const Run full = run(adaptive::RescheduleMode::kFull, capacity);
+    ASSERT_GT(full.evictions, 0u) << "capacity " << capacity;
+    if (capacity == 64) {
+      ASSERT_GT(full.hits, 0u);
+    }
+    ASSERT_EQ(full.energies.size(), full_none.energies.size());
+    for (std::size_t i = 0; i < full.energies.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(full.energies[i]),
+                std::bit_cast<std::uint64_t>(full_none.energies[i]))
+          << "capacity " << capacity << " instance " << i;
+    }
+    for (int c = 0; c < kControllers; ++c) {
+      EXPECT_TRUE(
+          SamePlacements(fc.graph, full.schedules[c], full_none.schedules[c]))
+          << "capacity " << capacity << " controller " << c;
+    }
+  }
+  // Incremental mode: the oracle checks inside run() are the contract;
+  // at capacity 64 some adopted schedules are cached warm starts.
+  for (const std::size_t capacity : {0u, 1u, 64u}) {
+    const Run incremental =
+        run(adaptive::RescheduleMode::kIncremental, capacity);
+    if (capacity == 64) {
+      EXPECT_GT(incremental.hits, 0u);
     }
   }
 }

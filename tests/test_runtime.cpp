@@ -243,6 +243,12 @@ class ScheduleCacheFixture : public ::testing::Test {
     return key;
   }
 
+  ScheduleCacheKey MakeTenantKey(double p, std::uint64_t tenant) const {
+    ScheduleCacheKey key = MakeKey({p});
+    key.tenant = tenant;
+    return key;
+  }
+
   apps::Fig1Example ex_;
   ctg::ActivationAnalysis analysis_;
 };
@@ -544,6 +550,125 @@ TEST_F(ScheduleCacheFixture, ShardedCacheRoutesStatsAndPurgesPerShard) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(cache.ShardFor(b).Lookup(keyed(b)).has_value());
   EXPECT_EQ(cache.evictions(), 0u);
+}
+
+// ------------------------------------------------------ Eviction policy
+
+/// One controller-style request: Lookup, and Insert on a miss. Returns
+/// whether it hit.
+bool Request(ScheduleCache& cache, const ScheduleCacheKey& key,
+             const ScheduleCacheEntry& entry) {
+  if (cache.Lookup(key).has_value()) return true;
+  cache.Insert(key, entry);
+  return false;
+}
+
+TEST_F(ScheduleCacheFixture, HotSetKeepsHittingThroughOneOffStream) {
+  // Four recurring keys, each round followed by six one-off keys: ten
+  // distinct keys per round against a capacity of eight, so a least
+  // recently used policy never hits at all. Counting uses, the hot keys
+  // outrank the one-offs from their second round on (their evicted
+  // counts come back from the history), and the one-offs only evict
+  // each other.
+  ScheduleCacheOptions options;
+  options.capacity = 8;
+  ScheduleCache cache(options);
+  const ScheduleCacheEntry entry = MakeEntry(ex_.probs);
+  constexpr int kRounds = 50;
+  int hot_hits = 0;
+  int one_off = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int h = 0; h < 4; ++h) {
+      hot_hits += Request(cache, MakeKey({0.1 * (h + 1)}), entry);
+    }
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_FALSE(Request(cache, MakeKey({2.0 + one_off++}), entry));
+    }
+  }
+  EXPECT_EQ(hot_hits, 4 * (kRounds - 2));
+}
+
+TEST_F(ScheduleCacheFixture, ReinsertedKeyResumesItsCount) {
+  ScheduleCacheOptions options;
+  options.capacity = 2;
+  ScheduleCache cache(options);
+  const ScheduleCacheEntry entry = MakeEntry(ex_.probs);
+  const ScheduleCacheKey a = MakeTenantKey(0.1, 1);
+  const ScheduleCacheKey b = MakeTenantKey(0.2, 2);
+  cache.Insert(a, entry);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(cache.Lookup(a).has_value());
+  cache.Insert(b, entry);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(cache.Lookup(b).has_value());
+
+  // a (4 uses) makes way for a new key while b (6 uses) stays; back
+  // again, a resumes at 5 uses and evicts the newcomer.
+  cache.Insert(MakeTenantKey(0.3, 1), entry);
+  EXPECT_FALSE(cache.Lookup(a).has_value());
+  cache.Insert(a, entry);
+  EXPECT_FALSE(cache.Lookup(MakeTenantKey(0.3, 1)).has_value());
+
+  // With b gone, a fresh key is the next victim, not a, although a was
+  // used less recently than the fresh key.
+  ASSERT_EQ(cache.Purge(2), 1u);
+  cache.Insert(MakeTenantKey(0.4, 1), entry);
+  cache.Insert(MakeTenantKey(0.5, 1), entry);
+  EXPECT_TRUE(cache.Lookup(a).has_value());
+  EXPECT_FALSE(cache.Lookup(MakeTenantKey(0.4, 1)).has_value());
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST_F(ScheduleCacheFixture, PurgeAfterEvictionsFreesOnlyThatTenantsSlots) {
+  ScheduleCacheOptions options;
+  options.capacity = 3;
+  ScheduleCache cache(options);
+  const ScheduleCacheEntry entry = MakeEntry(ex_.probs);
+  auto use = [&](const ScheduleCacheKey& key, int hits) {
+    cache.Insert(key, entry);
+    for (int i = 0; i < hits; ++i) ASSERT_TRUE(cache.Lookup(key).has_value());
+  };
+  // Two keys with four uses each make way for b (tenant 1) and two
+  // tenant-3 keys.
+  use(MakeTenantKey(0.1, 1), 3);
+  use(MakeTenantKey(0.2, 2), 3);
+  use(MakeTenantKey(0.3, 1), 9);
+  use(MakeTenantKey(0.4, 3), 9);
+  const ScheduleCacheKey survivor = MakeTenantKey(0.5, 3);
+  use(survivor, 0);
+  ASSERT_EQ(cache.evictions(), 2u);
+
+  EXPECT_EQ(cache.Purge(1), 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 2u);
+
+  // The freed slot takes a new key without an eviction. The next new
+  // key evicts the survivor: one use, like the newcomer, but older.
+  cache.Insert(MakeTenantKey(0.6, 2), entry);
+  EXPECT_EQ(cache.evictions(), 2u);
+  cache.Insert(MakeTenantKey(0.7, 2), entry);
+  EXPECT_EQ(cache.evictions(), 3u);
+  EXPECT_FALSE(cache.Lookup(survivor).has_value());
+  EXPECT_TRUE(cache.Lookup(MakeTenantKey(0.4, 3)).has_value());
+  EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST_F(ScheduleCacheFixture, SizeStaysWithinCapacityAndEveryOverflowEvictsOne) {
+  ScheduleCacheOptions options;
+  options.capacity = 16;
+  ScheduleCache cache(options);
+  const ScheduleCacheEntry entry = MakeEntry(ex_.probs);
+  util::Random rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    // Half the requests draw from 24 recurring keys, half are one-offs.
+    const double p = rng.Bernoulli(0.5)
+                         ? static_cast<double>(rng.UniformInt(0, 23))
+                         : 100.0 + i;
+    Request(cache, MakeKey({p}), entry);
+    ASSERT_LE(cache.size(), options.capacity);
+  }
+  // Every miss inserted a new key; each one beyond capacity evicted
+  // exactly one resident.
+  EXPECT_EQ(cache.evictions(), cache.misses() - cache.size());
+  EXPECT_EQ(cache.size(), options.capacity);
 }
 
 // -------------------------------------------------------------- Metrics
