@@ -6,6 +6,7 @@
 /// usable for runtime adaptation.
 
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -145,6 +146,46 @@ void BM_ExecuteInstance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteInstance);
+
+void BM_ExecuteInstanceMpeg(benchmark::State& state) {
+  // One execution of the stretched MPEG schedule, the per-instance cost
+  // of every controller, cycling through the model's scenario
+  // assignments. Recorded, not gated.
+  const apps::MpegModel model = apps::MakeMpegModel();
+  const ctg::ActivationAnalysis analysis(model.graph);
+  const auto probs = apps::UniformProbabilities(model.graph);
+  sched::Schedule s =
+      sched::RunDls(model.graph, analysis, model.platform, probs);
+  dvfs::ApplyPolicy("online", s, probs);
+  std::vector<ctg::BranchAssignment> assignments;
+  for (const ctg::Minterm& scenario :
+       analysis.EnumerateScenarioAssignments()) {
+    assignments.push_back(sim::AssignmentFromScenario(model.graph, scenario));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::ExecuteInstance(s, assignments[next]).energy_mj);
+    next = next + 1 == assignments.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_ExecuteInstanceMpeg);
+
+void BM_ScheduleRecomputeTimes(benchmark::State& state) {
+  // The ASAP pass over the stretched MPEG schedule's compiled DAG that
+  // closes every DLS and every stretch. Recorded, not gated.
+  const apps::MpegModel model = apps::MakeMpegModel();
+  const ctg::ActivationAnalysis analysis(model.graph);
+  const auto probs = apps::UniformProbabilities(model.graph);
+  sched::Schedule s =
+      sched::RunDls(model.graph, analysis, model.platform, probs);
+  dvfs::ApplyPolicy("online", s, probs);
+  for (auto _ : state) {
+    s.RecomputeTimes();
+    benchmark::DoNotOptimize(s.Makespan());
+  }
+}
+BENCHMARK(BM_ScheduleRecomputeTimes);
 
 void BM_AdaptiveStepNoTrigger(benchmark::State& state) {
   // Cost of one instance through the controller when no threshold

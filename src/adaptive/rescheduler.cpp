@@ -139,9 +139,9 @@ runtime::ScheduleCacheKey Rescheduler::MakeKey(
 std::vector<int> Rescheduler::ShapeSignature(
     const sched::Schedule& schedule) const {
   // ((pe, order_index), task) sorted gives the per-PE task sequences in
-  // commit order — exactly what BuildDagAdjacency derives pseudo edges
-  // from. Global order_index values are irrelevant, only the per-PE
-  // sequences matter, so the signature records (pe, task) pairs.
+  // commit order — exactly what the DLS derives pseudo edges from.
+  // Global order_index values are irrelevant, only the per-PE sequences
+  // matter, so the signature records (pe, task) pairs.
   std::vector<std::pair<std::pair<int, int>, int>> keyed;
   keyed.reserve(graph_->task_count());
   for (TaskId task : graph_->TaskIds()) {
@@ -170,12 +170,15 @@ void Rescheduler::ApplyStretch(sched::Schedule& schedule,
   ctx.stretch = config_.stretch;
   ctx.speed_floor = speed_floor;
   ctx.warm = warm;
+  const std::uint64_t enum_id = engine_.enumeration_id();
   stats = policy_->Apply(engine_, ctx);
-  // The engine now holds an enumeration for this schedule's shape
-  // (either freshly enumerated or rewound-and-recommitted); record the
-  // pair that lets the next warm stretch rewind instead of re-running
-  // the path DFS. Only the warm-start rung reads it.
-  if (incremental()) {
+  // When Apply enumerated, the engine now holds this schedule's shape:
+  // record the pair that lets the next warm stretch rewind instead of
+  // re-running the path DFS. A rewound stretch left the recorded pair
+  // as it was, and a nominal-floor stretch never touched the engine, so
+  // recording its shape would pair it with an older enumeration. Only
+  // the warm-start rung reads the pair.
+  if (incremental() && engine_.enumeration_id() != enum_id) {
     engine_shape_ = ShapeSignature(schedule);
     engine_enum_id_ = engine_.enumeration_id();
   }

@@ -31,7 +31,9 @@ std::string TaskLabel(const ctg::Ctg& graph, TaskId t) {
 /// The scheduled DAG re-derived from primitives: CTG edges, the implied
 /// fork -> or-node dependencies straight from the analysis (not the
 /// schedule's recorded copy), and the scheduler's pseudo order edges.
-struct ScheduledDag {
+/// Deliberately not the schedule's compiled sched::ScheduledDag: the
+/// oracle must not share a bug with the code it checks.
+struct OracleDag {
   /// Successor lists: (dst, edge id or nullopt for extra edges).
   std::vector<std::vector<std::pair<TaskId, std::optional<EdgeId>>>> adj;
   /// Kahn order; shorter than task_count when the DAG has a cycle.
@@ -39,10 +41,10 @@ struct ScheduledDag {
   bool acyclic = false;
 };
 
-ScheduledDag BuildScheduledDag(const sched::Schedule& schedule) {
+OracleDag BuildScheduledDag(const sched::Schedule& schedule) {
   const ctg::Ctg& graph = schedule.graph();
   const std::size_t n = graph.task_count();
-  ScheduledDag dag;
+  OracleDag dag;
   dag.adj.resize(n);
   for (EdgeId eid : graph.EdgeIds()) {
     const ctg::Edge& e = graph.edge(eid);
@@ -90,7 +92,7 @@ struct InstanceEval {
 };
 
 InstanceEval EvalInstance(const sched::Schedule& schedule,
-                          const ScheduledDag& dag,
+                          const OracleDag& dag,
                           const ctg::BranchAssignment& assignment,
                           const faults::InstanceFaults* faults) {
   const ctg::Ctg& graph = schedule.graph();
@@ -365,7 +367,7 @@ void CheckExclusion(const sched::Schedule& schedule, Report& report) {
   }
 }
 
-void CheckDeadline(const sched::Schedule& schedule, const ScheduledDag& dag,
+void CheckDeadline(const sched::Schedule& schedule, const OracleDag& dag,
                    const Expectations& expect, Report& report) {
   const double deadline = expect.deadline_ms > 0.0
                               ? expect.deadline_ms
@@ -427,7 +429,7 @@ Report CheckSchedule(const sched::Schedule& schedule,
   if (report.Has("placement.pe")) {
     return report;  // further checks dereference the placement PEs
   }
-  const ScheduledDag dag = BuildScheduledDag(schedule);
+  const OracleDag dag = BuildScheduledDag(schedule);
   if (!dag.acyclic) {
     report.Add("dag.acyclic", "scheduled DAG contains a cycle");
     return report;  // time/scenario checks assume an order exists
@@ -453,7 +455,7 @@ Report CheckInstance(const sched::Schedule& schedule,
       return report;  // the replay dereferences the placement PEs
     }
   }
-  const ScheduledDag dag = BuildScheduledDag(schedule);
+  const OracleDag dag = BuildScheduledDag(schedule);
   if (!dag.acyclic) {
     report.Add("dag.acyclic", "scheduled DAG contains a cycle");
     return report;

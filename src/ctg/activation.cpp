@@ -49,6 +49,7 @@ void ActivationAnalysis::ComputeGuards() {
   for (Guard& guard : task_guards) {
     task_slots_.push_back(Intern(std::move(guard)));
   }
+  task_guard_count_ = guards_.size();
   // Edge guards in exactly this call sequence: Simplify is not a
   // canonical form, so conjoining in another order could yield a
   // different (equivalent) DNF and round its Shannon expansion
@@ -173,6 +174,22 @@ ActivationProbabilities ActivationAnalysis::Evaluate(
 bool ActivationAnalysis::IsActive(TaskId task,
                                   const BranchAssignment& assignment) const {
   return ActivationGuard(task).Evaluate(assignment);
+}
+
+std::vector<char> ActivationAnalysis::ActiveTasks(
+    const BranchAssignment& assignment) const {
+  // One allocation: the task flags, then one value per distinct task
+  // guard (interned first, so they are guards_[0, task_guard_count_)),
+  // which the final resize drops.
+  const std::size_t n = task_slots_.size();
+  std::vector<char> active(n + task_guard_count_);
+  char* const value = active.data() + n;
+  for (std::size_t k = 0; k < task_guard_count_; ++k) {
+    value[k] = guards_[k].Evaluate(assignment) ? 1 : 0;
+  }
+  for (std::size_t t = 0; t < n; ++t) active[t] = value[task_slots_[t]];
+  active.resize(n);
+  return active;
 }
 
 bool ActivationAnalysis::IsActive(TaskId task,

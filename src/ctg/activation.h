@@ -115,6 +115,11 @@ class ActivationAnalysis {
   /// True when \p task is activated by the given full branch assignment.
   bool IsActive(TaskId task, const BranchAssignment& assignment) const;
 
+  /// Every task's activity under \p assignment, one flag per task
+  /// (1 = active). Evaluates each distinct activation guard once, so
+  /// entry τ equals IsActive(τ, assignment).
+  std::vector<char> ActiveTasks(const BranchAssignment& assignment) const;
+
   /// True when \p task is active under a scenario minterm: some minterm
   /// of Γ(τ) is implied by the scenario assignment.
   bool IsActive(TaskId task, const Minterm& scenario) const;
@@ -154,6 +159,7 @@ class ActivationAnalysis {
 
   const Ctg* graph_;
   std::vector<Guard> guards_;             // distinct task and edge guards
+  std::size_t task_guard_count_ = 0;      // task guards: guards_[0, count)
   std::vector<std::size_t> task_slots_;   // task index -> guards_ index
   std::vector<std::size_t> edge_slots_;   // edge index -> guards_ index
   ConditionSpace space_;

@@ -123,24 +123,18 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
     edge_comm_ms_[e] = schedule.EdgeCommTime(EdgeId{static_cast<int>(e)});
   }
 
-  schedule.BuildDagAdjacency(adj_);
-  has_pred_.assign(n, false);
-  for (const auto& out : adj_) {
-    for (const auto& [dst, eid] : out) has_pred_[dst.index()] = true;
-  }
-
+  const sched::ScheduledDag& dag = schedule.dag();
   try {
-    for (std::size_t s = 0; s < n; ++s) {
-      if (has_pred_[s]) continue;
+    for (const std::uint32_t s : dag.sources()) {
       const TaskId source{static_cast<int>(s)};
       if (use_bitset_) {
         bit_stack_[0] = analysis_->BitActivationGuard(source);
         if (drop_unrealizable && bit_stack_[0].IsFalse()) continue;
-        VisitBit(source, 0, drop_unrealizable);
+        VisitBit(dag, source, 0, drop_unrealizable);
       } else {
         dnf_stack_[0] = analysis_->ActivationGuard(source);
         if (drop_unrealizable && dnf_stack_[0].IsFalse()) continue;
-        VisitDnf(source, 0, drop_unrealizable);
+        VisitDnf(dag, source, 0, drop_unrealizable);
       }
     }
   } catch (...) {
@@ -157,44 +151,50 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
   }
 }
 
-void PathEngine::VisitBit(TaskId task, std::size_t depth,
-                          bool drop_unrealizable) {
+void PathEngine::VisitBit(const sched::ScheduledDag& dag, TaskId task,
+                          std::size_t depth, bool drop_unrealizable) {
   task_stack_.push_back(task);
   bool extended = false;
-  for (const auto& [dst, eid] : adj_[task.index()]) {
+  for (std::uint32_t arc = dag.arc_begin(task.index());
+       arc < dag.arc_end(task.index()); ++arc) {
+    const TaskId dst = dag.target(arc);
+    const EdgeId eid = dag.edge(arc);
     ctg::BitGuard& next = bit_stack_[depth + 1];
     next = bit_stack_[depth];
     next.AndWith(analysis_->BitActivationGuard(dst), and_scratch_);
-    if (eid.has_value() && edge_has_cond_[eid->index()]) {
-      next.AndWithMinterm(edge_cond_bits_[eid->index()]);
+    if (eid.valid() && edge_has_cond_[eid.index()]) {
+      next.AndWithMinterm(edge_cond_bits_[eid.index()]);
     }
     if (drop_unrealizable && next.IsFalse()) continue;
     extended = true;
-    edge_stack_.push_back(eid.value_or(EdgeId{}));
-    VisitBit(dst, depth + 1, drop_unrealizable);
+    edge_stack_.push_back(eid);
+    VisitBit(dag, dst, depth + 1, drop_unrealizable);
     edge_stack_.pop_back();
   }
   if (!extended) Emit(depth);
   task_stack_.pop_back();
 }
 
-void PathEngine::VisitDnf(TaskId task, std::size_t depth,
-                          bool drop_unrealizable) {
+void PathEngine::VisitDnf(const sched::ScheduledDag& dag, TaskId task,
+                          std::size_t depth, bool drop_unrealizable) {
   const auto arity = graph_->ArityFn();
   task_stack_.push_back(task);
   bool extended = false;
-  for (const auto& [dst, eid] : adj_[task.index()]) {
+  for (std::uint32_t arc = dag.arc_begin(task.index());
+       arc < dag.arc_end(task.index()); ++arc) {
+    const TaskId dst = dag.target(arc);
+    const EdgeId eid = dag.edge(arc);
     ctg::Guard next =
         dnf_stack_[depth].And(analysis_->ActivationGuard(dst), arity);
-    if (eid.has_value()) {
-      const auto& cond = graph_->edge(*eid).condition;
+    if (eid.valid()) {
+      const auto& cond = graph_->edge(eid).condition;
       if (cond.has_value()) next = next.AndCondition(*cond, arity);
     }
     if (drop_unrealizable && next.IsFalse()) continue;
     extended = true;
     dnf_stack_[depth + 1] = std::move(next);
-    edge_stack_.push_back(eid.value_or(EdgeId{}));
-    VisitDnf(dst, depth + 1, drop_unrealizable);
+    edge_stack_.push_back(eid);
+    VisitDnf(dag, dst, depth + 1, drop_unrealizable);
     edge_stack_.pop_back();
   }
   if (!extended) Emit(depth);
@@ -390,7 +390,7 @@ void PathEngine::RewindCommits() {
 
 void PathEngine::ReleaseWorkspace() {
   ++enumeration_id_;
-  Free(adj_, has_pred_, bit_stack_, dnf_stack_, and_scratch_, task_stack_,
+  Free(bit_stack_, dnf_stack_, and_scratch_, task_stack_,
        edge_stack_, task_exec_ms_, edge_comm_ms_, task_begin_, task_pool_,
        cond_begin_, cond_pool_, guard_begin_, guard_pool_, dnf_guards_,
        comm_, delay_, unlocked_, nominal_delay_, nominal_unlocked_,

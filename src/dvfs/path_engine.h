@@ -3,13 +3,14 @@
 ///
 /// The adaptive controller re-runs DLS + path enumeration + stretching
 /// on every threshold crossing; PathSet (paths.h) rebuilds all of its
-/// scaffolding — adjacency, per-path task/edge/guard vectors, spanning
-/// lists — from scratch on every call, and carries a DNF guard per path
+/// scaffolding — per-path task/edge/guard vectors, spanning lists —
+/// from scratch on every call, and carries a DNF guard per path
 /// whose conjunctions allocate at every DFS step. A PathEngine is
 /// constructed once per (graph, analysis, platform) and owns all of
 /// that storage plus a sched::DlsWorkspace for the scheduler's scratch
 /// buffers. Repeated Enumerate() calls reuse every buffer's capacity,
-/// and path guards are kept in the compiled bitset form of
+/// the DFS walks the schedule's compiled sched::ScheduledDag, and path
+/// guards are kept in the compiled bitset form of
 /// condition_bitset.h, so the realizability test at each DFS step and
 /// the guard-vs-minterm compatibility tests during stretching are word
 /// ops.
@@ -226,8 +227,8 @@ class PathEngine {
   sched::DlsWorkspace& dls_workspace() { return dls_workspace_; }
 
   /// Frees every reusable buffer: the path store and spanning lists,
-  /// the DFS stacks and adjacency, the per-enumeration and scan scratch
-  /// and the DLS workspace's buffers (its registry stays). The engine
+  /// the DFS stacks, the per-enumeration and scan scratch and the DLS
+  /// workspace's buffers (its registry stays). The engine
   /// is then empty as after a failed enumeration: size() is 0 and
   /// enumeration_id() has advanced, so no caller can rewind the freed
   /// store. Later calls regrow the buffers and compute exactly what an
@@ -235,8 +236,10 @@ class PathEngine {
   void ReleaseWorkspace();
 
  private:
-  void VisitBit(TaskId task, std::size_t depth, bool drop_unrealizable);
-  void VisitDnf(TaskId task, std::size_t depth, bool drop_unrealizable);
+  void VisitBit(const sched::ScheduledDag& dag, TaskId task,
+                std::size_t depth, bool drop_unrealizable);
+  void VisitDnf(const sched::ScheduledDag& dag, TaskId task,
+                std::size_t depth, bool drop_unrealizable);
   void Emit(std::size_t depth);
   /// Adds \p delta to counter \p name in the engine's registry, if any.
   void Count(const char* name, std::uint64_t delta = 1) const;
@@ -259,8 +262,6 @@ class PathEngine {
   std::vector<char> edge_has_cond_;              // by edge index
 
   // Reused across Enumerate() calls.
-  sched::Schedule::DagAdjacency adj_;
-  std::vector<bool> has_pred_;
   std::vector<ctg::BitGuard> bit_stack_;   // DFS guard per depth
   std::vector<ctg::Guard> dnf_stack_;      // DNF mode
   ctg::BitGuard and_scratch_;

@@ -16,11 +16,7 @@ PathSet::PathSet(const sched::Schedule& schedule, std::size_t max_paths,
   const std::size_t n = graph.task_count();
   by_task_.assign(n, {});
 
-  const sched::Schedule::DagAdjacency adj = schedule.BuildDagAdjacency();
-  std::vector<bool> has_pred(n, false);
-  for (const auto& out : adj) {
-    for (const auto& [dst, eid] : out) has_pred[dst.index()] = true;
-  }
+  const sched::ScheduledDag& dag = schedule.dag();
 
   std::vector<TaskId> tasks;
   std::vector<std::optional<EdgeId>> edges;
@@ -56,7 +52,11 @@ PathSet::PathSet(const sched::Schedule& schedule, std::size_t max_paths,
       [&](TaskId task, const ctg::Guard& guard) {
         tasks.push_back(task);
         bool extended = false;
-        for (const auto& [dst, eid] : adj[task.index()]) {
+        for (std::uint32_t arc = dag.arc_begin(task.index());
+             arc < dag.arc_end(task.index()); ++arc) {
+          const TaskId dst = dag.target(arc);
+          std::optional<EdgeId> eid;
+          if (dag.edge(arc).valid()) eid = dag.edge(arc);
           ctg::Guard next_guard =
               guard.And(analysis.ActivationGuard(dst), arity);
           if (eid.has_value()) {
@@ -75,8 +75,7 @@ PathSet::PathSet(const sched::Schedule& schedule, std::size_t max_paths,
         tasks.pop_back();
       };
 
-  for (std::size_t s = 0; s < n; ++s) {
-    if (has_pred[s]) continue;
+  for (const std::uint32_t s : dag.sources()) {
     const TaskId source{static_cast<int>(s)};
     const ctg::Guard& guard = analysis.ActivationGuard(source);
     if (!drop_unrealizable || !guard.IsFalse()) visit(source, guard);

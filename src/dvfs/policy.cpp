@@ -67,7 +67,12 @@ StretchStats Policy::Apply(PathEngine& engine, PolicyContext& ctx) const {
   if (probe.tracing()) {
     probe.AddArg(obs::StrArg("policy", std::string(Name())));
   }
-  const StretchStats stats = DoApply(engine, ctx);
+  // A nominal floor overrides whatever speed the stretcher would pick
+  // (the clamp below raises every ratio to full speed), so skip the
+  // stretch and pin the clamp's own result.
+  const bool nominal = ctx.speed_floor >= 1.0;
+  const StretchStats stats =
+      nominal ? StretchStats{} : DoApply(engine, ctx);
   if (ctx.speed_floor > 0.0) {
     // Clamp hook: raise every ratio to the floor. Faster-only, so the
     // deadline guarantee of the stretcher is preserved by construction.
@@ -82,12 +87,16 @@ StretchStats Policy::Apply(PathEngine& engine, PolicyContext& ctx) const {
         changed = true;
       }
     }
-    if (changed) schedule.RecomputeTimes();
+    if (changed || nominal) schedule.RecomputeTimes();
+  }
+  if (nominal && engine.options().metrics != nullptr) {
+    engine.options().metrics->Increment("dvfs.stretch.nominal");
   }
   if (probe.tracing()) {
     if (ctx.speed_floor > 0.0) {
       probe.AddArg(obs::NumArg("speed_floor", ctx.speed_floor));
     }
+    if (nominal) probe.AddArg(obs::IntArg("nominal", 1));
     probe.AddArg(obs::IntArg(
         "paths", static_cast<std::int64_t>(stats.path_count)));
   }

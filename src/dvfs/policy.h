@@ -49,6 +49,9 @@ struct PolicyContext {
   /// ("panic to nominal") so a reschedule during an overrun burst never
   /// voltage-scales into the deadline it is trying to save; raising
   /// speeds only shortens paths, so a feasible stretch stays feasible.
+  /// A floor of 1.0 or more overrides every speed the stretcher could
+  /// pick, so Apply skips the stretcher and applies the clamp alone
+  /// (counted as "dvfs.stretch.nominal"; the returned stats are empty).
   double speed_floor = 0.0;
   /// Optional warm-start seed (see dvfs::StretchWarmStart). Honored by
   /// "online" and "proportional"; "nlp" ignores it and recomputes from

@@ -27,6 +27,7 @@ void Schedule::AddPseudoEdge(TaskId src, TaskId dst) {
   ACTG_CHECK(src.valid() && dst.valid() && src != dst,
              "Pseudo edge endpoints must be distinct valid tasks");
   pseudo_edges_.push_back(ExtraEdge{src, dst});
+  dag_ = ScheduledDag{};
 }
 
 double Schedule::NominalWcet(TaskId task) const {
@@ -64,61 +65,32 @@ double Schedule::Makespan() const {
   return makespan;
 }
 
-Schedule::DagAdjacency Schedule::BuildDagAdjacency() const {
-  DagAdjacency adj;
-  BuildDagAdjacency(adj);
-  return adj;
-}
-
-void Schedule::BuildDagAdjacency(DagAdjacency& out) const {
-  out.resize(graph_->task_count());
-  for (auto& successors : out) successors.clear();
-  for (EdgeId eid : graph_->EdgeIds()) {
-    const ctg::Edge& e = graph_->edge(eid);
-    out[e.src.index()].emplace_back(e.dst, eid);
-  }
-  for (const ExtraEdge& e : control_edges_) {
-    out[e.src.index()].emplace_back(e.dst, std::nullopt);
-  }
-  for (const ExtraEdge& e : pseudo_edges_) {
-    out[e.src.index()].emplace_back(e.dst, std::nullopt);
-  }
+const ScheduledDag& Schedule::dag() const {
+  ACTG_ASSERT(dag_.compiled(),
+              "scheduled DAG not compiled: RecomputeTimes() must follow "
+              "the last AddPseudoEdge()");
+  return dag_;
 }
 
 void Schedule::RecomputeTimes() {
-  const std::size_t n = graph_->task_count();
-  const DagAdjacency adj = BuildDagAdjacency();
-
-  // Kahn order over the scheduled DAG (it may have more edges than the
-  // CTG, so the CTG's topological order is not sufficient).
-  std::vector<int> in_degree(n, 0);
-  for (const auto& out : adj) {
-    for (const auto& [dst, eid] : out) ++in_degree[dst.index()];
+  if (!dag_.compiled()) {
+    dag_ = ScheduledDag::Compile(*graph_, control_edges_, pseudo_edges_);
   }
-  std::vector<TaskId> order;
-  order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in_degree[i] == 0) order.push_back(TaskId{static_cast<int>(i)});
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    const TaskId u = order[head];
-    for (const auto& [dst, eid] : adj[u.index()]) {
-      if (--in_degree[dst.index()] == 0) order.push_back(dst);
-    }
-  }
-  ACTG_ASSERT(order.size() == n, "scheduled DAG contains a cycle");
-
-  std::vector<double> ready(n, 0.0);
-  for (const TaskId u : order) {
-    TaskPlacement& p = placements_[u.index()];
-    p.start_ms = ready[u.index()];
+  std::vector<double> ready(graph_->task_count(), 0.0);
+  for (const std::uint32_t index : dag_.order()) {
+    const TaskId u{static_cast<int>(index)};
+    TaskPlacement& p = placements_[index];
+    p.start_ms = ready[index];
     p.finish_ms = p.start_ms + ScaledWcet(u);
-    for (const auto& [dst, eid] : adj[u.index()]) {
+    for (std::uint32_t arc = dag_.arc_begin(index);
+         arc < dag_.arc_end(index); ++arc) {
+      const TaskId dst = dag_.target(arc);
+      const EdgeId eid = dag_.edge(arc);
       double arrival = p.finish_ms;
-      if (eid.has_value()) {
-        const double comm_time = EdgeCommTime(*eid);
-        comms_[eid->index()].start_ms = p.finish_ms;
-        comms_[eid->index()].finish_ms = p.finish_ms + comm_time;
+      if (eid.valid()) {
+        const double comm_time = EdgeCommTime(eid);
+        comms_[eid.index()].start_ms = p.finish_ms;
+        comms_[eid.index()].finish_ms = p.finish_ms + comm_time;
         arrival += comm_time;
       }
       ready[dst.index()] = std::max(ready[dst.index()], arrival);

@@ -13,12 +13,12 @@
 #ifndef ACTG_SCHED_SCHEDULE_H
 #define ACTG_SCHED_SCHEDULE_H
 
-#include <optional>
 #include <vector>
 
 #include "arch/platform.h"
 #include "ctg/activation.h"
 #include "ctg/graph.h"
+#include "sched/scheduled_dag.h"
 
 namespace actg::sched {
 
@@ -43,14 +43,6 @@ struct CommPlacement {
   /// PEs; zero-length (start == finish) for same-PE edges.
   double start_ms = 0.0;
   double finish_ms = 0.0;
-};
-
-/// An extra precedence constraint of the scheduled DAG that is not a CTG
-/// edge: either a pseudo order edge (same-PE serialization) or an implied
-/// fork -> or-node control dependency. Carries no data.
-struct ExtraEdge {
-  TaskId src;
-  TaskId dst;
 };
 
 /// A complete static schedule. Produced by the schedulers in dls.h,
@@ -81,6 +73,8 @@ class Schedule {
   const std::vector<ExtraEdge>& pseudo_edges() const {
     return pseudo_edges_;
   }
+  /// Adds a pseudo order edge; drops the compiled DAG, which the next
+  /// RecomputeTimes() compiles again.
   void AddPseudoEdge(TaskId src, TaskId dst);
 
   /// Implied fork -> or-node control dependencies (from the analysis).
@@ -109,20 +103,15 @@ class Schedule {
   /// Recomputes all worst-case start/finish times (and comm windows)
   /// from the scheduled DAG under the current speed ratios, preserving
   /// the DAG structure. Start(τ) = max over scheduled-DAG predecessors
-  /// of finish + comm delay. Used after stretching.
+  /// of finish + comm delay. Compiles the scheduled DAG first when the
+  /// schedule has none (the scheduler's closing call); later calls
+  /// reuse it.
   void RecomputeTimes();
 
-  /// Successor lists of the scheduled DAG: for each task, pairs of
-  /// (successor, edge id or nullopt for extra edges).
-  using DagAdjacency =
-      std::vector<std::vector<std::pair<TaskId, std::optional<EdgeId>>>>;
-
-  /// Builds the forward adjacency of the scheduled DAG.
-  DagAdjacency BuildDagAdjacency() const;
-
-  /// Builds the adjacency into \p out, reusing its storage (the
-  /// per-task inner vectors keep their capacity across reschedules).
-  void BuildDagAdjacency(DagAdjacency& out) const;
+  /// The compiled scheduled DAG, shared by every copy of this schedule.
+  /// Throws actg::InternalError when the schedule has none: none before
+  /// the first RecomputeTimes() and none after an AddPseudoEdge().
+  const ScheduledDag& dag() const;
 
   /// Validates internal consistency: every precedence constraint of the
   /// scheduled DAG is respected by the recorded times; no two non-mutex
@@ -138,6 +127,9 @@ class Schedule {
   std::vector<CommPlacement> comms_;
   std::vector<ExtraEdge> pseudo_edges_;
   std::vector<ExtraEdge> control_edges_;
+  /// Compiled by RecomputeTimes() only, never from a const member, so
+  /// schedules shared between threads are read-only.
+  ScheduledDag dag_;
 };
 
 }  // namespace actg::sched

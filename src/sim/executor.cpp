@@ -23,32 +23,10 @@ InstanceResult ExecuteInstance(const sched::Schedule& schedule,
   obs::ScopedSpan span(obs::TraceSession::Current(), "sim.instance",
                        "sim");
 
-  std::vector<bool> active(n, false);
   InstanceResult result;
-  for (TaskId task : graph.TaskIds()) {
-    active[task.index()] = analysis.IsActive(task, assignment);
-    if (active[task.index()]) ++result.active_tasks;
-  }
-
-  // Actual start times: ASAP over the scheduled DAG restricted to active
-  // tasks. The scheduled DAG is acyclic, so a Kahn pass suffices; we
-  // reuse the adjacency built by the schedule.
-  const sched::Schedule::DagAdjacency adj = schedule.BuildDagAdjacency();
-  std::vector<int> in_degree(n, 0);
-  for (const auto& out : adj) {
-    for (const auto& [dst, eid] : out) ++in_degree[dst.index()];
-  }
-  std::vector<TaskId> order;
-  order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in_degree[i] == 0) order.push_back(TaskId{static_cast<int>(i)});
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (const auto& [dst, eid] : adj[order[head].index()]) {
-      if (--in_degree[dst.index()] == 0) order.push_back(dst);
-    }
-  }
-  ACTG_ASSERT(order.size() == n, "scheduled DAG contains a cycle");
+  const std::vector<char> active = analysis.ActiveTasks(assignment);
+  result.active_tasks =
+      static_cast<std::size_t>(std::count(active.begin(), active.end(), 1));
 
   const bool faulted = faults != nullptr && faults->any;
   ACTG_CHECK(!faulted || faults->task_time_factor.empty() ||
@@ -56,10 +34,13 @@ InstanceResult ExecuteInstance(const sched::Schedule& schedule,
              "InstanceFaults::task_time_factor needs one entry per task");
   result.faults_injected = faulted;
 
+  // Actual start times: ASAP over the scheduled DAG restricted to active
+  // tasks, in the compiled DAG's Kahn order.
+  const sched::ScheduledDag& dag = schedule.dag();
   std::vector<double> ready(n, 0.0);
-  std::vector<double> finish(n, 0.0);
-  for (const TaskId u : order) {
-    if (!active[u.index()]) continue;
+  for (const std::uint32_t index : dag.order()) {
+    if (active[index] == 0) continue;
+    const TaskId u{static_cast<int>(index)};
     // Fault effects multiply the scheduled execution time: the drawn
     // overrun factor, plus the re-run penalty when the task's PE is in
     // this instance's failed set. Energy scales with the same factor
@@ -67,7 +48,7 @@ InstanceResult ExecuteInstance(const sched::Schedule& schedule,
     double factor = 1.0;
     if (faulted) {
       if (!faults->task_time_factor.empty()) {
-        factor = faults->task_time_factor[u.index()];
+        factor = faults->task_time_factor[index];
       }
       if (faults->PeFailed(schedule.placement(u).pe)) {
         factor *= faults->rerun_penalty;
@@ -75,24 +56,26 @@ InstanceResult ExecuteInstance(const sched::Schedule& schedule,
       }
     }
     const double scaled_wcet = schedule.ScaledWcet(u);
-    const double start = ready[u.index()];
-    finish[u.index()] = start + scaled_wcet * factor;
+    const double finish = ready[index] + scaled_wcet * factor;
     result.energy_mj += schedule.ScaledEnergy(u) * factor;
     if (factor > 1.0) result.overrun_ms += scaled_wcet * (factor - 1.0);
-    result.makespan_ms = std::max(result.makespan_ms, finish[u.index()]);
-    for (const auto& [dst, eid] : adj[u.index()]) {
-      if (!active[dst.index()]) continue;
-      double arrival = finish[u.index()];
-      if (eid.has_value()) {
-        const ctg::Edge& e = graph.edge(*eid);
+    result.makespan_ms = std::max(result.makespan_ms, finish);
+    for (std::uint32_t arc = dag.arc_begin(index); arc < dag.arc_end(index);
+         ++arc) {
+      const TaskId dst = dag.target(arc);
+      if (active[dst.index()] == 0) continue;
+      double arrival = finish;
+      const EdgeId eid = dag.edge(arc);
+      if (eid.valid()) {
+        const ctg::Edge& e = graph.edge(eid);
         if (e.condition.has_value() &&
             assignment.Get(e.condition->fork) != e.condition->outcome) {
           continue;  // edge not taken in this instance
         }
-        double comm = schedule.EdgeCommTime(*eid);
+        double comm = schedule.EdgeCommTime(eid);
         if (faulted) comm *= faults->comm_time_factor;
         arrival += comm;
-        result.energy_mj += schedule.EdgeCommEnergy(*eid);
+        result.energy_mj += schedule.EdgeCommEnergy(eid);
       }
       ready[dst.index()] = std::max(ready[dst.index()], arrival);
     }

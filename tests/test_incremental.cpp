@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -8,11 +9,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adaptive/controller.h"
 #include "adaptive/rescheduler.h"
 #include "apps/common.h"
+#include "apps/mpeg.h"
 #include "check/fuzz.h"
 #include "check/validator.h"
 #include "ctg/activation.h"
@@ -793,6 +796,114 @@ TEST(Rescheduler, FailedDegradedEnumerationIsNeverRewound) {
             expected.stretch.max_path_delay_ms);
   EXPECT_EQ(again.stretch.total_extension_ms,
             expected.stretch.total_extension_ms);
+}
+
+// A degraded request at the nominal floor no longer enumerates the
+// surviving-PE DAG: MPEG on one PE has 413,850 paths, and a
+// max_paths of 1 used to make the degraded fallback throw.
+TEST(Rescheduler, NominalDegradedRequestNeverEnumerates) {
+  const apps::MpegModel mpeg = apps::MakeMpegModel();
+  const ctg::ActivationAnalysis analysis(mpeg.graph);
+  const ctg::BranchProbabilities probs =
+      apps::UniformProbabilities(mpeg.graph);
+  adaptive::ReschedulerConfig config;
+  config.stretch.max_paths = 1;
+  runtime::Metrics metrics;
+  config.metrics = &metrics;
+  adaptive::Rescheduler rescheduler(mpeg.graph, analysis, mpeg.platform,
+                                    config);
+  arch::PeMask one_pe;
+  for (PeId pe : mpeg.platform.PeIds()) {
+    if (pe != PeId{0}) one_pe = one_pe.Without(pe);
+  }
+  std::optional<adaptive::RescheduleResult> computed;
+  ASSERT_NO_THROW(computed = rescheduler.Reschedule(
+                      probs, adaptive::RescheduleRequest{one_pe, 1.0,
+                                                         "degraded"}));
+  const adaptive::RescheduleResult& result = *computed;
+  EXPECT_EQ(result.tier, adaptive::RescheduleTier::kFull);
+  EXPECT_EQ(result.stretch.path_count, 0u);
+  for (TaskId task : mpeg.graph.TaskIds()) {
+    EXPECT_EQ(result.schedule.placement(task).pe, PeId{0});
+    EXPECT_EQ(result.schedule.placement(task).speed_ratio,
+              mpeg.platform.QuantizeSpeed(PeId{0}, 1.0));
+  }
+  check::Expectations expect;
+  expect.available_pes = one_pe;
+  expect.speed_floor = 1.0;
+  EXPECT_NO_THROW(check::Validate(result.schedule, expect));
+  EXPECT_EQ(metrics.counter("dvfs.stretch.nominal"), 1u);
+  EXPECT_EQ(metrics.counter("dvfs.stretch.calls"), 1u);
+  EXPECT_EQ(metrics.counter("dvfs.enumerate.calls"), 0u);
+  // Without the floor the same request still needs every path.
+  EXPECT_THROW(rescheduler.Reschedule(
+                   probs, adaptive::RescheduleRequest{one_pe, 0.0,
+                                                      "degraded"}),
+               InvalidArgument);
+}
+
+/// Per-PE task sequences in commit order: the shape a path enumeration
+/// is valid for.
+std::vector<std::pair<int, int>> PerPeSequences(
+    const sched::Schedule& schedule) {
+  std::vector<std::pair<std::pair<int, int>, int>> keyed;
+  for (TaskId task : schedule.graph().TaskIds()) {
+    const sched::TaskPlacement& p = schedule.placement(task);
+    keyed.push_back({{p.pe.value, p.order_index}, task.value});
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::pair<int, int>> shape;
+  for (const auto& [key, task] : keyed) shape.emplace_back(key.first, task);
+  return shape;
+}
+
+// A nominal-floor stretch leaves the engine's enumeration as it was, so
+// the facade must not record the degraded schedule's shape as the
+// engine's. The sequence: a healthy request at point A (the warm-start
+// basis); a masked degraded request without a floor, which enumerates
+// the masked shape; a nominal degraded request at C next to A, whose
+// shape is A's; a healthy request at C, warm-started from A. Recording
+// the nominal request's shape would license a rewind of the masked
+// paths for an A-shaped schedule; the result must instead equal that of
+// a facade that never saw the degraded requests.
+TEST(Rescheduler, NominalStretchNeverPairsItsShapeWithTheEnumeration) {
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const FacadeCase fc(seed);
+    const double uniform =
+        1.0 / static_cast<double>(fc.graph.OutcomeCount(fc.fork));
+    const ctg::BranchProbabilities c =
+        WithForkAt(fc.graph, fc.base, fc.fork, uniform + 0.01);
+    adaptive::ReschedulerConfig config;
+    config.reschedule.mode = adaptive::RescheduleMode::kIncremental;
+    const adaptive::RescheduleRequest healthy{config.dls.available_pes, 0.0,
+                                              "test"};
+    const adaptive::RescheduleRequest masked{
+        config.dls.available_pes.Without(PeId{0}), 0.0, "degraded"};
+    const adaptive::RescheduleRequest nominal{config.dls.available_pes, 1.0,
+                                              "degraded"};
+
+    adaptive::Rescheduler facade(fc.graph, *fc.analysis, fc.platform,
+                                 config);
+    facade.Reschedule(fc.base, healthy);
+    const adaptive::RescheduleResult enumerated =
+        facade.Reschedule(fc.base, masked);
+    const adaptive::RescheduleResult skipped = facade.Reschedule(c, nominal);
+    const adaptive::RescheduleResult warm = facade.Reschedule(c, healthy);
+    if (warm.tier != adaptive::RescheduleTier::kWarmPrior ||
+        PerPeSequences(skipped.schedule) != PerPeSequences(warm.schedule) ||
+        sched::MappingOf(enumerated.schedule) ==
+            sched::MappingOf(warm.schedule)) {
+      continue;
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    adaptive::Rescheduler fresh(fc.graph, *fc.analysis, fc.platform, config);
+    fresh.Reschedule(fc.base, healthy);
+    EXPECT_TRUE(SameResult(fc.graph, warm, fresh.Reschedule(c, healthy)));
+    ++checked;
+  }
+  // The sequence must actually arise, or the test checks nothing.
+  EXPECT_GE(checked, 1u);
 }
 
 // ---------------------------------------------------------------------------

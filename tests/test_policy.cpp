@@ -11,7 +11,9 @@
 #include "dvfs/algorithms.h"
 #include "dvfs/policy.h"
 #include "dvfs/stretch.h"
+#include "runtime/metrics.h"
 #include "sched/dls.h"
+#include "tgff/random_ctg.h"
 #include "util/error.h"
 
 namespace actg::dvfs {
@@ -149,6 +151,143 @@ TEST_F(PolicyFixture, AdaptiveControllerHonorsSelectedPolicy) {
   sched::Schedule expected = Scheduled();
   StretchProportional(expected);
   ExpectSameStretch(controller.current_schedule(), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Nominal speed floor: Apply skips the stretch that the clamp overrides
+
+/// \p base with every PE restricted to the discrete speed \p levels.
+arch::Platform WithLevels(const arch::Platform& base, const ctg::Ctg& graph,
+                          const std::vector<double>& levels) {
+  arch::PlatformBuilder builder(graph.task_count(), base.pe_count());
+  for (TaskId task : graph.TaskIds()) {
+    for (PeId pe : base.PeIds()) {
+      builder.SetTaskCost(task, pe, base.Wcet(task, pe),
+                          base.Energy(task, pe));
+    }
+  }
+  for (PeId pe : base.PeIds()) builder.SetSpeedLevels(pe, levels);
+  return std::move(builder).Build();
+}
+
+/// What Policy::Apply did for every floor before the nominal skip: the
+/// concrete stretcher, then the clamp loop, then RecomputeTimes() when
+/// the clamp changed a ratio.
+void StretchThenClamp(std::string_view policy, sched::Schedule& schedule,
+                      const ctg::BranchProbabilities& probs, double floor) {
+  if (policy == "online") {
+    StretchOnline(schedule, probs);
+  } else if (policy == "proportional") {
+    StretchProportional(schedule);
+  } else {
+    StretchNlp(schedule, probs);
+  }
+  bool changed = false;
+  for (TaskId task : schedule.graph().TaskIds()) {
+    sched::TaskPlacement& p = schedule.placement(task);
+    const double clamped = schedule.platform().QuantizeSpeed(
+        p.pe, std::max(p.speed_ratio, floor));
+    if (clamped != p.speed_ratio) {
+      p.speed_ratio = clamped;
+      changed = true;
+    }
+  }
+  if (changed) schedule.RecomputeTimes();
+}
+
+/// Every placement and transfer window equal bit for bit.
+void ExpectBitwiseEqual(const sched::Schedule& got,
+                        const sched::Schedule& want) {
+  for (TaskId task : want.graph().TaskIds()) {
+    const sched::TaskPlacement& a = got.placement(task);
+    const sched::TaskPlacement& b = want.placement(task);
+    EXPECT_EQ(a.pe, b.pe) << task.index();
+    EXPECT_EQ(a.order_index, b.order_index) << task.index();
+    EXPECT_EQ(a.speed_ratio, b.speed_ratio) << task.index();
+    EXPECT_EQ(a.start_ms, b.start_ms) << task.index();
+    EXPECT_EQ(a.finish_ms, b.finish_ms) << task.index();
+  }
+  for (EdgeId edge : want.graph().EdgeIds()) {
+    EXPECT_EQ(got.comm(edge).start_ms, want.comm(edge).start_ms);
+    EXPECT_EQ(got.comm(edge).finish_ms, want.comm(edge).finish_ms);
+  }
+}
+
+TEST(NominalFloor, SkipEqualsStretchThenClampForEveryPolicy) {
+  const apps::Fig1Example fig1 = apps::MakeFig1Example();
+  tgff::RandomCtgParams params;
+  params.task_count = 18;
+  params.pe_count = 3;
+  params.fork_count = 2;
+  params.seed = 7;
+  tgff::RandomCase rc = tgff::MakeRandomCtg(params).value();
+  apps::AssignDeadline(rc.graph, rc.platform, 1.6);
+  const arch::Platform discrete =
+      WithLevels(rc.platform, rc.graph, {0.4, 0.6, 0.8, 1.0});
+  struct Case {
+    const char* name;
+    const ctg::Ctg& graph;
+    const arch::Platform& platform;
+  };
+  const Case cases[] = {{"fig1", fig1.graph, fig1.platform},
+                        {"random continuous", rc.graph, rc.platform},
+                        {"random discrete", rc.graph, discrete}};
+  for (const Case& c : cases) {
+    const ctg::ActivationAnalysis analysis(c.graph);
+    const ctg::BranchProbabilities probs =
+        apps::UniformProbabilities(c.graph);
+    for (const arch::PeMask mask :
+         {arch::PeMask(), arch::PeMask::WithoutBits(1)}) {
+      sched::DlsOptions dls;
+      dls.available_pes = mask;
+      for (const std::string& name : PolicyNames()) {
+        SCOPED_TRACE(std::string(c.name) + " / " + name +
+                     (mask.IsAll() ? "" : " / masked"));
+        sched::Schedule want =
+            sched::RunDls(c.graph, analysis, c.platform, probs, dls);
+        StretchThenClamp(name, want, probs, 1.0);
+
+        runtime::Metrics metrics;
+        PathEngine engine(c.graph, analysis, c.platform,
+                          PathEngineOptions{.metrics = &metrics});
+        sched::Schedule got =
+            sched::RunDls(c.graph, analysis, c.platform, probs, dls);
+        PolicyContext ctx;
+        ctx.schedule = &got;
+        ctx.probs = &probs;
+        ctx.speed_floor = 1.0;
+        const StretchStats stats = GetPolicy(name).Apply(engine, ctx);
+        ExpectBitwiseEqual(got, want);
+        // Nothing was enumerated or stretched, and the probe still
+        // counts one stretch call.
+        EXPECT_EQ(stats.path_count, 0u);
+        EXPECT_EQ(engine.enumeration_id(), 0u);
+        EXPECT_EQ(metrics.counter("dvfs.stretch.nominal"), 1u);
+        EXPECT_EQ(metrics.counter("dvfs.stretch.calls"), 1u);
+        EXPECT_EQ(metrics.counter("dvfs.enumerate.calls"), 0u);
+      }
+    }
+  }
+}
+
+TEST(NominalFloor, FractionalFloorStillStretches) {
+  const apps::Fig1Example ex = apps::MakeFig1Example();
+  const ctg::ActivationAnalysis analysis(ex.graph);
+  runtime::Metrics metrics;
+  PathEngine engine(ex.graph, analysis, ex.platform,
+                    PathEngineOptions{.metrics = &metrics});
+  sched::Schedule got =
+      sched::RunDls(ex.graph, analysis, ex.platform, ex.probs);
+  sched::Schedule want = got;
+  StretchThenClamp("online", want, ex.probs, 0.9);
+  PolicyContext ctx;
+  ctx.schedule = &got;
+  ctx.probs = &ex.probs;
+  ctx.speed_floor = 0.9;
+  GetPolicy("online").Apply(engine, ctx);
+  ExpectBitwiseEqual(got, want);
+  EXPECT_EQ(engine.enumeration_id(), 1u);
+  EXPECT_EQ(metrics.counter("dvfs.stretch.nominal"), 0u);
 }
 
 }  // namespace

@@ -109,11 +109,11 @@ TEST_F(ScheduleFixture, PseudoEdgeEndpointsValidated) {
 }
 
 TEST_F(ScheduleFixture, DagAdjacencyCoversAllEdgeKinds) {
-  const auto adj = schedule_.BuildDagAdjacency();
+  const ScheduledDag& dag = schedule_.dag();
   std::size_t with_edge_id = 0, without = 0;
-  for (const auto& out : adj) {
-    for (const auto& [dst, eid] : out) {
-      if (eid.has_value()) {
+  for (std::size_t u = 0; u < dag.task_count(); ++u) {
+    for (std::uint32_t arc = dag.arc_begin(u); arc < dag.arc_end(u); ++arc) {
+      if (dag.edge(arc).valid()) {
         ++with_edge_id;
       } else {
         ++without;
