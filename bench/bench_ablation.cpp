@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "ctg/activation.h"
-#include "dvfs/policy.h"
+#include "dvfs/algorithms.h"
 #include "experiments.h"
 #include "obs/setup.h"
 #include "runtime/pool.h"
@@ -44,12 +44,12 @@ ctg::BranchProbabilities RandomProbs(const ctg::Ctg& graph,
 double PipelineEnergy(const bench::TestCase& test,
                       const ctg::ActivationAnalysis& analysis,
                       const ctg::BranchProbabilities& probs,
-                      const sched::DlsOptions& dls_options,
+                      const dvfs::PolicyRunOptions& options,
                       std::string_view stretch_policy) {
-  sched::Schedule s = sched::RunDls(test.rc.graph, analysis,
-                                    test.rc.platform, probs, dls_options);
-  dvfs::ApplyPolicy(stretch_policy, s, probs);
-  return sim::ExpectedEnergy(s, probs);
+  return sim::ExpectedEnergy(
+      dvfs::RunWithPolicy(stretch_policy, test.rc.graph, analysis,
+                          test.rc.platform, probs, options),
+      probs);
 }
 
 /// Totals of one (window, threshold) sweep over the ten CTGs, used by
@@ -62,6 +62,7 @@ struct SweepTotals {
 };
 
 SweepTotals AdaptiveSweep(runtime::Pool& pool, runtime::Metrics& metrics,
+                          obs::TraceSession* trace,
                           const std::vector<bench::TestCase>& cases,
                           std::size_t window, double threshold) {
   struct SweepRow {
@@ -77,16 +78,17 @@ SweepTotals AdaptiveSweep(runtime::Pool& pool, runtime::Metrics& metrics,
         const auto vectors = bench::MakeFluctuatingVectors(
             test.rc.graph, 500, 777 + static_cast<std::uint64_t>(index));
         const auto profile = bench::BiasedProfile(
-            test.rc.graph, analysis, test.rc.platform, true);
+            test.rc.graph, analysis, test.rc.platform, true, trace);
         bench::ExperimentSpec spec(test.rc.graph, analysis,
                                    test.rc.platform);
         spec.WithProfile(profile).WithWindow(window)
             .WithThreshold(threshold).WithScheduleCache()
-            .WithMetrics(&metrics);
+            .WithMetrics(&metrics).WithTrace(trace);
         const sched::Schedule online = spec.BuildOnlineSchedule();
 
         SweepRow row;
-        row.online = sim::RunTrace(online, vectors).total_energy_mj;
+        row.online =
+            sim::RunTrace(online, vectors, nullptr, trace).total_energy_mj;
 
         bench::AdaptiveHarness harness = spec.BuildAdaptive();
         row.adaptive = harness.Run(vectors).total_energy_mj;
@@ -107,10 +109,11 @@ SweepTotals AdaptiveSweep(runtime::Pool& pool, runtime::Metrics& metrics,
 
 int main(int argc, char** argv) {
   obs::ScopedTracing tracing(argc, argv);
-  runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  obs::TraceSession* const trace = tracing.session();
+  runtime::Pool pool(runtime::ParseJobs(argc, argv), trace);
   runtime::Metrics metrics;
 
-  std::vector<bench::TestCase> cases = bench::MakeTable45Cases();
+  std::vector<bench::TestCase> cases = bench::MakeTable45Cases(trace);
 
   // ------------------------------------------------------------------ A-C
   util::PrintBanner(std::cout,
@@ -134,15 +137,16 @@ int main(int argc, char** argv) {
             test.rc.graph, 500 + static_cast<std::uint64_t>(index));
 
         StructuralRow row;
-        sched::DlsOptions base;
+        dvfs::PolicyRunOptions base;
+        base.trace = trace;
         row.full = PipelineEnergy(test, analysis, probs, base, "online");
 
-        sched::DlsOptions worst_sl = base;
-        worst_sl.level_policy = sched::LevelPolicy::kWorstCase;
+        dvfs::PolicyRunOptions worst_sl = base;
+        worst_sl.dls.level_policy = sched::LevelPolicy::kWorstCase;
         row.a = PipelineEnergy(test, analysis, probs, worst_sl, "online");
 
-        sched::DlsOptions blind = base;
-        blind.mutex_aware = false;
+        dvfs::PolicyRunOptions blind = base;
+        blind.dls.mutex_aware = false;
         row.b = PipelineEnergy(test, analysis, probs, blind, "online");
 
         row.c =
@@ -192,7 +196,7 @@ int main(int argc, char** argv) {
       {"window", "adaptive energy", "vs online", "calls"});
   for (std::size_t window : {5u, 10u, 20u, 50u, 100u}) {
     const SweepTotals totals =
-        AdaptiveSweep(pool, metrics, cases, window, /*threshold=*/0.1);
+        AdaptiveSweep(pool, metrics, trace, cases, window, /*threshold=*/0.1);
     window_table.BeginRow()
         .Cell(window)
         .Cell(totals.adaptive_total / 1000.0, 0)
@@ -216,7 +220,7 @@ int main(int argc, char** argv) {
       {"threshold", "adaptive energy", "vs online", "calls"});
   for (double threshold : {0.05, 0.1, 0.25, 0.5, 0.8}) {
     const SweepTotals totals =
-        AdaptiveSweep(pool, metrics, cases, /*window=*/20, threshold);
+        AdaptiveSweep(pool, metrics, trace, cases, /*window=*/20, threshold);
     threshold_table.BeginRow()
         .Cell(threshold, 2)
         .Cell(totals.adaptive_total / 1000.0, 0)
@@ -273,10 +277,10 @@ int main(int argc, char** argv) {
             }
           }
           const arch::Platform platform = std::move(builder).Build();
-          sched::Schedule s = sched::RunDls(test.rc.graph, analysis,
-                                            platform, probs);
-          dvfs::ApplyPolicy("online", s, probs);
-          row.energies[mode] = sim::ExpectedEnergy(s, probs);
+          row.energies[mode] = sim::ExpectedEnergy(
+              dvfs::RunOnlineAlgorithm(test.rc.graph, analysis, platform,
+                                       probs, trace),
+              probs);
         }
         return row;
       });

@@ -85,22 +85,23 @@ adaptive::DegradeOptions LadderOn() {
 }
 
 /// The adaptive setup every run of \p suite shares, recording into
-/// \p metrics.
-bench::ExperimentSpec SuiteSpec(const Suite& suite,
-                                runtime::Metrics& metrics) {
+/// \p metrics and \p trace.
+bench::ExperimentSpec SuiteSpec(const Suite& suite, runtime::Metrics& metrics,
+                                obs::TraceSession* trace) {
   bench::ExperimentSpec spec(*suite.graph, *suite.analysis,
                              *suite.platform);
   spec.WithProfile(suite.profile)
       .WithWindow(20)
       .WithThreshold(0.1)
       .WithScheduleCache()
-      .WithMetrics(&metrics);
+      .WithMetrics(&metrics)
+      .WithTrace(trace);
   return spec;
 }
 
 SweepRow RunOne(const Suite& suite, double intensity, bool degrade,
-                runtime::Metrics& metrics) {
-  bench::ExperimentSpec spec = SuiteSpec(suite, metrics);
+                runtime::Metrics& metrics, obs::TraceSession* trace) {
+  bench::ExperimentSpec spec = SuiteSpec(suite, metrics, trace);
   if (degrade) spec.WithDegrade(LadderOn());
   bench::AdaptiveHarness harness = spec.BuildAdaptive();
 
@@ -110,7 +111,7 @@ SweepRow RunOne(const Suite& suite, double intensity, bool degrade,
                                   kInjectorSeed);
 
   SweepRow row;
-  row.summary = harness.RunWithFaults(suite.vectors, injector);
+  row.summary = harness.Run(suite.vectors, &injector);
   row.reschedules = harness.reschedule_count();
   row.escalations = harness.controller().escalation_count();
   row.oob_reschedules = harness.controller().oob_reschedule_count();
@@ -119,8 +120,10 @@ SweepRow RunOne(const Suite& suite, double intensity, bool degrade,
 }
 
 /// The fault-free control the zero-intensity gate compares against.
-SweepRow RunControl(const Suite& suite, runtime::Metrics& metrics) {
-  bench::AdaptiveHarness harness = SuiteSpec(suite, metrics).BuildAdaptive();
+SweepRow RunControl(const Suite& suite, runtime::Metrics& metrics,
+                    obs::TraceSession* trace) {
+  bench::AdaptiveHarness harness =
+      SuiteSpec(suite, metrics, trace).BuildAdaptive();
   SweepRow row;
   row.summary = harness.Run(suite.vectors);
   row.reschedules = harness.reschedule_count();
@@ -135,16 +138,17 @@ bool BitIdentical(double a, double b) {
 
 int main(int argc, char** argv) {
   obs::ScopedTracing tracing(argc, argv);
-  runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  obs::TraceSession* const trace = tracing.session();
+  runtime::Pool pool(runtime::ParseJobs(argc, argv), trace);
   runtime::Metrics metrics;
 
   constexpr std::size_t kInstances = 1000;
 
   // ------------------------------------------------------------- workloads
-  const apps::MpegModel mpeg = apps::MakeMpegModel();
-  const apps::CruiseModel cruise = apps::MakeCruiseModel();
+  const apps::MpegModel mpeg = apps::MakeMpegModel(trace);
+  const apps::CruiseModel cruise = apps::MakeCruiseModel(trace);
   const std::vector<bench::TestCase> random_cases =
-      bench::MakeTable45Cases();
+      bench::MakeTable45Cases(trace);
 
   std::vector<Suite> suites;
   {
@@ -205,9 +209,9 @@ int main(int argc, char** argv) {
   const std::vector<SweepRow> rows =
       runtime::ParallelMap(pool, jobs.size(), [&](std::size_t j) {
         const Job& job = jobs[j];
-        return job.control ? RunControl(suites[job.suite], metrics)
+        return job.control ? RunControl(suites[job.suite], metrics, trace)
                            : RunOne(suites[job.suite], job.intensity,
-                                    job.degrade, metrics);
+                                    job.degrade, metrics, trace);
       });
   const auto row_of = [&](std::size_t suite, double intensity,
                           bool degrade, bool control) -> const SweepRow& {

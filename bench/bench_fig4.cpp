@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
                     "Figure 4 - MPEG branch selection, windowed and "
                     "filtered probability (branch b, 1000 macroblocks)");
 
-  const apps::MpegModel model = apps::MakeMpegModel();
+  const apps::MpegModel model = apps::MakeMpegModel(tracing.session());
   const ctg::ActivationAnalysis analysis(model.graph);
   const auto movies = apps::MpegMovieProfiles();
   const trace::BranchTrace trace =

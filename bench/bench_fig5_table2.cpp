@@ -24,10 +24,10 @@ int main(int argc, char** argv) {
   using namespace actg;
 
   obs::ScopedTracing tracing(argc, argv);
-  runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Pool pool(runtime::ParseJobs(argc, argv), tracing.session());
   runtime::Metrics metrics;
 
-  const apps::MpegModel model = apps::MakeMpegModel();
+  const apps::MpegModel model = apps::MakeMpegModel(tracing.session());
   const ctg::ActivationAnalysis analysis(model.graph);
 
   util::PrintBanner(std::cout,
@@ -59,11 +59,13 @@ int main(int argc, char** argv) {
             training.ProfiledProbabilities(model.graph);
         bench::ExperimentSpec spec(model.graph, analysis, model.platform);
         spec.WithProfile(profile).WithWindow(20).WithScheduleCache()
-            .WithMetrics(&metrics);
+            .WithMetrics(&metrics).WithTrace(tracing.session());
         const sched::Schedule online = spec.BuildOnlineSchedule();
 
         Row row;
-        row.online_avg = sim::RunTrace(online, testing).AverageEnergy();
+        row.online_avg =
+            sim::RunTrace(online, testing, nullptr, tracing.session())
+                .AverageEnergy();
 
         // Adaptive: window 20, thresholds 0.5 and 0.1, same initial
         // profile. Scene-change oscillations revisit operating points,

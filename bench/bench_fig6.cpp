@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace actg;
 
   obs::ScopedTracing tracing(argc, argv);
-  runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Pool pool(runtime::ParseJobs(argc, argv), tracing.session());
   runtime::Metrics metrics;
 
   util::PrintBanner(std::cout,
@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
     double adaptive_energy = 0.0;
     std::size_t calls = 0;
   };
-  const std::vector<bench::TestCase> cases = bench::MakeTable45Cases();
+  const std::vector<bench::TestCase> cases =
+      bench::MakeTable45Cases(tracing.session());
   const std::vector<Row> rows = runtime::ParallelMap(
       pool, cases.size(), [&](std::size_t i) {
         const bench::TestCase& test = cases[i];
@@ -56,11 +57,14 @@ int main(int argc, char** argv) {
         bench::ExperimentSpec spec(test.rc.graph, analysis,
                                    test.rc.platform);
         spec.WithProfile(ideal).WithWindow(20).WithThreshold(0.5)
-            .WithScheduleCache().WithMetrics(&metrics);
+            .WithScheduleCache().WithMetrics(&metrics)
+            .WithTrace(tracing.session());
         const sched::Schedule online = spec.BuildOnlineSchedule();
 
         Row row;
-        row.online_energy = sim::RunTrace(online, vectors).total_energy_mj;
+        row.online_energy =
+            sim::RunTrace(online, vectors, nullptr, tracing.session())
+                .total_energy_mj;
 
         bench::AdaptiveHarness harness = spec.BuildAdaptive();
         const sim::RunSummary run = harness.Run(vectors);

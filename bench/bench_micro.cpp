@@ -19,7 +19,6 @@
 #include "dvfs/policy.h"
 #include "dvfs/stretch.h"
 #include "experiments.h"
-#include "obs/setup.h"
 #include "profiling/window.h"
 #include "runtime/schedule_cache.h"
 #include "sched/dls.h"
@@ -362,14 +361,4 @@ BENCHMARK(BM_ScheduleCacheChurn)->Arg(64)->Arg(4096);
 
 }  // namespace
 
-// BENCHMARK_MAIN, after ScopedTracing has taken our --trace flag.
-int main(int argc, char** argv) {
-  // --trace is ours, not google-benchmark's: strip it (and install the
-  // session) before Initialize sees argv.
-  actg::obs::ScopedTracing tracing(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

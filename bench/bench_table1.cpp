@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   using namespace actg;
 
   obs::ScopedTracing tracing(argc, argv);
-  runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Pool pool(runtime::ParseJobs(argc, argv), tracing.session());
 
   util::PrintBanner(std::cout,
                     "Table 1 - Energy consumption of online algorithm "
@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
     double online_ms = 0.0;
     double nlp_ms = 0.0;
   };
-  const std::vector<bench::TestCase> cases = bench::MakeTable1Cases();
+  const std::vector<bench::TestCase> cases =
+      bench::MakeTable1Cases(tracing.session());
   const std::vector<Row> rows = runtime::ParallelMap(
       pool, cases.size(), [&](std::size_t i) {
         const bench::TestCase& test = cases[i];
@@ -70,14 +71,14 @@ int main(int argc, char** argv) {
         }
 
         const auto t0 = Clock::now();
-        const sched::Schedule online =
-            dvfs::RunOnlineAlgorithm(graph, analysis, platform, probs);
+        const sched::Schedule online = dvfs::RunOnlineAlgorithm(
+            graph, analysis, platform, probs, tracing.session());
         const auto t1 = Clock::now();
-        const sched::Schedule ref2 =
-            dvfs::RunReference2(graph, analysis, platform, probs);
+        const sched::Schedule ref2 = dvfs::RunReference2(
+            graph, analysis, platform, probs, {}, tracing.session());
         const auto t2 = Clock::now();
-        const sched::Schedule ref1 =
-            dvfs::RunReference1(graph, analysis, platform, probs);
+        const sched::Schedule ref1 = dvfs::RunReference1(
+            graph, analysis, platform, probs, tracing.session());
 
         const ctg::ActivationProbabilities p = analysis.Evaluate(probs);
         Row row;

@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
   using namespace actg;
 
   obs::ScopedTracing tracing(argc, argv);
-  runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Pool pool(runtime::ParseJobs(argc, argv), tracing.session());
   runtime::Metrics metrics;
 
-  const apps::CruiseModel model = apps::MakeCruiseModel();
+  const apps::CruiseModel model = apps::MakeCruiseModel(tracing.session());
   const ctg::ActivationAnalysis analysis(model.graph);
 
   util::PrintBanner(std::cout,
@@ -61,12 +61,13 @@ int main(int argc, char** argv) {
                                     /*seed=*/100 + sequence);
         bench::ExperimentSpec spec(model.graph, analysis, model.platform);
         spec.WithProfile(profile).WithWindow(20).WithScheduleCache()
-            .WithMetrics(&metrics);
+            .WithMetrics(&metrics).WithTrace(tracing.session());
         const sched::Schedule online = spec.BuildOnlineSchedule();
 
         Row row;
         row.online_energy =
-            sim::RunTrace(online, vectors).total_energy_mj;
+            sim::RunTrace(online, vectors, nullptr, tracing.session())
+                .total_energy_mj;
 
         // Paper: threshold 0.1 for the first two sequences, 0.5 for the
         // third.

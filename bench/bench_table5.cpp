@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace actg;
 
   obs::ScopedTracing tracing(argc, argv);
-  runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Pool pool(runtime::ParseJobs(argc, argv), tracing.session());
   runtime::Metrics metrics;
 
   util::PrintBanner(std::cout,
@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   double cat1_online = 0.0, cat1_adaptive = 0.0;
   double cat2_online = 0.0, cat2_adaptive = 0.0;
 
-  const std::vector<bench::TestCase> cases = bench::MakeTable45Cases();
+  const std::vector<bench::TestCase> cases =
+      bench::MakeTable45Cases(tracing.session());
   const auto rows = runtime::ParallelMap(
       pool, cases.size(), [&](std::size_t i) {
         const bench::TestCase& test = cases[i];
@@ -45,12 +46,14 @@ int main(int argc, char** argv) {
         // set used to evaluate the energy is same...").
         const trace::BranchTrace vectors = bench::MakeFluctuatingVectors(
             test.rc.graph, 1000, 777 + static_cast<std::uint64_t>(index));
-        const ctg::BranchProbabilities profile = bench::BiasedProfile(
-            test.rc.graph, analysis, test.rc.platform, /*lowest=*/false);
+        const ctg::BranchProbabilities profile =
+            bench::BiasedProfile(test.rc.graph, analysis, test.rc.platform,
+                                 /*lowest=*/false, tracing.session());
         bench::ExperimentSpec spec(test.rc.graph, analysis,
                                    test.rc.platform);
         spec.WithProfile(profile).WithWindow(20).WithScheduleCache()
-            .WithPool(&pool).WithMetrics(&metrics);
+            .WithPool(&pool).WithMetrics(&metrics)
+            .WithTrace(tracing.session());
         return bench::CompareAdaptive(spec, vectors);
       });
 

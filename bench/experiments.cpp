@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "apps/common.h"
-#include "dvfs/policy.h"
+#include "dvfs/algorithms.h"
 #include "sched/dls.h"
 #include "sim/energy.h"
 #include "sim/executor.h"
@@ -22,7 +22,7 @@ namespace {
 constexpr double kDeadlineFactor = 1.3;
 
 TestCase MakeCase(int tasks, int pes, int forks, tgff::Category category,
-                  std::uint64_t seed) {
+                  std::uint64_t seed, obs::TraceSession* trace) {
   tgff::RandomCtgParams params;
   params.task_count = tasks;
   params.pe_count = pes;
@@ -32,34 +32,35 @@ TestCase MakeCase(int tasks, int pes, int forks, tgff::Category category,
   TestCase test{std::to_string(tasks) + "/" + std::to_string(pes) + "/" +
                     std::to_string(forks),
                 tgff::MakeRandomCtg(params).value()};
-  apps::AssignDeadline(test.rc.graph, test.rc.platform, kDeadlineFactor);
+  apps::AssignDeadline(test.rc.graph, test.rc.platform, kDeadlineFactor,
+                       trace);
   return test;
 }
 
 }  // namespace
 
-std::vector<TestCase> MakeTable1Cases() {
+std::vector<TestCase> MakeTable1Cases(obs::TraceSession* trace) {
   std::vector<TestCase> cases;
-  cases.push_back(MakeCase(25, 3, 3, tgff::Category::kForkJoin, 1000));
-  cases.push_back(MakeCase(16, 3, 1, tgff::Category::kForkJoin, 1001));
-  cases.push_back(MakeCase(15, 4, 2, tgff::Category::kForkJoin, 1002));
-  cases.push_back(MakeCase(15, 4, 2, tgff::Category::kForkJoin, 1003));
-  cases.push_back(MakeCase(25, 4, 3, tgff::Category::kForkJoin, 1004));
+  cases.push_back(MakeCase(25, 3, 3, tgff::Category::kForkJoin, 1000, trace));
+  cases.push_back(MakeCase(16, 3, 1, tgff::Category::kForkJoin, 1001, trace));
+  cases.push_back(MakeCase(15, 4, 2, tgff::Category::kForkJoin, 1002, trace));
+  cases.push_back(MakeCase(15, 4, 2, tgff::Category::kForkJoin, 1003, trace));
+  cases.push_back(MakeCase(25, 4, 3, tgff::Category::kForkJoin, 1004, trace));
   return cases;
 }
 
-std::vector<TestCase> MakeTable45Cases() {
+std::vector<TestCase> MakeTable45Cases(obs::TraceSession* trace) {
   std::vector<TestCase> cases;
-  cases.push_back(MakeCase(25, 3, 3, tgff::Category::kForkJoin, 2000));
-  cases.push_back(MakeCase(16, 3, 1, tgff::Category::kForkJoin, 2001));
-  cases.push_back(MakeCase(15, 4, 2, tgff::Category::kForkJoin, 2002));
-  cases.push_back(MakeCase(15, 4, 1, tgff::Category::kForkJoin, 2003));
-  cases.push_back(MakeCase(25, 4, 3, tgff::Category::kForkJoin, 2004));
-  cases.push_back(MakeCase(25, 3, 3, tgff::Category::kFlat, 2005));
-  cases.push_back(MakeCase(16, 3, 1, tgff::Category::kFlat, 2006));
-  cases.push_back(MakeCase(15, 4, 2, tgff::Category::kFlat, 2007));
-  cases.push_back(MakeCase(15, 4, 1, tgff::Category::kFlat, 2008));
-  cases.push_back(MakeCase(25, 4, 3, tgff::Category::kFlat, 2009));
+  cases.push_back(MakeCase(25, 3, 3, tgff::Category::kForkJoin, 2000, trace));
+  cases.push_back(MakeCase(16, 3, 1, tgff::Category::kForkJoin, 2001, trace));
+  cases.push_back(MakeCase(15, 4, 2, tgff::Category::kForkJoin, 2002, trace));
+  cases.push_back(MakeCase(15, 4, 1, tgff::Category::kForkJoin, 2003, trace));
+  cases.push_back(MakeCase(25, 4, 3, tgff::Category::kForkJoin, 2004, trace));
+  cases.push_back(MakeCase(25, 3, 3, tgff::Category::kFlat, 2005, trace));
+  cases.push_back(MakeCase(16, 3, 1, tgff::Category::kFlat, 2006, trace));
+  cases.push_back(MakeCase(15, 4, 2, tgff::Category::kFlat, 2007, trace));
+  cases.push_back(MakeCase(15, 4, 1, tgff::Category::kFlat, 2008, trace));
+  cases.push_back(MakeCase(25, 4, 3, tgff::Category::kFlat, 2009, trace));
   return cases;
 }
 
@@ -87,10 +88,13 @@ trace::BranchTrace MakeFluctuatingVectors(const ctg::Ctg& graph,
 
 ctg::BranchProbabilities BiasedProfile(
     const ctg::Ctg& graph, const ctg::ActivationAnalysis& analysis,
-    const arch::Platform& platform, bool lowest, double bias) {
+    const arch::Platform& platform, bool lowest, obs::TraceSession* trace) {
+  constexpr double kBias = 0.95;
   const auto uniform = apps::UniformProbabilities(graph);
+  sched::DlsWorkspace workspace;
+  workspace.trace = trace;
   const sched::Schedule nominal =
-      sched::RunDls(graph, analysis, platform, uniform);
+      sched::RunDls(graph, analysis, platform, uniform, {}, &workspace);
 
   ctg::Minterm extreme;
   double extreme_energy =
@@ -111,30 +115,26 @@ ctg::BranchProbabilities BiasedProfile(
     const auto outcome = extreme.OutcomeOf(fork);
     std::vector<double> dist(
         static_cast<std::size_t>(arity),
-        outcome.has_value() ? (1.0 - bias) / (arity - 1) : 1.0 / arity);
+        outcome.has_value() ? (1.0 - kBias) / (arity - 1) : 1.0 / arity);
     if (outcome.has_value()) {
-      dist[static_cast<std::size_t>(*outcome)] = bias;
+      dist[static_cast<std::size_t>(*outcome)] = kBias;
     }
     profile.Set(fork, std::move(dist));
   }
   return profile;
 }
 
-sim::RunSummary AdaptiveHarness::Run(const trace::BranchTrace& vectors) {
-  return adaptive::RunAdaptive(*controller_, vectors);
-}
-
-sim::RunSummary AdaptiveHarness::RunWithFaults(
-    const trace::BranchTrace& vectors, const faults::Injector& injector) {
-  return adaptive::RunAdaptiveWithFaults(*controller_, vectors, injector);
+sim::RunSummary AdaptiveHarness::Run(const trace::BranchTrace& vectors,
+                                     const faults::Injector* injector) {
+  return adaptive::RunAdaptive(*controller_, vectors, injector);
 }
 
 sched::Schedule ExperimentSpec::BuildOnlineSchedule() const {
   ACTG_CHECK(profile_ != nullptr, "ExperimentSpec: profile not set");
-  sched::Schedule schedule =
-      sched::RunDls(*graph_, *analysis_, *platform_, *profile_);
-  dvfs::ApplyPolicy(policy_, schedule, *profile_);
-  return schedule;
+  dvfs::PolicyRunOptions options;
+  options.trace = trace_;
+  return dvfs::RunWithPolicy(policy_, *graph_, *analysis_, *platform_,
+                             *profile_, options);
 }
 
 AdaptiveHarness ExperimentSpec::BuildAdaptive() const {
@@ -168,7 +168,9 @@ AdaptiveComparison CompareAdaptive(const ExperimentSpec& spec,
   auto run_unit = [&](std::size_t job) {
     if (job == 0) {
       const sched::Schedule online = spec.BuildOnlineSchedule();
-      result.online_energy = sim::RunTrace(online, vectors).total_energy_mj;
+      result.online_energy =
+          sim::RunTrace(online, vectors, nullptr, spec.trace())
+              .total_energy_mj;
       return;
     }
     ExperimentSpec unit = spec;

@@ -114,7 +114,7 @@ arch::Platform LoadPlatform(const std::string& path) {
   return io::ParsePlatform(in).value();
 }
 
-int CmdGenerate(int argc, char** argv) {
+int CmdGenerate(int argc, char** argv, obs::TraceSession* trace) {
   if (argc != 8) return Usage();
   tgff::RandomCtgParams params;
   params.task_count = std::atoi(argv[2]);
@@ -131,7 +131,7 @@ int CmdGenerate(int argc, char** argv) {
     return 1;
   }
   tgff::RandomCase& rc = generated.value();
-  apps::AssignDeadline(rc.graph, rc.platform, 1.3);
+  apps::AssignDeadline(rc.graph, rc.platform, 1.3, trace);
   std::ofstream graph_out(prefix + "_ctg.txt");
   io::WriteCtg(graph_out, rc.graph);
   std::ofstream platform_out(prefix + "_platform.txt");
@@ -143,7 +143,7 @@ int CmdGenerate(int argc, char** argv) {
   return 0;
 }
 
-int CmdSchedule(int argc, char** argv) {
+int CmdSchedule(int argc, char** argv, obs::TraceSession* trace) {
   // Accept the algorithm either positionally (ref1/ref2, or a registry
   // policy name for backwards compatibility with the old online|...
   // spelling) or as --policy <name>.
@@ -162,28 +162,33 @@ int CmdSchedule(int argc, char** argv) {
 
   sched::Schedule schedule = [&] {
     if (algorithm == "ref1") {
-      return dvfs::RunReference1(graph, analysis, platform, probs);
+      return dvfs::RunReference1(graph, analysis, platform, probs, trace);
     }
     if (algorithm == "ref2") {
-      return dvfs::RunReference2(graph, analysis, platform, probs);
+      return dvfs::RunReference2(graph, analysis, platform, probs, {},
+                                 trace);
     }
     // Everything else resolves through the policy table (GetPolicy
     // reports the known names on an unknown one).
     dvfs::GetPolicy(algorithm);
+    dvfs::PolicyRunOptions options;
+    options.trace = trace;
     return dvfs::RunWithPolicy(algorithm, graph, analysis, platform,
-                               probs);
+                               probs, options);
   }();
   schedule.Validate();
 
   sched::WriteGantt(std::cout, schedule);
   std::cout << "\nalgorithm:      " << algorithm
-            << "\nworst makespan: " << sim::MaxScenarioMakespan(schedule)
+            << "\nworst makespan: "
+            << sim::MaxScenarioMakespan(schedule, trace)
             << " ms over all scenarios\n\n";
   sim::WriteReport(std::cout, sim::BuildReport(schedule, probs));
   return 0;
 }
 
-int CmdSimulate(int argc, char** argv, const SimulateFlags& flags) {
+int CmdSimulate(int argc, char** argv, const SimulateFlags& flags,
+                obs::TraceSession* trace) {
   if (argc != 6) return Usage();
   const ctg::Ctg graph = LoadCtg(argv[2]);
   const arch::Platform platform = LoadPlatform(argv[3]);
@@ -197,66 +202,52 @@ int CmdSimulate(int argc, char** argv, const SimulateFlags& flags) {
   const auto profile = vectors.ProfiledProbabilities(graph);
 
   const sched::Schedule online =
-      dvfs::RunOnlineAlgorithm(graph, analysis, platform, profile);
+      dvfs::RunOnlineAlgorithm(graph, analysis, platform, profile, trace);
 
-  if (!flags.plan_path.has_value()) {
-    // The fault-free path: unchanged output, byte for byte.
-    const sim::RunSummary base = sim::RunTrace(online, vectors);
-    util::TablePrinter table({"configuration", "total energy (mJ)",
-                              "avg (mJ)", "re-schedules", "misses"});
-    table.BeginRow()
-        .Cell("online (static profile)")
-        .Cell(base.total_energy_mj, 1)
-        .Cell(base.AverageEnergy(), 3)
-        .Cell(0)
-        .Cell(base.deadline_misses);
-    bench::ExperimentSpec spec(graph, analysis, platform);
-    spec.WithProfile(profile).WithWindow(20).WithRescheduleMode(
-        flags.reschedule_mode);
-    for (double threshold : {0.5, 0.1}) {
-      bench::AdaptiveHarness harness =
-          spec.WithThreshold(threshold).BuildAdaptive();
-      const sim::RunSummary run = harness.Run(vectors);
-      table.BeginRow()
-          .Cell("adaptive T=" + util::TablePrinter::Format(threshold, 1))
-          .Cell(run.total_energy_mj, 1)
-          .Cell(run.AverageEnergy(), 3)
-          .Cell(harness.reschedule_count())
-          .Cell(run.deadline_misses);
+  // With --faults: the same protocol plus the injector's effects, two
+  // more columns, and the degradation ladder (unless --no-degrade
+  // ablates it). Without, the fault-free table.
+  std::optional<faults::Injector> injector;
+  if (flags.plan_path.has_value()) {
+    std::ifstream plan_in(*flags.plan_path);
+    ACTG_CHECK(plan_in.good(),
+               "cannot open fault plan: " + *flags.plan_path);
+    util::Expected<faults::FaultPlan> plan = faults::ParseFaultPlan(plan_in);
+    if (!plan.ok()) {
+      std::cerr << "error: " << plan.error().message() << "\n";
+      return 1;
     }
-    table.Print(std::cout);
-    return 0;
+    injector.emplace(plan.value(), graph, platform, seed);
   }
+  const faults::Injector* const fault_injector =
+      injector.has_value() ? &*injector : nullptr;
 
-  // Fault-injected path: same protocol, plus the injector's effects and
-  // the degradation ladder (unless --no-degrade ablates it).
-  std::ifstream plan_in(*flags.plan_path);
-  ACTG_CHECK(plan_in.good(),
-             "cannot open fault plan: " + *flags.plan_path);
-  util::Expected<faults::FaultPlan> plan = faults::ParseFaultPlan(plan_in);
-  if (!plan.ok()) {
-    std::cerr << "error: " << plan.error().message() << "\n";
-    return 1;
+  std::vector<std::string> columns = {"configuration", "total energy (mJ)",
+                                      "avg (mJ)", "re-schedules", "misses"};
+  if (fault_injector != nullptr) {
+    columns.insert(columns.end(), {"overruns", "escalations"});
   }
-  const faults::Injector injector(plan.value(), graph, platform, seed);
-
-  const sim::RunSummary base =
-      sim::RunTraceWithFaults(online, vectors, injector);
-  util::TablePrinter table({"configuration", "total energy (mJ)",
-                            "avg (mJ)", "re-schedules", "misses",
-                            "overruns", "escalations"});
-  table.BeginRow()
-      .Cell("online (static profile)")
-      .Cell(base.total_energy_mj, 1)
-      .Cell(base.AverageEnergy(), 3)
-      .Cell(0)
-      .Cell(base.deadline_misses)
-      .Cell(base.overrun_instances)
-      .Cell(0);
+  util::TablePrinter table(columns);
+  const auto add_row = [&](const std::string& configuration,
+                           const sim::RunSummary& run,
+                           std::size_t reschedules,
+                           std::size_t escalations) {
+    table.BeginRow()
+        .Cell(configuration)
+        .Cell(run.total_energy_mj, 1)
+        .Cell(run.AverageEnergy(), 3)
+        .Cell(reschedules)
+        .Cell(run.deadline_misses);
+    if (fault_injector != nullptr) {
+      table.Cell(run.overrun_instances).Cell(escalations);
+    }
+  };
+  add_row("online (static profile)",
+          sim::RunTrace(online, vectors, fault_injector, trace), 0, 0);
   bench::ExperimentSpec spec(graph, analysis, platform);
-  spec.WithProfile(profile).WithWindow(20).WithRescheduleMode(
-      flags.reschedule_mode);
-  if (!flags.no_degrade) {
+  spec.WithProfile(profile).WithWindow(20).WithTrace(trace)
+      .WithRescheduleMode(flags.reschedule_mode);
+  if (fault_injector != nullptr && !flags.no_degrade) {
     adaptive::DegradeOptions degrade;
     degrade.enabled = true;
     spec.WithDegrade(degrade);
@@ -264,21 +255,19 @@ int CmdSimulate(int argc, char** argv, const SimulateFlags& flags) {
   for (double threshold : {0.5, 0.1}) {
     bench::AdaptiveHarness harness =
         spec.WithThreshold(threshold).BuildAdaptive();
-    const sim::RunSummary run = harness.RunWithFaults(vectors, injector);
-    table.BeginRow()
-        .Cell("adaptive T=" + util::TablePrinter::Format(threshold, 1))
-        .Cell(run.total_energy_mj, 1)
-        .Cell(run.AverageEnergy(), 3)
-        .Cell(harness.reschedule_count())
-        .Cell(run.deadline_misses)
-        .Cell(run.overrun_instances)
-        .Cell(harness.controller().escalation_count());
+    const sim::RunSummary run = harness.Run(vectors, fault_injector);
+    add_row("adaptive T=" + util::TablePrinter::Format(threshold, 1), run,
+            harness.reschedule_count(),
+            harness.controller().escalation_count());
   }
   table.Print(std::cout);
-  std::cout << "\nfault plan: " << *flags.plan_path << " (intensity "
-            << util::TablePrinter::Format(plan.value().intensity, 2)
-            << ", ladder "
-            << (flags.no_degrade ? "disabled" : "enabled") << ")\n";
+  if (fault_injector != nullptr) {
+    std::cout << "\nfault plan: " << *flags.plan_path << " (intensity "
+              << util::TablePrinter::Format(
+                     fault_injector->plan().intensity, 2)
+              << ", ladder "
+              << (flags.no_degrade ? "disabled" : "enabled") << ")\n";
+  }
   return 0;
 }
 
@@ -286,14 +275,15 @@ int CmdSimulate(int argc, char** argv, const SimulateFlags& flags) {
 
 int main(int argc, char** argv) {
   actg::obs::ScopedTracing tracing(argc, argv);
+  actg::obs::TraceSession* const trace = tracing.session();
   try {
     const SimulateFlags simulate_flags = ParseSimulateFlags(argc, argv);
     if (argc < 2) return Usage();
     const std::string command = argv[1];
-    if (command == "generate") return CmdGenerate(argc, argv);
-    if (command == "schedule") return CmdSchedule(argc, argv);
+    if (command == "generate") return CmdGenerate(argc, argv, trace);
+    if (command == "schedule") return CmdSchedule(argc, argv, trace);
     if (command == "simulate")
-      return CmdSimulate(argc, argv, simulate_flags);
+      return CmdSimulate(argc, argv, simulate_flags, trace);
   } catch (const actg::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -41,6 +41,7 @@ ReschedulerConfig MakeReschedulerConfig(const AdaptiveOptions& options) {
   config.cache = options.cache;
   config.reschedule = options.reschedule;
   config.metrics = options.metrics;
+  config.trace = options.trace;
   config.validate_schedules = options.validate_schedules;
   return config;
 }
@@ -105,18 +106,13 @@ AdaptiveController::AdaptiveController(
       schedule_(Reschedule(RescheduleRequest{options_.dls.available_pes,
                                              0.0, "initial"})) {}
 
-obs::TraceSession* AdaptiveController::TraceTarget() const {
-  return options_.trace != nullptr ? options_.trace
-                                   : obs::TraceSession::Current();
-}
-
 void AdaptiveController::Count(const char* name) const {
   if (options_.metrics != nullptr) options_.metrics->Increment(name);
 }
 
 sched::Schedule AdaptiveController::Reschedule(
     const RescheduleRequest& request) {
-  return rescheduler_->Reschedule(in_use_, request, TraceTarget()).schedule;
+  return rescheduler_->Reschedule(in_use_, request).schedule;
 }
 
 void AdaptiveController::RecordTimeline(
@@ -152,7 +148,7 @@ void AdaptiveController::RecordTimeline(
 sim::InstanceResult AdaptiveController::ProcessInstance(
     const ctg::BranchAssignment& assignment,
     const faults::InstanceFaults* faults) {
-  obs::TraceSession* trace = TraceTarget();
+  obs::TraceSession* const trace = obs::Recording(options_.trace);
   obs::ScopedSpan span(trace, "adaptive.instance", "adaptive");
   if (span.enabled()) {
     span.AddArg(obs::IntArg(
@@ -163,7 +159,7 @@ sim::InstanceResult AdaptiveController::ProcessInstance(
   // only as the instance runs, so adaptation applies from the next
   // instance on.
   const sim::InstanceResult result =
-      sim::ExecuteInstance(schedule_, assignment, faults);
+      sim::ExecuteInstance(schedule_, assignment, faults, trace);
 
   // Timeline rows describe the schedule the instance just executed
   // with, before any adaptation below replaces it.
@@ -362,22 +358,17 @@ bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
 }
 
 sim::RunSummary RunAdaptive(AdaptiveController& controller,
-                            const trace::BranchTrace& trace) {
+                            const trace::BranchTrace& trace,
+                            const faults::Injector* injector) {
   sim::RunSummary summary;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    summary.Add(controller.ProcessInstance(trace.At(i)));
-  }
-  return summary;
-}
-
-sim::RunSummary RunAdaptiveWithFaults(AdaptiveController& controller,
-                                      const trace::BranchTrace& trace,
-                                      const faults::Injector& injector) {
-  sim::RunSummary summary;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const faults::InstanceFaults f = injector.ForInstance(i);
+    if (injector == nullptr) {
+      summary.Add(controller.ProcessInstance(trace.At(i)));
+      continue;
+    }
+    const faults::InstanceFaults f = injector->ForInstance(i);
     ctg::BranchAssignment assignment = trace.At(i);
-    injector.ApplyDrift(i, assignment);
+    injector->ApplyDrift(i, assignment);
     summary.Add(controller.ProcessInstance(assignment, &f));
   }
   return summary;

@@ -103,10 +103,10 @@ struct AdaptiveOptions {
   /// Stretch policy applied after every (re)scheduling pass, resolved
   /// by name through dvfs::GetPolicy (paper: the online heuristic).
   std::string policy = "online";
-  /// Explicit trace session for the controller's spans and timeline
-  /// rows; when null, the process-wide obs::TraceSession::Current() is
-  /// consulted per instance (so bench --trace reaches controllers built
-  /// without explicit wiring).
+  /// Trace session for the controller's spans, counter samples and
+  /// timeline rows, handed on like metrics to its Rescheduler (and so to
+  /// the DLS, enumeration and stretch) and to every executed instance.
+  /// nullptr (the default) records nothing.
   obs::TraceSession* trace = nullptr;
   /// Optional schedule memoization: the cache to consult and the tenant
   /// id its keys carry, in one value (see runtime::CacheBinding). When
@@ -160,7 +160,7 @@ struct AdaptiveOptions {
 /// distinct instances may run on distinct threads concurrently. The
 /// shared services it touches are explicitly injectable: the metrics
 /// registry (options.metrics, default none), the trace session
-/// (options.trace, default Current()) and the schedule cache
+/// (options.trace, default none) and the schedule cache
 /// (options.cache, default unbound); the stretch policy is resolved
 /// once at construction from dvfs's fixed table, and policies
 /// themselves are stateless.
@@ -243,8 +243,6 @@ class AdaptiveController {
   /// cache consultation and the tier ladder. Returns the schedule only;
   /// tier accounting lives in the facade.
   sched::Schedule Reschedule(const RescheduleRequest& request);
-  /// The session this controller records into (explicit or current).
-  obs::TraceSession* TraceTarget() const;
   /// Bumps counter \p name in options.metrics, if set.
   void Count(const char* name) const;
   void RecordTimeline(obs::TraceSession& trace,
@@ -296,17 +294,13 @@ class AdaptiveController {
 };
 
 /// Runs a whole trace through an adaptive controller and aggregates the
-/// results (the adaptive rows/series of Fig. 5 and Tables 2-5).
+/// results (the adaptive rows/series of Fig. 5 and Tables 2-5). With an
+/// \p injector, each instance runs with its effects for that index,
+/// after branch-profile drift is applied to a copy of the traced
+/// assignment; an empty plan gives the fault-free summary bit for bit.
 sim::RunSummary RunAdaptive(AdaptiveController& controller,
-                            const trace::BranchTrace& trace);
-
-/// RunAdaptive under fault injection: each instance runs with
-/// \p injector's effects for its index, after branch-profile drift is
-/// applied to a copy of the traced assignment. With an empty plan the
-/// summary equals RunAdaptive's bit for bit.
-sim::RunSummary RunAdaptiveWithFaults(AdaptiveController& controller,
-                                      const trace::BranchTrace& trace,
-                                      const faults::Injector& injector);
+                            const trace::BranchTrace& trace,
+                            const faults::Injector* injector = nullptr);
 
 }  // namespace actg::adaptive
 

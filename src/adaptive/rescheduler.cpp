@@ -123,7 +123,8 @@ Rescheduler::Rescheduler(const ctg::Ctg& graph,
       config_fingerprint_(0),
       engine_(graph, analysis, platform,
               dvfs::PathEngineOptions{.max_paths = config_.stretch.max_paths,
-                                      .metrics = config_.metrics}) {
+                                      .metrics = config_.metrics,
+                                      .trace = config_.trace}) {
   config_.Validate().ThrowIfError();
   policy_ = &dvfs::GetPolicy(config_.policy);
   config_fingerprint_ = FingerprintConfig(config_);
@@ -291,8 +292,9 @@ void Rescheduler::VerifyIncremental(const ctg::BranchProbabilities& probs,
   // oracle would perturb the production ladder it is checking. The
   // scratch engine also means ApplyStretch must not be used here (it
   // records engine_shape_/engine_enum_id_ against engine_); the policy
-  // is applied directly instead. The scratch engine has no registry:
-  // its recomputes are not production work and must not count as such.
+  // is applied directly instead. The scratch engine has no registry
+  // and no trace session: its recomputes are not production work and
+  // must not count or show as such.
   if (verify_engine_ == nullptr) {
     verify_engine_ = std::make_unique<dvfs::PathEngine>(
         *graph_, *analysis_, *platform_,
@@ -369,10 +371,9 @@ void Rescheduler::RememberBasis(const ctg::BranchProbabilities& probs,
 }
 
 RescheduleResult Rescheduler::Reschedule(
-    const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
-    obs::TraceSession* trace) {
-  runtime::StageProbe probe(config_.metrics, trace, "adaptive.reschedule",
-                            "adaptive");
+    const ctg::BranchProbabilities& probs, const RescheduleRequest& req) {
+  runtime::StageProbe probe(config_.metrics, config_.trace,
+                            "adaptive.reschedule", "adaptive");
   // Degraded requests (restricted PEs and/or a speed floor) bypass the
   // cache: its key encodes neither constraint, and a degraded schedule
   // must never be served back to a healthy lookup. They also skip the

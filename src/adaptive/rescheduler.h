@@ -33,7 +33,9 @@
 /// exact hits), which bench_reschedule reads back as p50/p99. The facade
 /// hands the same registry to its PathEngine and that engine's DLS
 /// workspace, so "sched.dls", "dvfs.enumerate" and "dvfs.stretch" land
-/// beside it; without a registry nothing is recorded.
+/// beside it; without a registry nothing is recorded. The trace session
+/// (ReschedulerConfig::trace) takes the same route and receives the
+/// same four spans.
 ///
 /// Exactness contract per tier: kExact returns the entry inserted for
 /// exactly these probabilities in this mode (the cache key folds the
@@ -180,6 +182,10 @@ struct ReschedulerConfig {
   /// PathEngine and that engine's DlsWorkspace, so the DLS, enumeration
   /// and stretch timers land here too. nullptr records nothing.
   runtime::Metrics* metrics = nullptr;
+  /// Trace session for the "adaptive.reschedule" span, handed on like
+  /// metrics so the DLS, enumeration and stretch spans land in it too.
+  /// nullptr records nothing.
+  obs::TraceSession* trace = nullptr;
   /// Oracle-check every freshly computed schedule (see
   /// AdaptiveOptions::validate_schedules).
   bool validate_schedules = false;
@@ -214,8 +220,7 @@ class Rescheduler {
   /// In incremental mode, non-degraded results become the next
   /// warm-start basis.
   RescheduleResult Reschedule(const ctg::BranchProbabilities& probs,
-                              const RescheduleRequest& req,
-                              obs::TraceSession* trace = nullptr);
+                              const RescheduleRequest& req);
 
   /// Frees the reusable workspace: the PathEngine's buffers (see
   /// dvfs::PathEngine::ReleaseWorkspace), the lazily built verify

@@ -19,12 +19,14 @@ ctg::BranchProbabilities UniformProbabilities(const ctg::Ctg& graph) {
 }
 
 double AssignDeadline(ctg::Ctg& graph, const arch::Platform& platform,
-                      double factor) {
+                      double factor, obs::TraceSession* trace) {
   ACTG_CHECK(factor >= 1.0, "Deadline factor must be >= 1");
   const ctg::ActivationAnalysis analysis(graph);
   const ctg::BranchProbabilities probs = UniformProbabilities(graph);
+  sched::DlsWorkspace workspace;
+  workspace.trace = trace;
   const sched::Schedule schedule =
-      sched::RunDls(graph, analysis, platform, probs);
+      sched::RunDls(graph, analysis, platform, probs, {}, &workspace);
   const double deadline = schedule.Makespan() * factor;
   graph.SetDeadline(deadline);
   return deadline;

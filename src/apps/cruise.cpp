@@ -10,7 +10,8 @@
 
 namespace actg::apps {
 
-CruiseModel MakeCruiseModel(double deadline_factor) {
+CruiseModel MakeCruiseModel(obs::TraceSession* trace,
+                            double deadline_factor) {
   ctg::CtgBuilder b;
   std::vector<double> wcet;
   const auto add = [&](const std::string& name, double w) {
@@ -119,7 +120,7 @@ CruiseModel MakeCruiseModel(double deadline_factor) {
     }
   }
   arch::Platform platform = std::move(pb).Build();
-  AssignDeadline(graph, platform, deadline_factor);
+  AssignDeadline(graph, platform, deadline_factor, trace);
   return CruiseModel{std::move(graph), std::move(platform), mode, law};
 }
 

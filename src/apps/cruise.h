@@ -24,6 +24,7 @@
 #include "arch/platform.h"
 #include "ctg/condition.h"
 #include "ctg/graph.h"
+#include "obs/trace.h"
 #include "trace/trace.h"
 
 namespace actg::apps {
@@ -37,8 +38,10 @@ struct CruiseModel {
 };
 
 /// Builds the 32-task / 2-fork / 5-PE model; deadline = \p deadline_factor
-/// x the nominal DLS makespan (paper: 2x).
-CruiseModel MakeCruiseModel(double deadline_factor = 2.0);
+/// x the nominal DLS makespan (paper: 2x), whose DLS run is one
+/// "sched.dls" span on \p trace, if given.
+CruiseModel MakeCruiseModel(obs::TraceSession* trace = nullptr,
+                            double deadline_factor = 2.0);
 
 /// Generates one of the paper's three road-scenario decision sequences
 /// (uphill / downhill / straight / bumpy regimes). \p sequence selects

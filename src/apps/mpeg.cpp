@@ -51,7 +51,7 @@ arch::Platform BuildMpegPlatform(const ctg::Ctg& graph,
 
 }  // namespace
 
-MpegModel MakeMpegModel(double deadline_factor) {
+MpegModel MakeMpegModel(obs::TraceSession* trace, double deadline_factor) {
   ctg::CtgBuilder b;
   std::vector<double> wcet;  // filled parallel to task creation, ms
   const auto add = [&](const std::string& name, double w) {
@@ -153,7 +153,7 @@ MpegModel MakeMpegModel(double deadline_factor) {
 
   const std::vector<double> pe_power{1.3, 1.0, 1.05};  // mJ per ms
   arch::Platform platform = BuildMpegPlatform(graph, wcet, pe_power);
-  AssignDeadline(graph, platform, deadline_factor);
+  AssignDeadline(graph, platform, deadline_factor, trace);
   return MpegModel{std::move(graph), std::move(platform),
                    skipped,          mb_type,
                    mv_fork,          block_forks};

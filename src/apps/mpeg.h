@@ -27,6 +27,7 @@
 #include "arch/platform.h"
 #include "ctg/condition.h"
 #include "ctg/graph.h"
+#include "obs/trace.h"
 #include "trace/generators.h"
 #include "trace/trace.h"
 #include "util/rng.h"
@@ -47,8 +48,10 @@ struct MpegModel {
 
 /// Builds the 40-task / 9-fork / 3-PE MPEG model. The deadline is set to
 /// \p deadline_factor times the nominal DLS makespan under uniform
-/// probabilities.
-MpegModel MakeMpegModel(double deadline_factor = 1.8);
+/// probabilities; that DLS run is one "sched.dls" span on \p trace, if
+/// given.
+MpegModel MakeMpegModel(obs::TraceSession* trace = nullptr,
+                        double deadline_factor = 1.8);
 
 /// One synthetic movie profile.
 struct MovieProfile {

@@ -331,17 +331,15 @@ Report RunCase(const FuzzCase& c) {
     }
     for (std::size_t i = 0; i < trace.size(); ++i) {
       ctg::BranchAssignment assignment = trace.At(i);
+      std::optional<faults::InstanceFaults> f;
       if (injector.has_value()) {
         injector->ApplyDrift(i, assignment);
-        const faults::InstanceFaults f = injector->ForInstance(i);
-        report.Merge(CheckInstance(
-            schedule, assignment,
-            sim::ExecuteInstance(schedule, assignment, &f), &f));
-      } else {
-        report.Merge(CheckInstance(
-            schedule, assignment,
-            sim::ExecuteInstance(schedule, assignment)));
+        f = injector->ForInstance(i);
       }
+      const faults::InstanceFaults* faults = f.has_value() ? &*f : nullptr;
+      report.Merge(CheckInstance(
+          schedule, assignment,
+          sim::ExecuteInstance(schedule, assignment, faults), faults));
     }
 
     // The adaptive controller with its validator hooks armed: every
@@ -360,11 +358,8 @@ Report RunCase(const FuzzCase& c) {
           c.reschedule_mode == adaptive::RescheduleMode::kIncremental;
       adaptive::AdaptiveController controller(c.graph, analysis,
                                               c.platform, probs, options);
-      if (injector.has_value()) {
-        adaptive::RunAdaptiveWithFaults(controller, trace, *injector);
-      } else {
-        adaptive::RunAdaptive(controller, trace);
-      }
+      adaptive::RunAdaptive(controller, trace,
+                            injector.has_value() ? &*injector : nullptr);
       report.Merge(CheckSchedule(controller.current_schedule(), expect));
     }
   } catch (const std::exception& e) {

@@ -96,7 +96,7 @@ void ActivationAnalysis::CompileBitGuards() {
 
 void ActivationAnalysis::ComputeMutex() {
   const std::size_t n = graph_->task_count();
-  mutex_.assign(n, std::vector<bool>(n, false));
+  mutex_.assign(n * n, false);
   const bool use_bits = space_.valid();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
@@ -107,8 +107,8 @@ void ActivationAnalysis::ComputeMutex() {
           use_bits ? !bit_guards_[i].CompatibleWith(bit_guards_[j])
                    : !guards_[task_slots_[i]].CompatibleWith(
                          guards_[task_slots_[j]]);
-      mutex_[i][j] = exclusive;
-      mutex_[j][i] = exclusive;
+      mutex_[i * n + j] = exclusive;
+      mutex_[j * n + i] = exclusive;
     }
   }
 }
@@ -148,7 +148,10 @@ void ActivationAnalysis::ComputeImpliedDeps() {
 }
 
 bool ActivationAnalysis::MutuallyExclusive(TaskId a, TaskId b) const {
-  return mutex_.at(a.index()).at(b.index());
+  const std::size_t n = graph_->task_count();
+  ACTG_CHECK(a.index() < n && b.index() < n,
+             "MutuallyExclusive: task id out of range");
+  return mutex_[a.index() * n + b.index()];
 }
 
 double ActivationAnalysis::ActivationProbability(

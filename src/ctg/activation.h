@@ -99,7 +99,8 @@ class ActivationAnalysis {
   }
 
   /// True when the two tasks can never be active in the same instance
-  /// (X(τi) ∧ X(τj) = 0).
+  /// (X(τi) ∧ X(τj) = 0). Throws actg::InvalidArgument when either id
+  /// is not a task of the graph.
   bool MutuallyExclusive(TaskId a, TaskId b) const;
 
   /// Probability that \p task is activated, P(X(τ)), under \p probs.
@@ -164,7 +165,8 @@ class ActivationAnalysis {
   std::vector<std::size_t> edge_slots_;   // edge index -> guards_ index
   ConditionSpace space_;
   std::vector<BitGuard> bit_guards_;  // empty when !space_.valid()
-  std::vector<std::vector<bool>> mutex_;
+  /// n×n bit matrix, row-major: bit a·n + b is MutuallyExclusive(a, b).
+  std::vector<bool> mutex_;
   std::vector<std::pair<TaskId, TaskId>> implied_deps_;
 };
 

@@ -36,6 +36,9 @@ struct PolicyRunOptions {
   /// Consumed by the "nlp" policy only (its path-analysis knobs are
   /// overridden by \p stretch).
   NlpOptions nlp;
+  /// Session the pipeline's DLS, enumeration and stretch spans go to;
+  /// nullptr records nothing.
+  obs::TraceSession* trace = nullptr;
 };
 
 /// Generic pipeline: modified DLS followed by the named stretch policy
@@ -49,24 +52,29 @@ sched::Schedule RunWithPolicy(std::string_view policy,
                               const PolicyRunOptions& options = {});
 
 /// The paper's online algorithm: modified DLS + stretching heuristic.
+/// Like the references below, it records its spans on \p trace, if
+/// given.
 sched::Schedule RunOnlineAlgorithm(const ctg::Ctg& graph,
                                    const ctg::ActivationAnalysis& analysis,
                                    const arch::Platform& platform,
-                                   const ctg::BranchProbabilities& probs);
+                                   const ctg::BranchProbabilities& probs,
+                                   obs::TraceSession* trace = nullptr);
 
 /// Reference Algorithm 1 [10]: ordering-only on a round-robin mapping,
 /// probability- and mutual-exclusion-blind throughout.
 sched::Schedule RunReference1(const ctg::Ctg& graph,
                               const ctg::ActivationAnalysis& analysis,
                               const arch::Platform& platform,
-                              const ctg::BranchProbabilities& probs);
+                              const ctg::BranchProbabilities& probs,
+                              obs::TraceSession* trace = nullptr);
 
 /// Reference Algorithm 2 [17]: modified DLS + convex (NLP) stretching.
 sched::Schedule RunReference2(const ctg::Ctg& graph,
                               const ctg::ActivationAnalysis& analysis,
                               const arch::Platform& platform,
                               const ctg::BranchProbabilities& probs,
-                              const NlpOptions& options = {});
+                              const NlpOptions& options = {},
+                              obs::TraceSession* trace = nullptr);
 
 }  // namespace actg::dvfs
 

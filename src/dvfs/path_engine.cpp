@@ -38,6 +38,7 @@ PathEngine::PathEngine(const ctg::Ctg& graph,
   ACTG_CHECK(&analysis.graph() == &graph,
              "PathEngine analysis must be over the engine's graph");
   dls_workspace_.metrics = options_.metrics;
+  dls_workspace_.trace = options_.trace;
   use_bitset_ = !options_.force_dnf && analysis.space().valid();
   if (!options_.force_dnf && !use_bitset_) Count("guard.dnf_fallbacks");
 
@@ -98,7 +99,7 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
                            bool drop_unrealizable) {
   ACTG_CHECK(&schedule.graph() == graph_,
              "Enumerate requires a schedule over the engine's graph");
-  runtime::StageProbe probe(options_.metrics, obs::TraceSession::Current(),
+  runtime::StageProbe probe(options_.metrics, options_.trace,
                             "dvfs.enumerate", "dvfs");
 
   // Invalidate the previous enumeration before the DFS: if it throws, a
@@ -396,9 +397,9 @@ void PathEngine::ReleaseWorkspace() {
        comm_, delay_, unlocked_, nominal_delay_, nominal_unlocked_,
        span_begin_, span_pool_, span_cursor_, edge_prob_, scan_prob_after_,
        scan_slack_ratio_);
-  runtime::Metrics* const metrics = dls_workspace_.metrics;
   dls_workspace_ = sched::DlsWorkspace{};
-  dls_workspace_.metrics = metrics;
+  dls_workspace_.metrics = options_.metrics;
+  dls_workspace_.trace = options_.trace;
   ClearPaths();
 }
 

@@ -39,10 +39,12 @@
 /// engine serves one thread at a time; concurrent controllers each own
 /// their own engine (see adaptive::AdaptiveController).
 ///
-/// Metrics: an engine built with PathEngineOptions::metrics records its
-/// "dvfs.enumerate" timer, the stretch policies' "dvfs.stretch" timer
-/// (Policy::Apply) and its DLS workspace's "sched.dls" timer into that
-/// registry; an engine built without one records only trace spans.
+/// Metrics and tracing: an engine built with PathEngineOptions::metrics
+/// records its "dvfs.enumerate" timer, the stretch policies'
+/// "dvfs.stretch" timer (Policy::Apply) and its DLS workspace's
+/// "sched.dls" timer into that registry, and an engine built with
+/// PathEngineOptions::trace records the same three spans into that
+/// session; an engine built with neither records nothing.
 
 #ifndef ACTG_DVFS_PATH_ENGINE_H
 #define ACTG_DVFS_PATH_ENGINE_H
@@ -75,10 +77,12 @@ struct PathEngineOptions {
   /// one binary; production callers leave it false.
   bool force_dnf = false;
   /// Registry the engine, the policies applied on it and its
-  /// dls_workspace() record their stage timers and counters into; null
-  /// records nothing. It only says where to report, never what is
-  /// computed. Must outlive the engine.
+  /// dls_workspace() record their stage timers and counters into, and
+  /// session they record their spans into; null records nothing. They
+  /// only say where to report, never what is computed. Must outlive the
+  /// engine.
   runtime::Metrics* metrics = nullptr;
+  obs::TraceSession* trace = nullptr;
 };
 
 /// Reusable path-enumeration + stretch workspace. See the file comment
@@ -223,12 +227,12 @@ class PathEngine {
 
   /// Scratch buffers for sched::RunDls, so a controller-owned engine
   /// also amortizes the scheduler's per-call allocations. Carries the
-  /// engine's metrics registry.
+  /// engine's metrics registry and trace session.
   sched::DlsWorkspace& dls_workspace() { return dls_workspace_; }
 
   /// Frees every reusable buffer: the path store and spanning lists,
   /// the DFS stacks, the per-enumeration and scan scratch and the DLS
-  /// workspace's buffers (its registry stays). The engine
+  /// workspace's buffers (its registry and session stay). The engine
   /// is then empty as after a failed enumeration: size() is 0 and
   /// enumeration_id() has advanced, so no caller can rewind the freed
   /// store. Later calls regrow the buffers and compute exactly what an

@@ -62,8 +62,7 @@ StretchStats Policy::Apply(PathEngine& engine, PolicyContext& ctx) const {
   ACTG_CHECK(ctx.schedule != nullptr,
              "PolicyContext: schedule must be set");
   runtime::StageProbe probe(engine.options().metrics,
-                            obs::TraceSession::Current(), "dvfs.stretch",
-                            "dvfs");
+                            engine.options().trace, "dvfs.stretch", "dvfs");
   if (probe.tracing()) {
     probe.AddArg(obs::StrArg("policy", std::string(Name())));
   }

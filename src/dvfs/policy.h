@@ -14,9 +14,9 @@
 /// but are no longer referenced outside src/dvfs.
 ///
 /// Every Apply() is one "dvfs.stretch" stage probe (runtime/metrics.h):
-/// a span on the current trace session with the policy name and
-/// resulting path count, and the "dvfs.stretch" timer in the engine's
-/// metrics registry, if it has one.
+/// a span with the policy name and resulting path count on the
+/// engine's trace session, and the "dvfs.stretch" timer in the engine's
+/// metrics registry, each if the engine has one.
 
 #ifndef ACTG_DVFS_POLICY_H
 #define ACTG_DVFS_POLICY_H
@@ -90,8 +90,9 @@ const Policy& GetPolicy(std::string_view name);
 std::vector<std::string> PolicyNames();
 
 /// Convenience entry point: applies the named policy to \p schedule,
-/// building a transient PathEngine when \p engine is null (identical
-/// results either way — the engine only pools storage).
+/// building a transient PathEngine, which records nowhere, when
+/// \p engine is null (identical results either way — the engine only
+/// pools storage and names where to record).
 StretchStats ApplyPolicy(std::string_view name, sched::Schedule& schedule,
                          const ctg::BranchProbabilities& probs,
                          const StretchOptions& options = {},

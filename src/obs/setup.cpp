@@ -55,13 +55,11 @@ ScopedTracing::ScopedTracing(int& argc, char** argv,
   if (std::optional<std::string> path = ParseTracePath(argc, argv)) {
     path_ = *path;
     session_ = std::make_unique<TraceSession>(options);
-    guard_ = std::make_unique<SessionGuard>(session_.get());
   }
 }
 
 ScopedTracing::~ScopedTracing() {
   if (session_ == nullptr) return;
-  guard_.reset();  // uninstall before exporting
   // Atomic exports: a crash mid-write must never leave a torn trace
   // artifact behind (this is a destructor — report, never throw).
   util::AtomicFile trace_out(path_);

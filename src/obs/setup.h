@@ -2,13 +2,13 @@
 /// Command-line wiring of the tracing subsystem for the bench targets
 /// and the CLI.
 ///
-/// Every bench main constructs one ScopedTracing from its argc/argv.
-/// When --trace <file> (or --trace=<file>, or the ACTG_TRACE
-/// environment variable) names an output file, the guard creates a
-/// TraceSession, installs it as the process-wide current session, and
-/// on destruction writes the Chrome trace_event JSON to <file> and the
-/// per-iteration timeline CSV next to it as <file minus extension>
-/// .timeline.csv. Without the flag nothing is installed and the
+/// Every traced bench main and the CLI construct one ScopedTracing from
+/// their argc/argv. When --trace <file> (or --trace=<file>, or the
+/// ACTG_TRACE environment variable) names an output file, it owns a
+/// TraceSession, which the main hands to the work it traces (session()),
+/// and on destruction writes the Chrome trace_event JSON to <file> and
+/// the per-iteration timeline CSV next to it as <file minus extension>
+/// .timeline.csv. Without the flag session() is null and the
 /// instrumented stages stay on their null-session fast path.
 ///
 /// The --trace arguments are removed from argv so downstream parsers
@@ -31,8 +31,8 @@ namespace actg::obs {
 std::optional<std::string> ParseTracePath(int& argc, char** argv);
 
 /// RAII trace setup for a main(): parses the trace path, owns the
-/// session, installs it, and writes both exports on destruction
-/// (notes go to stderr so bench stdout is untouched).
+/// session and writes both exports on destruction (notes go to stderr
+/// so bench stdout is untouched).
 class ScopedTracing {
  public:
   ScopedTracing(int& argc, char** argv, TraceOptions options = {});
@@ -41,13 +41,12 @@ class ScopedTracing {
   ScopedTracing(const ScopedTracing&) = delete;
   ScopedTracing& operator=(const ScopedTracing&) = delete;
 
-  bool enabled() const { return session_ != nullptr; }
+  /// The owned session, or nullptr when tracing was not requested.
   TraceSession* session() { return session_.get(); }
 
  private:
   std::string path_;
   std::unique_ptr<TraceSession> session_;
-  std::unique_ptr<SessionGuard> guard_;
 };
 
 }  // namespace actg::obs

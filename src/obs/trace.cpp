@@ -5,10 +5,6 @@
 
 namespace actg::obs {
 
-namespace detail {
-std::atomic<TraceSession*> g_current_session{nullptr};
-}  // namespace detail
-
 TraceArg IntArg(std::string key, std::int64_t value) {
   return TraceArg{std::move(key), std::to_string(value), false};
 }
@@ -88,21 +84,6 @@ std::vector<TraceEvent> TraceSession::Events() const {
 std::vector<TimelineRow> TraceSession::Timeline() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return timeline_;
-}
-
-SessionGuard::SessionGuard(TraceSession* session) {
-#ifdef ACTG_OBS_DISABLED
-  (void)session;
-#else
-  previous_ = detail::g_current_session.exchange(
-      session, std::memory_order_acq_rel);
-#endif
-}
-
-SessionGuard::~SessionGuard() {
-#ifndef ACTG_OBS_DISABLED
-  detail::g_current_session.store(previous_, std::memory_order_release);
-#endif
 }
 
 }  // namespace actg::obs

@@ -3,13 +3,14 @@
 ///
 /// A TraceSession records nested spans (begin/end pairs with thread id,
 /// category and key/value args), counter samples and per-iteration
-/// timeline rows. Instrumented stages — the modified DLS, PathEngine
-/// enumeration, the stretch policies, the pool workers, the simulator
-/// event loop and the adaptive controller — look up the process-wide
-/// session with TraceSession::Current() and record only when one is
-/// installed, so with no session the entire subsystem compiles down to
-/// one relaxed atomic load and a branch on nullptr per stage (and, with
-/// ACTG_DISABLE_OBS, to nothing at all).
+/// timeline rows. There is no process-wide session: whoever owns a unit
+/// of work (a bench main, the CLI, a test) creates one and injects it
+/// where the metrics registry travels — AdaptiveOptions::trace, from
+/// which the controller hands it to its Rescheduler, PathEngine and DLS
+/// workspace — or passes it to sim::RunTrace, sim::ExecuteInstance and
+/// runtime::Pool. A stage handed no session records nothing, at the cost
+/// of one null check (and, with ACTG_DISABLE_OBS, of nothing at all:
+/// every site ignores the session it is given).
 ///
 /// Sessions are exported through obs/export.h as Chrome trace_event
 /// JSON (loadable in chrome://tracing or Perfetto) and as a
@@ -25,7 +26,6 @@
 #ifndef ACTG_OBS_TRACE_H
 #define ACTG_OBS_TRACE_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -96,11 +96,10 @@ struct TraceOptions {
   bool deterministic_clock = false;
 };
 
-/// Thread-safe event recorder. Install one as the process-wide current
-/// session with SessionGuard; instrumentation reaches it through
-/// Current(). Recording locks a mutex — tracing is an opt-in diagnosis
-/// tool, not a steady-state cost — but the *disabled* path (no current
-/// session) is a single load + branch.
+/// Thread-safe event recorder, injected by its owner (see the file
+/// comment). Recording locks a mutex — tracing is an opt-in diagnosis
+/// tool, not a steady-state cost — but the *disabled* path (no session)
+/// is a single branch.
 class TraceSession {
  public:
   explicit TraceSession(TraceOptions options = {});
@@ -121,14 +120,7 @@ class TraceSession {
 
   const TraceOptions& options() const { return options_; }
 
-  /// The installed process-wide session, or nullptr when tracing is
-  /// off. Inline: this is the only code the instrumented hot paths
-  /// execute when disabled.
-  static TraceSession* Current();
-
  private:
-  friend class SessionGuard;
-
   void Record(EventPhase phase, const char* name, const char* category,
               std::vector<TraceArg> args);
   /// Timestamp + dense thread id; callers hold mu_.
@@ -144,42 +136,26 @@ class TraceSession {
   std::vector<TimelineRow> timeline_;
 };
 
-namespace detail {
-extern std::atomic<TraceSession*> g_current_session;
-}  // namespace detail
-
-inline TraceSession* TraceSession::Current() {
+/// \p session, or nullptr when ACTG_DISABLE_OBS compiles tracing out.
+/// Every instrumentation site filters the session it is handed through
+/// this, so the disabled build records nothing and drops the recording
+/// code as dead.
+constexpr TraceSession* Recording(TraceSession* session) {
 #ifdef ACTG_OBS_DISABLED
+  (void)session;
   return nullptr;
 #else
-  return detail::g_current_session.load(std::memory_order_acquire);
+  return session;
 #endif
 }
 
-/// RAII installer of the process-wide current session; restores the
-/// previously installed session (usually nullptr) on destruction.
-/// Under ACTG_DISABLE_OBS installation is a no-op and Current() stays
-/// nullptr, which is what the disabled-path tests assert.
-class SessionGuard {
- public:
-  explicit SessionGuard(TraceSession* session);
-  ~SessionGuard();
-
-  SessionGuard(const SessionGuard&) = delete;
-  SessionGuard& operator=(const SessionGuard&) = delete;
-
- private:
-  TraceSession* previous_ = nullptr;
-};
-
-/// RAII span: emits the Begin event on construction when a session is
-/// active, the End event (with any args accumulated via AddArg) on
-/// destruction. Constructed with TraceSession::Current() at every
-/// instrumentation site, so the disabled cost is the null check.
+/// RAII span: emits the Begin event on construction when given a
+/// session, the End event (with any args accumulated via AddArg) on
+/// destruction. Without one the cost is the null check.
 class ScopedSpan {
  public:
   ScopedSpan(TraceSession* session, const char* name, const char* category)
-      : session_(session), name_(name), category_(category) {
+      : session_(Recording(session)), name_(name), category_(category) {
     if (session_ != nullptr) session_->BeginSpan(name_, category_);
   }
 

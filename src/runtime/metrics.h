@@ -14,7 +14,8 @@
 /// injects it: AdaptiveOptions / ReschedulerConfig::metrics, from which
 /// the Rescheduler hands it to its PathEngine (PathEngineOptions) and
 /// that engine's DlsWorkspace. A stage reached without a registry
-/// records nothing.
+/// records nothing. The trace session travels beside it, in the field
+/// `trace` of each of those structs.
 ///
 /// Each instrumented stage records through one StageProbe, which feeds
 /// the trace session and the registry from the same probe point.
@@ -105,7 +106,8 @@ class Metrics {
 
 /// The one probe of an instrumented stage (sched.dls, dvfs.enumerate,
 /// dvfs.stretch, adaptive.reschedule). On construction it opens the
-/// span \p name on \p session when one is given, and starts the clock
+/// span \p name on \p session when one is given (and tracing is
+/// compiled in, see obs::Recording), and starts the clock
 /// when \p metrics is given. Finish() — or destruction — closes the
 /// span and adds the elapsed time to the timer \p name plus one to the
 /// counter "<name>.calls". With neither a session nor a registry it
@@ -116,7 +118,9 @@ class StageProbe {
   StageProbe(Metrics* metrics, obs::TraceSession* session, const char* name,
              const char* category)
       : metrics_(metrics), name_(name) {
-    if (session != nullptr) span_.emplace(session, name, category);
+    if (obs::Recording(session) != nullptr) {
+      span_.emplace(session, name, category);
+    }
     if (metrics_ != nullptr) begin_ = std::chrono::steady_clock::now();
   }
 

@@ -15,10 +15,10 @@ namespace {
 /// DrainBatch so trace *content* is identical for any --jobs count
 /// (only thread ids and timestamps differ). A positive deadline arms a
 /// per-job watchdog token for the body's duration.
-void RunJobTraced(const std::function<void(std::size_t)>& body,
+void RunJobTraced(obs::TraceSession* trace,
+                  const std::function<void(std::size_t)>& body,
                   std::size_t index, double deadline_ms) {
-  obs::ScopedSpan span(obs::TraceSession::Current(), "pool.job",
-                       "runtime");
+  obs::ScopedSpan span(trace, "pool.job", "runtime");
   if (span.enabled()) {
     span.AddArg(obs::IntArg("index", static_cast<std::int64_t>(index)));
   }
@@ -49,7 +49,8 @@ struct Pool::Batch {
   bool Finished() const { return Exhausted() && completed == claimed; }
 };
 
-Pool::Pool(std::size_t jobs) : jobs_(jobs == 0 ? 1 : jobs) {
+Pool::Pool(std::size_t jobs, obs::TraceSession* trace)
+    : jobs_(jobs == 0 ? 1 : jobs), trace_(trace) {
   workers_.reserve(jobs_ - 1);
   for (std::size_t i = 0; i + 1 < jobs_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -72,7 +73,9 @@ void Pool::ParallelFor(std::size_t n,
   if (workers_.empty() || n == 1 || t_inside_job) {
     // Serial pool, trivial batch, or nested call from inside a job:
     // run inline. Identical results by the determinism contract.
-    for (std::size_t i = 0; i < n; ++i) RunJobTraced(body, i, deadline_ms);
+    for (std::size_t i = 0; i < n; ++i) {
+      RunJobTraced(trace_, body, i, deadline_ms);
+    }
     return;
   }
 
@@ -112,7 +115,7 @@ void Pool::DrainBatch(const std::shared_ptr<Batch>& batch) {
     t_inside_job = true;
     std::exception_ptr error;
     try {
-      RunJobTraced(batch->body, index, batch->deadline_ms);
+      RunJobTraced(trace_, batch->body, index, batch->deadline_ms);
     } catch (...) {
       error = std::current_exception();
     }

@@ -28,14 +28,20 @@
 #include <type_traits>
 #include <vector>
 
+namespace actg::obs {
+class TraceSession;
+}  // namespace actg::obs
+
 namespace actg::runtime {
 
 /// Fixed-size thread pool executing index batches.
 class Pool {
  public:
   /// Creates a pool with a total concurrency of \p jobs (the calling
-  /// thread plus jobs-1 workers). jobs <= 1 means fully serial.
-  explicit Pool(std::size_t jobs = 1);
+  /// thread plus jobs-1 workers). jobs <= 1 means fully serial. Every
+  /// job body runs inside one "pool.job" span on \p trace, if given,
+  /// which must outlive the pool.
+  explicit Pool(std::size_t jobs = 1, obs::TraceSession* trace = nullptr);
   ~Pool();
 
   Pool(const Pool&) = delete;
@@ -65,6 +71,7 @@ class Pool {
   void DrainBatch(const std::shared_ptr<Batch>& batch);
 
   std::size_t jobs_;
+  obs::TraceSession* trace_;
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_available_;

@@ -78,8 +78,9 @@ Schedule RunDls(const ctg::Ctg& graph,
   const std::size_t n = graph.task_count();
   runtime::StageProbe probe(workspace != nullptr ? workspace->metrics
                                                  : nullptr,
-                            obs::TraceSession::Current(), "sched.dls",
-                            "sched");
+                            workspace != nullptr ? workspace->trace
+                                                 : nullptr,
+                            "sched.dls", "sched");
   if (probe.tracing()) {
     probe.AddArg(obs::IntArg("tasks", static_cast<std::int64_t>(n)));
   }

@@ -32,6 +32,10 @@ namespace actg::runtime {
 class Metrics;
 }  // namespace actg::runtime
 
+namespace actg::obs {
+class TraceSession;
+}  // namespace actg::obs
+
 namespace actg::sched {
 
 /// Configuration of the DLS machinery.
@@ -79,8 +83,8 @@ std::vector<PeId> RoundRobinMapping(const ctg::Ctg& graph,
 /// on the same graph skip all per-call vector growth; the produced
 /// schedules are identical with or without one, and one workspace may
 /// serve graphs and platforms of any size. The scratch buffers are
-/// meaningless between calls; `metrics` is the one setting that
-/// persists.
+/// meaningless between calls; `metrics` and `trace` are the settings
+/// that persist.
 struct DlsWorkspace {
   /// One committed busy interval of a PE timeline.
   struct Interval {
@@ -108,9 +112,11 @@ struct DlsWorkspace {
   /// ceil(task_count / 64) words per task, bit a of row b set when a
   /// reaches b.
   std::vector<std::uint64_t> ancestors;
-  /// Registry RunDls records its "sched.dls" timer into; null records
-  /// nothing. It only says where to report, never what is computed.
+  /// Registry RunDls records its "sched.dls" timer into, and session it
+  /// records its "sched.dls" span into; null records nothing. They only
+  /// say where to report, never what is computed.
   runtime::Metrics* metrics = nullptr;
+  obs::TraceSession* trace = nullptr;
 };
 
 /// Runs DLS and returns the complete schedule (placements, commit order,
@@ -118,8 +124,9 @@ struct DlsWorkspace {
 ///
 /// \p probs must cover every fork of the graph. The referenced objects
 /// must outlive the returned schedule. \p workspace, when given,
-/// provides reusable scratch storage and the metrics registry (see
-/// DlsWorkspace); without one the call records only its trace span.
+/// provides reusable scratch storage, the metrics registry and the
+/// trace session (see DlsWorkspace); without one the call records
+/// nothing.
 Schedule RunDls(const ctg::Ctg& graph,
                 const ctg::ActivationAnalysis& analysis,
                 const arch::Platform& platform,

@@ -2,26 +2,20 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
 #include "util/error.h"
 
 namespace actg::sim {
 
 InstanceResult ExecuteInstance(const sched::Schedule& schedule,
-                               const ctg::BranchAssignment& assignment) {
-  return ExecuteInstance(schedule, assignment, nullptr);
-}
-
-InstanceResult ExecuteInstance(const sched::Schedule& schedule,
                                const ctg::BranchAssignment& assignment,
-                               const faults::InstanceFaults* faults) {
+                               const faults::InstanceFaults* faults,
+                               obs::TraceSession* session) {
   const ctg::Ctg& graph = schedule.graph();
   const ctg::ActivationAnalysis& analysis = schedule.analysis();
   const std::size_t n = graph.task_count();
   ACTG_CHECK(assignment.size() == n,
              "Assignment size does not match the graph");
-  obs::ScopedSpan span(obs::TraceSession::Current(), "sim.instance",
-                       "sim");
+  obs::ScopedSpan span(session, "sim.instance", "sim");
 
   InstanceResult result;
   const std::vector<char> active = analysis.ActiveTasks(assignment);
@@ -103,34 +97,25 @@ void RunSummary::Add(const InstanceResult& r) {
 }
 
 RunSummary RunTrace(const sched::Schedule& schedule,
-                    const trace::BranchTrace& trace) {
-  obs::ScopedSpan span(obs::TraceSession::Current(), "sim.run", "sim");
+                    const trace::BranchTrace& trace,
+                    const faults::Injector* injector,
+                    obs::TraceSession* session) {
+  obs::ScopedSpan span(session, "sim.run", "sim");
   if (span.enabled()) {
     span.AddArg(obs::IntArg(
         "instances", static_cast<std::int64_t>(trace.size())));
+    if (injector != nullptr) span.AddArg(obs::StrArg("faults", "injected"));
   }
   RunSummary summary;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    summary.Add(ExecuteInstance(schedule, trace.At(i)));
-  }
-  return summary;
-}
-
-RunSummary RunTraceWithFaults(const sched::Schedule& schedule,
-                              const trace::BranchTrace& trace,
-                              const faults::Injector& injector) {
-  obs::ScopedSpan span(obs::TraceSession::Current(), "sim.run", "sim");
-  if (span.enabled()) {
-    span.AddArg(obs::IntArg(
-        "instances", static_cast<std::int64_t>(trace.size())));
-    span.AddArg(obs::StrArg("faults", "injected"));
-  }
-  RunSummary summary;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const faults::InstanceFaults f = injector.ForInstance(i);
+    if (injector == nullptr) {
+      summary.Add(ExecuteInstance(schedule, trace.At(i), nullptr, session));
+      continue;
+    }
+    const faults::InstanceFaults f = injector->ForInstance(i);
     ctg::BranchAssignment assignment = trace.At(i);
-    injector.ApplyDrift(i, assignment);
-    summary.Add(ExecuteInstance(schedule, assignment, &f));
+    injector->ApplyDrift(i, assignment);
+    summary.Add(ExecuteInstance(schedule, assignment, &f, session));
   }
   return summary;
 }
@@ -144,13 +129,15 @@ ctg::BranchAssignment AssignmentFromScenario(const ctg::Ctg& graph,
   return assignment;
 }
 
-double MaxScenarioMakespan(const sched::Schedule& schedule) {
+double MaxScenarioMakespan(const sched::Schedule& schedule,
+                           obs::TraceSession* session) {
   const ctg::Ctg& graph = schedule.graph();
   double worst = 0.0;
   for (const ctg::Minterm& scenario :
        schedule.analysis().EnumerateScenarioAssignments()) {
-    const InstanceResult result = ExecuteInstance(
-        schedule, AssignmentFromScenario(graph, scenario));
+    const InstanceResult result =
+        ExecuteInstance(schedule, AssignmentFromScenario(graph, scenario),
+                        nullptr, session);
     worst = std::max(worst, result.makespan_ms);
   }
   return worst;

@@ -14,6 +14,7 @@
 
 #include "ctg/condition.h"
 #include "faults/injector.h"
+#include "obs/trace.h"
 #include "report/fleet_stats.h"
 #include "sched/schedule.h"
 #include "trace/trace.h"
@@ -40,19 +41,18 @@ struct InstanceResult {
   bool faults_injected = false;
 };
 
-/// Executes one instance of the schedule under \p assignment.
-InstanceResult ExecuteInstance(const sched::Schedule& schedule,
-                               const ctg::BranchAssignment& assignment);
-
-/// Executes one instance with fault effects applied: per-task execution
-/// times (and dynamic energy, which scales with cycles at a fixed
-/// voltage) are multiplied by the drawn overrun factors, tasks placed on
-/// a failed PE pay the re-run penalty, and inter-PE communication is
-/// inflated by the link-degradation factor. A null \p faults (or one
-/// with no effect) reproduces the fault-free result bit for bit.
+/// Executes one instance of the schedule under \p assignment, with
+/// \p faults' effects when given: per-task execution times (and dynamic
+/// energy, which scales with cycles at a fixed voltage) are multiplied
+/// by the drawn overrun factors, tasks placed on a failed PE pay the
+/// re-run penalty, and inter-PE communication is inflated by the
+/// link-degradation factor. A null \p faults (or one with no effect)
+/// is the fault-free run bit for bit. The instance is one "sim.instance"
+/// span on \p session, if given.
 InstanceResult ExecuteInstance(const sched::Schedule& schedule,
                                const ctg::BranchAssignment& assignment,
-                               const faults::InstanceFaults* faults);
+                               const faults::InstanceFaults* faults = nullptr,
+                               obs::TraceSession* session = nullptr);
 
 /// Aggregate of a whole trace run. The shared fleet vocabulary
 /// (instances / deadline_misses / total_energy_mj / max_makespan_ms /
@@ -72,17 +72,16 @@ struct RunSummary : report::FleetStats {
 };
 
 /// Runs every instance of \p trace against a fixed schedule (the
-/// non-adaptive / "online" configuration of Section IV).
+/// non-adaptive / "online" configuration of Section IV). With an
+/// \p injector, each instance executes with its effects for that index,
+/// after branch-profile drift is applied to a copy of the traced
+/// assignment; an empty plan gives the fault-free summary bit for bit.
+/// The run is one "sim.run" span, enclosing the instances' spans, on
+/// \p session, if given.
 RunSummary RunTrace(const sched::Schedule& schedule,
-                    const trace::BranchTrace& trace);
-
-/// RunTrace under fault injection: each instance executes with
-/// \p injector's effects for that index, after branch-profile drift is
-/// applied to a copy of the traced assignment. With an empty plan the
-/// summary equals RunTrace's bit for bit.
-RunSummary RunTraceWithFaults(const sched::Schedule& schedule,
-                              const trace::BranchTrace& trace,
-                              const faults::Injector& injector);
+                    const trace::BranchTrace& trace,
+                    const faults::Injector* injector = nullptr,
+                    obs::TraceSession* session = nullptr);
 
 /// Converts a scenario minterm into a full branch assignment (forks the
 /// scenario leaves unresolved stay unset; they are inactive and their
@@ -93,8 +92,10 @@ ctg::BranchAssignment AssignmentFromScenario(const ctg::Ctg& graph,
 /// Worst completion time over every execution scenario of the graph.
 /// This — not the all-tasks static makespan, which superimposes
 /// mutually exclusive tasks — is the quantity the deadline guarantee of
-/// the stretching algorithms applies to.
-double MaxScenarioMakespan(const sched::Schedule& schedule);
+/// the stretching algorithms applies to. Each scenario is one
+/// "sim.instance" span on \p session, if given.
+double MaxScenarioMakespan(const sched::Schedule& schedule,
+                           obs::TraceSession* session = nullptr);
 
 }  // namespace actg::sim
 

@@ -6,6 +6,7 @@
 #include "apps/fig1_example.h"
 #include "apps/mpeg.h"
 #include "ctg/activation.h"
+#include "util/error.h"
 
 namespace actg::ctg {
 namespace {
@@ -58,6 +59,16 @@ TEST_F(Fig1Activation, MutualExclusionPairs) {
   EXPECT_FALSE(analysis_.MutuallyExclusive(tau(1), tau(4)));
   EXPECT_FALSE(analysis_.MutuallyExclusive(tau(2), tau(3)));
   EXPECT_FALSE(analysis_.MutuallyExclusive(tau(8), tau(6)));
+}
+
+TEST_F(Fig1Activation, MutexRejectsOutOfRangeIds) {
+  const int n = static_cast<int>(ex_.graph.task_count());
+  EXPECT_THROW(analysis_.MutuallyExclusive(TaskId{n}, tau(1)),
+               InvalidArgument);
+  EXPECT_THROW(analysis_.MutuallyExclusive(tau(1), TaskId{n}),
+               InvalidArgument);
+  EXPECT_THROW(analysis_.MutuallyExclusive(TaskId{-1}, tau(1)),
+               InvalidArgument);
 }
 
 TEST_F(Fig1Activation, MutexIsSymmetricAndIrreflexive) {

@@ -384,8 +384,7 @@ TEST(DegradeDeterminism, JobsOneVersusFourSameLadderAndTimeline) {
           const Injector injector(FullPlan(), ex.graph, ex.platform,
                                   9000 + unit);
           const sim::RunSummary summary =
-              adaptive::RunAdaptiveWithFaults(controller, vectors,
-                                              injector);
+              adaptive::RunAdaptive(controller, vectors, &injector);
           UnitOutcome outcome;
           std::memcpy(&outcome.energy_bits, &summary.total_energy_mj,
                       sizeof(double));

@@ -714,6 +714,9 @@ TEST(MetricsTest, ConcurrentIncrementsSumExactly) {
   EXPECT_EQ(metrics.counter("hits"), 1000u);
 }
 
+// A build with tracing compiled out ignores the session (test_trace's
+// DisabledBuildIgnoresAnInjectedSession).
+#ifndef ACTG_OBS_DISABLED
 TEST(MetricsTest, ProbeFeedsTheSpanAndTheTimerFromOnePoint) {
   Metrics metrics;
   obs::TraceSession session(obs::TraceOptions{.deterministic_clock = true});
@@ -738,6 +741,7 @@ TEST(MetricsTest, ProbeFeedsTheSpanAndTheTimerFromOnePoint) {
   EXPECT_EQ(events[3].name, "stage.y");
   EXPECT_EQ(metrics.counter("stage.y.calls"), 0u);
 }
+#endif  // ACTG_OBS_DISABLED
 
 TEST(MetricsTest, DistributionsReportNearestRankQuantiles) {
   Metrics metrics;

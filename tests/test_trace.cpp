@@ -354,12 +354,11 @@ TEST_F(TraceFixture, MarkovProcessDrivesGenerator) {
 #include "adaptive/controller.h"
 #include "apps/common.h"
 #include "dvfs/algorithms.h"
-#include "dvfs/policy.h"
 #include "golden_file.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "runtime/metrics.h"
 #include "runtime/pool.h"
-#include "sched/dls.h"
 
 namespace actg::obs {
 namespace {
@@ -394,25 +393,65 @@ std::vector<std::string> ContentKeys(const std::vector<TraceEvent>& events) {
   return keys;
 }
 
+/// Pipeline options that record into \p session.
+dvfs::PolicyRunOptions Traced(TraceSession* session) {
+  dvfs::PolicyRunOptions options;
+  options.trace = session;
+  return options;
+}
+
+/// A Fig. 1 controller recording into \p session only, driven through
+/// \p instances vectors whose branch probabilities swing sinusoidally,
+/// drawn with \p seed.
+void RunFig1Controller(TraceSession* session, std::size_t instances,
+                       std::uint64_t seed) {
+  const apps::Fig1Example ex = apps::MakeFig1Example();
+  const ctg::ActivationAnalysis analysis(ex.graph);
+  trace::TraceGenerator gen(ex.graph);
+  double period = 60.0;
+  for (TaskId fork : ex.graph.ForkIds()) {
+    trace::SinusoidProcess::Params params;
+    params.amplitude = 0.45;
+    params.period = period;
+    period += 30.0;
+    gen.SetProcess(fork, std::make_unique<trace::SinusoidProcess>(params));
+  }
+  util::Random rng(seed);
+  const trace::BranchTrace vectors = gen.Generate(instances, rng);
+  adaptive::AdaptiveOptions options;
+  options.threshold = 0.1;
+  options.trace = session;
+  adaptive::AdaptiveController controller(
+      ex.graph, analysis, ex.platform,
+      apps::UniformProbabilities(ex.graph), options);
+  adaptive::RunAdaptive(controller, vectors);
+}
+
 #ifndef ACTG_OBS_DISABLED
+
+/// Begin-event counts by name: which layers recorded, how often.
+std::map<std::string, int> SpanCounts(const std::vector<TraceEvent>& events) {
+  std::map<std::string, int> counts;
+  for (const TraceEvent& e : events) {
+    if (e.phase == EventPhase::kBegin) ++counts[e.name];
+  }
+  return counts;
+}
 
 TEST(ObsTrace, SpanNestingAndLifecycle) {
   TraceSession session(Deterministic());
   {
-    SessionGuard guard(&session);
-    ASSERT_EQ(TraceSession::Current(), &session);
-    ScopedSpan outer(TraceSession::Current(), "outer", "test");
+    ScopedSpan outer(&session, "outer", "test");
     ASSERT_TRUE(outer.enabled());
     outer.AddArg(IntArg("tasks", 7));
     {
-      ScopedSpan inner(TraceSession::Current(), "inner", "test");
+      ScopedSpan inner(&session, "inner", "test");
       inner.AddArg(StrArg("policy", "online"));
       inner.AddArg(NumArg("ratio", 0.5));
     }
     session.Counter("calls", "test", 3.0);
     session.Instant("tick", "test", {IntArg("i", 1)});
   }
-  EXPECT_EQ(TraceSession::Current(), nullptr);
 
   const std::vector<TraceEvent> events = session.Events();
   ASSERT_EQ(events.size(), 6u);
@@ -442,10 +481,8 @@ TEST(ObsTrace, SpanNestingAndLifecycle) {
 }
 
 TEST(ObsTrace, NullSessionRecordsNothing) {
-  // No guard installed: instrumentation sees nullptr and must not touch
-  // any session.
-  ASSERT_EQ(TraceSession::Current(), nullptr);
-  ScopedSpan span(TraceSession::Current(), "orphan", "test");
+  // Instrumentation handed no session must not touch any session.
+  ScopedSpan span(nullptr, "orphan", "test");
   EXPECT_FALSE(span.enabled());
 
   TraceSession bystander(Deterministic());
@@ -453,6 +490,7 @@ TEST(ObsTrace, NullSessionRecordsNothing) {
   const ctg::ActivationAnalysis analysis(ex.graph);
   const auto probs = apps::UniformProbabilities(ex.graph);
   dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs);
+  RunFig1Controller(nullptr, 50, 3);
   EXPECT_TRUE(bystander.Events().empty());
   EXPECT_TRUE(bystander.Timeline().empty());
 }
@@ -462,10 +500,8 @@ TEST(ObsTrace, PipelineSpansBalanceAndNest) {
   const apps::Fig1Example ex = apps::MakeFig1Example();
   const ctg::ActivationAnalysis analysis(ex.graph);
   const auto probs = apps::UniformProbabilities(ex.graph);
-  {
-    SessionGuard guard(&session);
-    dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs);
-  }
+  dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs,
+                      Traced(&session));
   const std::vector<TraceEvent> events = session.Events();
   ASSERT_FALSE(events.empty());
   // The pipeline records the scheduler, the path enumeration and the
@@ -497,10 +533,8 @@ TEST(ObsTrace, GoldenChromeTraceFig1) {
   const apps::Fig1Example ex = apps::MakeFig1Example();
   const ctg::ActivationAnalysis analysis(ex.graph);
   const auto probs = apps::UniformProbabilities(ex.graph);
-  {
-    SessionGuard guard(&session);
-    dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs);
-  }
+  dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs,
+                      Traced(&session));
   std::ostringstream out;
   WriteChromeTrace(out, session);
   actg::golden::ExpectMatches(out.str(), "fig1_trace.json");
@@ -527,15 +561,15 @@ TEST(ObsTrace, JobsOneVersusFourSameContent) {
   const auto probs = apps::UniformProbabilities(ex.graph);
   auto run = [&](std::size_t jobs) {
     TraceSession session;
-    SessionGuard guard(&session);
-    runtime::Pool pool(jobs);
+    runtime::Pool pool(jobs, &session);
     runtime::ParallelMap(pool, 6, [&](std::size_t) {
-      sched::Schedule s =
-          sched::RunDls(ex.graph, analysis, ex.platform, probs);
-      dvfs::ApplyPolicy("online", s, probs);
+      dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs,
+                          Traced(&session));
       return 0;
     });
-    return ContentKeys(session.Events());
+    const std::vector<TraceEvent> events = session.Events();
+    EXPECT_EQ(SpanCounts(events).at("pool.job"), 6);
+    return ContentKeys(events);
   };
   EXPECT_EQ(run(1), run(4));
 }
@@ -592,15 +626,76 @@ TEST(ObsTrace, AdaptiveControllerEmitsTimeline) {
                           }));
 }
 
+TEST(ObsTrace, ControllerSessionReceivesEveryLayer) {
+  // A controller given only AdaptiveOptions::trace records every layer
+  // it drives into that session, not only its own spans: the initial
+  // reschedule's DLS, enumeration and stretch, and each instance.
+  TraceSession session(Deterministic());
+  const apps::Fig1Example ex = apps::MakeFig1Example();
+  const ctg::ActivationAnalysis analysis(ex.graph);
+  adaptive::AdaptiveOptions options;
+  options.trace = &session;
+  adaptive::AdaptiveController controller(
+      ex.graph, analysis, ex.platform, apps::UniformProbabilities(ex.graph),
+      options);
+  ctg::BranchAssignment assignment(ex.graph.task_count());
+  for (TaskId fork : ex.graph.ForkIds()) assignment.Set(fork, 0);
+  for (int i = 0; i < 3; ++i) controller.ProcessInstance(assignment);
+
+  const std::map<std::string, int> expected = {
+      {"adaptive.instance", 3}, {"adaptive.reschedule", 1},
+      {"dvfs.enumerate", 1},    {"dvfs.stretch", 1},
+      {"sched.dls", 1},         {"sim.instance", 3}};
+  EXPECT_EQ(SpanCounts(session.Events()), expected);
+}
+
+TEST(ObsTrace, ConcurrentControllersKeepTheirSessionsApart) {
+  // Two controllers on two workers, each with its own session: each
+  // session holds exactly what its controller records when run alone.
+  const std::uint64_t seeds[2] = {11, 12};
+  std::vector<std::string> alone[2];
+  for (int c = 0; c < 2; ++c) {
+    TraceSession session;
+    RunFig1Controller(&session, 400, seeds[c]);
+    alone[c] = ContentKeys(session.Events());
+  }
+  ASSERT_NE(alone[0], alone[1]) << "the two runs must be told apart";
+
+  TraceSession sessions[2];
+  runtime::Pool pool(2);
+  pool.ParallelFor(2, [&](std::size_t c) {
+    RunFig1Controller(&sessions[c], 400, seeds[c]);
+  });
+  for (int c = 0; c < 2; ++c) {
+    const std::vector<TraceEvent> events = sessions[c].Events();
+    EXPECT_EQ(ContentKeys(events), alone[c]) << "controller " << c;
+    EXPECT_GT(SpanCounts(events)["adaptive.reschedule"], 1)
+        << "the drive must reschedule, or the check proves little";
+  }
+}
+
 #else  // ACTG_OBS_DISABLED
 
-TEST(ObsTrace, DisabledBuildNeverInstallsASession) {
+TEST(ObsTrace, DisabledBuildIgnoresAnInjectedSession) {
   TraceSession session;
-  SessionGuard guard(&session);
-  EXPECT_EQ(TraceSession::Current(), nullptr);
-  ScopedSpan span(TraceSession::Current(), "any", "test");
-  EXPECT_FALSE(span.enabled());
+  {
+    const ScopedSpan span(&session, "any", "test");
+    EXPECT_FALSE(span.enabled());
+    runtime::Metrics metrics;
+    const runtime::StageProbe probe(&metrics, &session, "stage", "test");
+    EXPECT_FALSE(probe.tracing());
+  }
+  const apps::Fig1Example ex = apps::MakeFig1Example();
+  const ctg::ActivationAnalysis analysis(ex.graph);
+  const auto probs = apps::UniformProbabilities(ex.graph);
+  runtime::Pool pool(2, &session);
+  pool.ParallelFor(2, [&](std::size_t) {
+    dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs,
+                        Traced(&session));
+  });
+  RunFig1Controller(&session, 50, 3);
   EXPECT_TRUE(session.Events().empty());
+  EXPECT_TRUE(session.Timeline().empty());
 }
 
 #endif  // ACTG_OBS_DISABLED
