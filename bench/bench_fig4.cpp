@@ -57,16 +57,12 @@ int main(int argc, char** argv) {
   util::RunningStats window_stats;
   util::RunningStats tracking_error;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const int selection = trace.At(i).Get(model.fork_type) >= 0 &&
-                                  analysis.IsActive(model.fork_type,
-                                                    trace.At(i))
-                              ? (trace.At(i).Get(model.fork_type) == 0
-                                     ? 1
-                                     : 0)
-                              : 0;
-    if (analysis.IsActive(model.fork_type, trace.At(i))) {
-      profiler.Observe(model.fork_type, trace.At(i).Get(model.fork_type));
-    }
+    const ctg::BranchAssignment assignment = trace.At(i);
+    const int outcome = assignment.Get(model.fork_type);
+    const bool active = analysis.IsActive(model.fork_type, assignment);
+    const int selection = outcome >= 0 && active ? (outcome == 0 ? 1 : 0)
+                                                 : 0;
+    if (active) profiler.Observe(model.fork_type, outcome);
     double windowed = filtered;
     if (profiler.Count(model.fork_type) > 0) {
       windowed = profiler.WindowedProbability(model.fork_type, 0);

@@ -1,5 +1,7 @@
 #include "apps/tenants.h"
 
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "apps/common.h"
@@ -54,37 +56,64 @@ tgff::RandomCase MakeRandomTenantCase(tgff::Category category,
 
 }  // namespace
 
+/// The model a TenantModel shares: the app, its graph's activation
+/// analysis, and references into both that stay valid for the object's
+/// lifetime (it is never moved once built).
+struct TenantModel::Parts {
+  using App = std::variant<MpegModel, CruiseModel, tgff::RandomCase>;
+
+  explicit Parts(App app_model)
+      : app(std::move(app_model)),
+        graph(std::visit(
+            [](const auto& a) -> const ctg::Ctg& { return a.graph; }, app)),
+        platform(std::visit(
+            [](const auto& a) -> const arch::Platform& { return a.platform; },
+            app)),
+        analysis(graph) {}
+
+  const App app;
+  const ctg::Ctg& graph;
+  const arch::Platform& platform;
+  const ctg::ActivationAnalysis analysis;
+};
+
 TenantModel::TenantModel(TenantWorkload workload, std::uint64_t seed)
     : workload_(workload), seed_(seed) {
+  // The bundled apps take no seed, so each is one constant per process:
+  // the first tenant to ask builds it (function-local statics initialize
+  // thread-safely) and every later one shares it.
   switch (workload) {
-    case TenantWorkload::kMpeg:
-      mpeg_ = std::make_unique<MpegModel>(MakeMpegModel());
+    case TenantWorkload::kMpeg: {
+      static const auto mpeg = std::make_shared<const Parts>(MakeMpegModel());
+      parts_ = mpeg;
       break;
-    case TenantWorkload::kCruise:
-      cruise_ = std::make_unique<CruiseModel>(MakeCruiseModel());
+    }
+    case TenantWorkload::kCruise: {
+      static const auto cruise =
+          std::make_shared<const Parts>(MakeCruiseModel());
+      parts_ = cruise;
       break;
+    }
     case TenantWorkload::kRandomForkJoin:
-      random_ = std::make_unique<tgff::RandomCase>(
+      parts_ = std::make_shared<const Parts>(
           MakeRandomTenantCase(tgff::Category::kForkJoin, seed));
       break;
     case TenantWorkload::kRandomFlat:
-      random_ = std::make_unique<tgff::RandomCase>(
+      parts_ = std::make_shared<const Parts>(
           MakeRandomTenantCase(tgff::Category::kFlat, seed));
       break;
   }
-  analysis_ = std::make_unique<ctg::ActivationAnalysis>(graph());
+  ACTG_CHECK(parts_ != nullptr, "TenantModel: unknown workload");
 }
 
-const ctg::Ctg& TenantModel::graph() const {
-  if (mpeg_) return mpeg_->graph;
-  if (cruise_) return cruise_->graph;
-  return random_->graph;
-}
+const ctg::Ctg& TenantModel::graph() const { return parts_->graph; }
 
 const arch::Platform& TenantModel::platform() const {
-  if (mpeg_) return mpeg_->platform;
-  if (cruise_) return cruise_->platform;
-  return random_->platform;
+  return parts_->platform;
+}
+
+const ctg::ActivationAnalysis& TenantModel::analysis() const {
+  return parts_->analysis;
 }
 
 trace::BranchTrace TenantModel::MakeTrace(std::size_t instances,
@@ -98,12 +127,13 @@ trace::BranchTrace TenantModel::MakeTrace(std::size_t instances,
       MovieProfile profile =
           profiles[static_cast<std::size_t>(seed_ % profiles.size())];
       profile.seed = rng.engine().Next();
-      return GenerateMovieTrace(*mpeg_, profile, instances);
+      return GenerateMovieTrace(std::get<MpegModel>(parts_->app), profile,
+                                instances);
     }
     case TenantWorkload::kCruise: {
       const int sequence = 1 + static_cast<int>(seed_ % 3);
-      return GenerateRoadTrace(*cruise_, sequence, instances,
-                               rng.engine().Next());
+      return GenerateRoadTrace(std::get<CruiseModel>(parts_->app), sequence,
+                               instances, rng.engine().Next());
     }
     case TenantWorkload::kRandomForkJoin:
     case TenantWorkload::kRandomFlat: {

@@ -6,9 +6,12 @@
 /// factory wraps the bundled application models (MPEG decoder, cruise
 /// controller) and the two random-CTG categories behind one handle so
 /// the daemon can instantiate thousands of heterogeneous tenants from a
-/// (workload, seed) pair. Inner storage is heap-allocated: a TenantModel
-/// stays movable while the graph/platform/analysis references handed to
-/// schedules and controllers remain stable.
+/// (workload, seed) pair. The graph, platform and analysis live in one
+/// immutable heap object the TenantModel shares: a TenantModel stays
+/// movable and copyable while the references handed to schedules and
+/// controllers remain stable. The bundled apps take no seed, so every
+/// MPEG (cruise) tenant of a process shares one such object, built on
+/// first use; a random tenant builds its own.
 
 #ifndef ACTG_APPS_TENANTS_H
 #define ACTG_APPS_TENANTS_H
@@ -44,14 +47,18 @@ std::string_view TenantWorkloadName(TenantWorkload workload);
 std::optional<TenantWorkload> ParseTenantWorkload(std::string_view name);
 
 /// One tenant's application model. Construction is the expensive part
-/// of a NewApp event (graph generation + analysis); traces are drawn
-/// afterwards, deterministically per (model, rng substream).
+/// of a NewApp event for a random tenant (graph generation + analysis);
+/// traces are drawn afterwards, deterministically per (model, rng
+/// substream).
 class TenantModel {
  public:
-  /// Builds the model for \p workload. \p seed selects the structure of
-  /// the random categories (task/fork/PE counts and tables) and the
-  /// profile variant of the bundled apps; equal pairs build equal
-  /// models.
+  /// The model for \p workload. \p seed selects the structure of the
+  /// random categories (task/fork/PE counts and tables) and the profile
+  /// variant of the bundled apps. Equal pairs build equal models for the
+  /// random categories and the same object for bundled apps: every MPEG
+  /// (cruise) TenantModel of a process returns the same graph(),
+  /// platform() and analysis(), built thread-safely by the first tenant
+  /// that asks.
   TenantModel(TenantWorkload workload, std::uint64_t seed);
 
   TenantWorkload workload() const { return workload_; }
@@ -59,7 +66,7 @@ class TenantModel {
 
   const ctg::Ctg& graph() const;
   const arch::Platform& platform() const;
-  const ctg::ActivationAnalysis& analysis() const { return *analysis_; }
+  const ctg::ActivationAnalysis& analysis() const;
 
   /// Generates \p instances branch-decision vectors with the workload's
   /// native trace process (movie drift, road regimes, random walks).
@@ -69,12 +76,12 @@ class TenantModel {
                                util::Random rng) const;
 
  private:
+  /// Immutable graph + platform + analysis (tenants.cpp).
+  struct Parts;
+
   TenantWorkload workload_;
   std::uint64_t seed_;
-  std::unique_ptr<MpegModel> mpeg_;
-  std::unique_ptr<CruiseModel> cruise_;
-  std::unique_ptr<tgff::RandomCase> random_;
-  std::unique_ptr<ctg::ActivationAnalysis> analysis_;
+  std::shared_ptr<const Parts> parts_;
 };
 
 }  // namespace actg::apps

@@ -9,6 +9,7 @@ namespace actg::ctg {
 ActivationAnalysis::ActivationAnalysis(const Ctg& graph) : graph_(&graph) {
   ComputeGuards();
   CompileBitGuards();
+  CompileEdgeConditions();
   ComputeMutex();
   ComputeImpliedDeps();
 }
@@ -92,6 +93,27 @@ void ActivationAnalysis::CompileBitGuards() {
       return;
     }
   }
+}
+
+void ActivationAnalysis::CompileEdgeConditions() {
+  const Ctg& g = *graph_;
+  edge_has_cond_.assign(g.edge_count(), 0);
+  for (EdgeId eid : g.EdgeIds()) {
+    if (g.edge(eid).condition.has_value()) edge_has_cond_[eid.index()] = 1;
+  }
+  if (!space_.valid()) return;
+  edge_cond_bits_.resize(g.edge_count());
+  for (EdgeId eid : g.EdgeIds()) {
+    const auto& cond = g.edge(eid).condition;
+    if (cond.has_value() &&
+        !space_.Encode(*cond, edge_cond_bits_[eid.index()])) {
+      // A condition the space cannot express: path guards then stay on
+      // the DNF algebra, while the task guards keep their compiled form.
+      edge_cond_bits_.clear();
+      return;
+    }
+  }
+  bit_edge_conditions_ = true;
 }
 
 void ActivationAnalysis::ComputeMutex() {

@@ -98,6 +98,23 @@ class ActivationAnalysis {
     return bit_guards_.at(task.index());
   }
 
+  /// True when edge \p edge carries a branch condition C(e). Unchecked:
+  /// \p edge must be an edge of the graph.
+  bool HasEdgeCondition(EdgeId edge) const {
+    return edge_has_cond_[edge.index()] != 0;
+  }
+
+  /// True when space() is valid and every edge condition compiled into
+  /// it. When false, path guards must stay on the DNF algebra even if
+  /// the task guards compiled.
+  bool bit_edge_conditions() const { return bit_edge_conditions_; }
+
+  /// Compiled C(e) of a conditional edge. Unchecked; meaningful only
+  /// when bit_edge_conditions() and HasEdgeCondition(edge).
+  const BitMinterm& BitEdgeCondition(EdgeId edge) const {
+    return edge_cond_bits_[edge.index()];
+  }
+
   /// True when the two tasks can never be active in the same instance
   /// (X(τi) ∧ X(τj) = 0). Throws actg::InvalidArgument when either id
   /// is not a task of the graph.
@@ -151,6 +168,7 @@ class ActivationAnalysis {
   void ComputeGuards();
   std::size_t Intern(Guard guard);
   void CompileBitGuards();
+  void CompileEdgeConditions();
   void ComputeMutex();
   void ComputeImpliedDeps();
   void EnumerateScenariosRec(const Minterm& current, double prob,
@@ -165,6 +183,9 @@ class ActivationAnalysis {
   std::vector<std::size_t> edge_slots_;   // edge index -> guards_ index
   ConditionSpace space_;
   std::vector<BitGuard> bit_guards_;  // empty when !space_.valid()
+  std::vector<char> edge_has_cond_;   // by edge index
+  bool bit_edge_conditions_ = false;
+  std::vector<BitMinterm> edge_cond_bits_;  // empty unless the above
   /// n×n bit matrix, row-major: bit a·n + b is MutuallyExclusive(a, b).
   std::vector<bool> mutex_;
   std::vector<std::pair<TaskId, TaskId>> implied_deps_;

@@ -39,35 +39,11 @@ PathEngine::PathEngine(const ctg::Ctg& graph,
              "PathEngine analysis must be over the engine's graph");
   dls_workspace_.metrics = options_.metrics;
   dls_workspace_.trace = options_.trace;
-  use_bitset_ = !options_.force_dnf && analysis.space().valid();
+  // The compiled edge conditions live in the analysis, beside the task
+  // guards; a graph whose guards or conditions do not fit the bit width
+  // falls back to the DNF algebra.
+  use_bitset_ = !options_.force_dnf && analysis.bit_edge_conditions();
   if (!options_.force_dnf && !use_bitset_) Count("guard.dnf_fallbacks");
-
-  edge_has_cond_.assign(graph.edge_count(), 0);
-  for (EdgeId eid : graph.EdgeIds()) {
-    if (graph.edge(eid).condition.has_value()) {
-      edge_has_cond_[eid.index()] = 1;
-    }
-  }
-
-  if (use_bitset_) {
-    const ctg::ConditionSpace& space = analysis.space();
-    edge_cond_bits_.resize(graph.edge_count());
-    for (EdgeId eid : graph.EdgeIds()) {
-      const auto& cond = graph.edge(eid).condition;
-      if (!cond.has_value()) continue;
-      ctg::BitMinterm bm;
-      if (!space.Encode(*cond, bm)) {
-        // An edge condition the space cannot express: retire the
-        // compiled layer entirely so all guards use one representation.
-        use_bitset_ = false;
-        edge_cond_bits_.clear();
-        Count("guard.dnf_fallbacks");
-        break;
-      }
-      edge_cond_bits_[eid.index()] = bm;
-    }
-  }
-
   ClearPaths();
 }
 
@@ -163,8 +139,8 @@ void PathEngine::VisitBit(const sched::ScheduledDag& dag, TaskId task,
     ctg::BitGuard& next = bit_stack_[depth + 1];
     next = bit_stack_[depth];
     next.AndWith(analysis_->BitActivationGuard(dst), and_scratch_);
-    if (eid.valid() && edge_has_cond_[eid.index()]) {
-      next.AndWithMinterm(edge_cond_bits_[eid.index()]);
+    if (eid.valid() && analysis_->HasEdgeCondition(eid)) {
+      next.AndWithMinterm(analysis_->BitEdgeCondition(eid));
     }
     if (drop_unrealizable && next.IsFalse()) continue;
     extended = true;
@@ -227,7 +203,7 @@ void PathEngine::Emit(std::size_t depth) {
     const EdgeId eid = edge_stack_[k];
     if (!eid.valid()) continue;
     comm += edge_comm_ms_[eid.index()];
-    if (edge_has_cond_[eid.index()]) {
+    if (analysis_->HasEdgeCondition(eid)) {
       cond_pool_.push_back(CondEdge{Offset(k), eid});
     }
   }
@@ -343,9 +319,9 @@ double PathEngine::ProbAfter(std::size_t i, TaskId task,
 void PathEngine::BindProbabilities(const ctg::BranchProbabilities& probs) {
   edge_prob_.assign(graph_->edge_count(), 1.0);
   for (std::size_t e = 0; e < edge_prob_.size(); ++e) {
-    if (!edge_has_cond_[e]) continue;
-    edge_prob_[e] =
-        probs.Of(*graph_->edge(EdgeId{static_cast<int>(e)}).condition);
+    const EdgeId eid{static_cast<int>(e)};
+    if (!analysis_->HasEdgeCondition(eid)) continue;
+    edge_prob_[e] = probs.Of(*graph_->edge(eid).condition);
   }
 }
 

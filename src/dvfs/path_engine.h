@@ -261,10 +261,6 @@ class PathEngine {
   PathEngineOptions options_;
   bool use_bitset_ = false;
 
-  // Compiled once at construction.
-  std::vector<ctg::BitMinterm> edge_cond_bits_;  // bitset mode, by edge
-  std::vector<char> edge_has_cond_;              // by edge index
-
   // Reused across Enumerate() calls.
   std::vector<ctg::BitGuard> bit_stack_;   // DFS guard per depth
   std::vector<ctg::Guard> dnf_stack_;      // DNF mode

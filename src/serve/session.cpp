@@ -149,7 +149,7 @@ const adaptive::AdaptiveController& Session::controller() const {
   return *controller_;
 }
 
-const ctg::BranchAssignment& Session::assignment(std::size_t index) const {
+ctg::BranchAssignment Session::assignment(std::size_t index) const {
   if (model_ == nullptr) {
     Reject("assignment", "is only available after NewApp");
   }

@@ -19,7 +19,11 @@
 /// A session that ends (Shutdown or Quarantine) frees its controller's
 /// reschedule workspace and keeps only its result: the summary, the
 /// model, the trace and the controller's current schedule and counters
-/// stay readable for the fleet report and the post-run oracle.
+/// stay readable for the fleet report and the post-run oracle. What it
+/// keeps is small: an MPEG or cruise session shares its app's one
+/// immutable model with every other tenant of that app
+/// (apps::TenantModel), and its trace holds one byte per task per
+/// instance (trace::BranchTrace).
 ///
 /// Out-of-order events (NewInstance before NewApp, InstanceComplete
 /// without a pending result, anything after Shutdown, a second NewApp)
@@ -32,10 +36,10 @@
 /// runtime::DeadlineExceeded at that boundary and the server
 /// quarantines the session instead of letting it stall the round.
 ///
-/// A session owns all of its state (model, trace, controller) and is
-/// driven by one thread at a time; distinct sessions may run on
-/// distinct pool workers concurrently (see the AdaptiveController
-/// reentrancy contract).
+/// A session owns its trace and controller and is driven by one thread
+/// at a time; distinct sessions may run on distinct pool workers
+/// concurrently (see the AdaptiveController reentrancy contract). A
+/// shared model is immutable, so concurrent sessions only read it.
 
 #ifndef ACTG_SERVE_SESSION_H
 #define ACTG_SERVE_SESSION_H
@@ -142,8 +146,9 @@ class Session {
   /// against check::Validate.
   const apps::TenantModel& model() const;
   const adaptive::AdaptiveController& controller() const;
-  /// Branch assignment of instance \p index of the tenant's trace.
-  const ctg::BranchAssignment& assignment(std::size_t index) const;
+  /// Branch assignment of instance \p index of the tenant's trace,
+  /// rebuilt from the trace's bytes (BranchTrace::At).
+  ctg::BranchAssignment assignment(std::size_t index) const;
 
  private:
   [[noreturn]] void Reject(const char* event, const char* why) const;

@@ -212,6 +212,7 @@ BranchTrace TraceGenerator::Generate(std::size_t instances,
   ACTG_CHECK(Complete(), "Every fork needs a probability process");
   for (auto& history : prob_history_) history.clear();
   BranchTrace trace(graph_->task_count());
+  trace.Reserve(instances);
   for (std::size_t i = 0; i < instances; ++i) {
     ctg::BranchAssignment assignment(graph_->task_count());
     for (TaskId fork : graph_->ForkIds()) {

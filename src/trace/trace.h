@@ -5,12 +5,16 @@
 /// decision vectors: "The decisions of branches a~h are encoded as a
 /// vector <x1, x2, ..., xn>. The ith position of such vector indicates
 /// the branch decision for the ith branching node in the graph."
-/// A BranchTrace stores one BranchAssignment per CTG instance.
+/// A BranchTrace stores one decision vector per CTG instance, one byte
+/// per task: a serve tenant or campaign instance holds its whole trace
+/// for its lifetime, so the bytes, not the BranchAssignment objects
+/// At() rebuilds from them, are what a fleet keeps.
 
 #ifndef ACTG_TRACE_TRACE_H
 #define ACTG_TRACE_TRACE_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "ctg/condition.h"
@@ -26,14 +30,23 @@ class BranchTrace {
   /// Creates an empty trace whose assignments cover \p task_count tasks.
   explicit BranchTrace(std::size_t task_count) : task_count_(task_count) {}
 
-  /// Appends the decision vector of one CTG instance.
-  void Append(ctg::BranchAssignment assignment);
+  /// Appends the decision vector of one CTG instance. Throws
+  /// actg::InvalidArgument, leaving the trace unchanged, when its size
+  /// is not task_count() or an outcome does not fit a byte (>= 255).
+  void Append(const ctg::BranchAssignment& assignment);
 
-  /// Decision vector of instance \p i.
-  const ctg::BranchAssignment& At(std::size_t i) const;
+  /// Decision vector of instance \p i, rebuilt from its bytes: equal to
+  /// the appended assignment, unset (-1) entries included.
+  ctg::BranchAssignment At(std::size_t i) const;
 
-  std::size_t size() const { return instances_.size(); }
-  bool empty() const { return instances_.empty(); }
+  /// Reserves storage for \p instances instances in total, so a trace
+  /// of known length holds no growth slack.
+  void Reserve(std::size_t instances) {
+    outcomes_.reserve(instances * task_count_);
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
   std::size_t task_count() const { return task_count_; }
 
   /// Empirical probability that \p fork selected \p outcome over the
@@ -58,8 +71,16 @@ class BranchTrace {
       const ctg::Ctg& graph) const;
 
  private:
+  /// Byte that stores an unset (-1) outcome.
+  static constexpr std::uint8_t kUnset = 0xFF;
+
+  /// Outcome of \p fork in instance \p i; -1 when unset.
+  int OutcomeAt(std::size_t i, TaskId fork) const;
+
   std::size_t task_count_ = 0;
-  std::vector<ctg::BranchAssignment> instances_;
+  std::size_t size_ = 0;
+  /// size_ × task_count_ outcomes, row-major by instance.
+  std::vector<std::uint8_t> outcomes_;
 };
 
 }  // namespace actg::trace

@@ -81,6 +81,23 @@ TEST_F(Fig1Activation, MutexIsSymmetricAndIrreflexive) {
   }
 }
 
+TEST_F(Fig1Activation, EdgeConditionsCompiledBesideTheTaskGuards) {
+  ASSERT_TRUE(analysis_.space().valid());
+  EXPECT_TRUE(analysis_.bit_edge_conditions());
+  std::size_t conditional = 0;
+  for (EdgeId eid : ex_.graph.EdgeIds()) {
+    const auto& cond = ex_.graph.edge(eid).condition;
+    EXPECT_EQ(analysis_.HasEdgeCondition(eid), cond.has_value());
+    if (!cond.has_value()) continue;
+    ++conditional;
+    BitMinterm expected;
+    ASSERT_TRUE(analysis_.space().Encode(*cond, expected));
+    EXPECT_EQ(analysis_.BitEdgeCondition(eid).bits, expected.bits);
+    EXPECT_EQ(analysis_.BitEdgeCondition(eid).mask, expected.mask);
+  }
+  EXPECT_EQ(conditional, 4u);  // a1, a2, b1, b2
+}
+
 TEST_F(Fig1Activation, ImpliedDependencyOr8OnFork3) {
   // "in any case, τ8 must wait until both τ2 and τ3 finish."
   const auto& deps = analysis_.ImpliedForkDependencies();

@@ -6,10 +6,12 @@
 #include "apps/cruise.h"
 #include "apps/fig1_example.h"
 #include "apps/mpeg.h"
+#include "apps/tenants.h"
 #include "ctg/activation.h"
 #include "sim/energy.h"
 #include "sched/dls.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace actg::apps {
 namespace {
@@ -212,6 +214,88 @@ TEST(Fig1Model, DeadlineFactorScales) {
   const Fig1Example loose = MakeFig1Example(2.4);
   EXPECT_NEAR(loose.graph.deadline_ms(),
               2.0 * tight.graph.deadline_ms(), 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Tenant models (serve and campaign workloads)
+
+/// True when instance i of \p a and \p b decide every task alike.
+bool SameTrace(const trace::BranchTrace& a, const trace::BranchTrace& b) {
+  if (a.size() != b.size() || a.task_count() != b.task_count()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t t = 0; t < a.task_count(); ++t) {
+      const TaskId task{static_cast<int>(t)};
+      if (a.At(i).Get(task) != b.At(i).Get(task)) return false;
+    }
+  }
+  return true;
+}
+
+TEST(Tenants, BundledAppsShareOneModelAcrossSeeds) {
+  for (const TenantWorkload workload :
+       {TenantWorkload::kMpeg, TenantWorkload::kCruise}) {
+    SCOPED_TRACE(std::string(TenantWorkloadName(workload)));
+    const TenantModel a(workload, 1);
+    const TenantModel b(workload, 2);
+    EXPECT_EQ(&a.graph(), &b.graph());
+    EXPECT_EQ(&a.analysis(), &b.analysis());
+    EXPECT_EQ(&a.platform(), &b.platform());
+    EXPECT_EQ(&a.analysis().graph(), &a.graph());
+  }
+  // The shared object is the app's own model, unchanged.
+  const MpegModel fresh = MakeMpegModel();
+  const TenantModel mpeg(TenantWorkload::kMpeg, 7);
+  EXPECT_EQ(mpeg.graph().task_count(), fresh.graph.task_count());
+  EXPECT_DOUBLE_EQ(mpeg.graph().deadline_ms(), fresh.graph.deadline_ms());
+}
+
+TEST(Tenants, MakeTraceFollowsEachSeedsProfile) {
+  constexpr std::size_t kInstances = 120;
+  const MpegModel mpeg = MakeMpegModel();
+  const std::vector<MovieProfile> movies = MpegMovieProfiles();
+  const CruiseModel cruise = MakeCruiseModel();
+  for (const std::uint64_t seed : {3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // MPEG: the seed picks the movie, the substream reseeds it.
+    MovieProfile movie = movies[seed % movies.size()];
+    movie.seed = util::Random(11).engine().Next();
+    EXPECT_TRUE(SameTrace(
+        TenantModel(TenantWorkload::kMpeg, seed)
+            .MakeTrace(kInstances, util::Random(11)),
+        GenerateMovieTrace(mpeg, movie, kInstances)));
+    // Cruise: the seed picks the road sequence.
+    EXPECT_TRUE(SameTrace(
+        TenantModel(TenantWorkload::kCruise, seed)
+            .MakeTrace(kInstances, util::Random(11)),
+        GenerateRoadTrace(cruise, 1 + static_cast<int>(seed % 3), kInstances,
+                          util::Random(11).engine().Next())));
+  }
+  // One shared model, two seeds, two different traces.
+  EXPECT_FALSE(SameTrace(
+      TenantModel(TenantWorkload::kMpeg, 3).MakeTrace(kInstances,
+                                                      util::Random(11)),
+      TenantModel(TenantWorkload::kMpeg, 4).MakeTrace(kInstances,
+                                                      util::Random(11))));
+}
+
+TEST(Tenants, RandomModelsOfDifferentSeedsShareNothing) {
+  for (const TenantWorkload workload :
+       {TenantWorkload::kRandomForkJoin, TenantWorkload::kRandomFlat}) {
+    SCOPED_TRACE(std::string(TenantWorkloadName(workload)));
+    const TenantModel a(workload, 1);
+    const TenantModel b(workload, 2);
+    EXPECT_NE(&a.graph(), &b.graph());
+    EXPECT_NE(&a.analysis(), &b.analysis());
+    EXPECT_NE(&a.platform(), &b.platform());
+    EXPECT_EQ(&a.analysis().graph(), &a.graph());
+    EXPECT_EQ(&b.analysis().graph(), &b.graph());
+    // Equal pairs still build equal models.
+    const TenantModel again(workload, 1);
+    EXPECT_EQ(again.graph().task_count(), a.graph().task_count());
+    EXPECT_EQ(again.platform().pe_count(), a.platform().pe_count());
+    EXPECT_TRUE(SameTrace(a.MakeTrace(30, util::Random(5)),
+                          again.MakeTrace(30, util::Random(5))));
+  }
 }
 
 }  // namespace

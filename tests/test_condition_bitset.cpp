@@ -264,6 +264,7 @@ TEST(ConditionSpace, ActivationAnalysisFallbackCountsMetric) {
 
   const ActivationAnalysis analysis(graph);
   EXPECT_FALSE(analysis.space().valid());
+  EXPECT_FALSE(analysis.bit_edge_conditions());
 
   arch::PlatformBuilder platform_builder(graph.task_count(), 1);
   for (TaskId task : graph.TaskIds()) {

@@ -22,6 +22,42 @@
 namespace actg::serve {
 namespace {
 
+// ------------------------------------------------------- Shared models
+
+// Defined first so that, when this binary runs as one process (as the
+// thread-sanitizer job runs it), this is the process's first use of the
+// bundled models: four pool workers start MPEG and cruise tenants in the
+// same round and race to build the one model each app shares.
+TEST(SharedModels, TenantsStartedInOneRoundShareOneModelPerApp) {
+  FleetRequest fleet;
+  fleet.config.seed = 9;
+  for (int i = 0; i < 8; ++i) {
+    TenantRequest tenant;
+    tenant.name = "t" + std::to_string(i);
+    tenant.workload = i % 2 == 0 ? apps::TenantWorkload::kMpeg
+                                 : apps::TenantWorkload::kCruise;
+    tenant.instances = 3;
+    tenant.seed = static_cast<std::uint64_t>(i + 1);
+    fleet.tenants.push_back(tenant);
+  }
+  ServerOptions options;
+  options.jobs = 4;
+  Server server(fleet, options);
+  const FleetReport& report = server.Run();
+  ASSERT_EQ(report.tenants.size(), 8u);
+  EXPECT_EQ(report.rounds, 1u);  // every NewApp ran in round 0
+  const auto& sessions = server.sessions();
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    ASSERT_NE(sessions[i], nullptr);
+    EXPECT_EQ(sessions[i]->completed(), 3u);
+    const apps::TenantModel& first = sessions[i % 2]->model();
+    EXPECT_EQ(&sessions[i]->model().graph(), &first.graph());
+    EXPECT_EQ(&sessions[i]->model().analysis(), &first.analysis());
+    EXPECT_EQ(&sessions[i]->model().platform(), &first.platform());
+  }
+  EXPECT_NE(&sessions[0]->model().graph(), &sessions[1]->model().graph());
+}
+
 // ------------------------------------------------------------- Format
 
 TEST(Sla, TokensRoundTrip) {

@@ -7,6 +7,7 @@
 #include "trace/generators.h"
 #include "trace/trace.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace actg::trace {
@@ -36,6 +37,70 @@ TEST_F(TraceFixture, AppendAndAccess) {
   EXPECT_EQ(t.size(), 2u);
   EXPECT_EQ(t.At(1).Get(ForkA()), 1);
   EXPECT_THROW(t.At(2), InvalidArgument);
+}
+
+TEST(BranchTraceBytes, AtReproducesEveryAppendedAssignment) {
+  // One byte per decision: unset (-1) and the largest storable outcome
+  // (254) must both survive the round trip.
+  constexpr std::size_t kTasks = 7;
+  util::Random rng(17);
+  std::vector<ctg::BranchAssignment> appended;
+  BranchTrace t(kTasks);
+  int unset = 0;
+  int largest = 0;
+  for (int i = 0; i < 50; ++i) {
+    ctg::BranchAssignment asg(kTasks);
+    for (std::size_t task = 0; task < kTasks; ++task) {
+      const int pick = rng.UniformInt(-1, 4);
+      if (pick < 0) {
+        ++unset;
+        continue;
+      }
+      const int outcome = pick == 4 ? 254 : pick;
+      if (outcome == 254) ++largest;
+      asg.Set(TaskId{static_cast<int>(task)}, outcome);
+    }
+    t.Append(asg);
+    appended.push_back(asg);
+  }
+  ASSERT_GT(unset, 0);
+  ASSERT_GT(largest, 0);
+  ASSERT_EQ(t.size(), appended.size());
+  for (std::size_t i = 0; i < appended.size(); ++i) {
+    const ctg::BranchAssignment back = t.At(i);
+    ASSERT_EQ(back.size(), kTasks);
+    for (std::size_t task = 0; task < kTasks; ++task) {
+      const TaskId id{static_cast<int>(task)};
+      EXPECT_EQ(back.Get(id), appended[i].Get(id)) << i << " " << task;
+    }
+  }
+  // Slices copy the same bytes.
+  const BranchTrace tail = t.Slice(45, 50);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    for (std::size_t task = 0; task < kTasks; ++task) {
+      const TaskId id{static_cast<int>(task)};
+      EXPECT_EQ(tail.At(i).Get(id), appended[45 + i].Get(id));
+    }
+  }
+}
+
+TEST(BranchTraceBytes, OutcomeThatDoesNotFitAByteIsRejected) {
+  BranchTrace t(3);
+  ctg::BranchAssignment fits(3);
+  fits.Set(TaskId{1}, 254);
+  t.Append(fits);
+  ctg::BranchAssignment too_big(3);
+  too_big.Set(TaskId{0}, 2);
+  too_big.Set(TaskId{2}, 255);
+  EXPECT_THROW(t.Append(too_big), InvalidArgument);
+  // The rejected append left the trace as it was.
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.At(0).Get(TaskId{0}), -1);
+  EXPECT_EQ(t.At(0).Get(TaskId{1}), 254);
+  t.Append(fits);
+  EXPECT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.At(1).Get(TaskId{1}), 254);
+  EXPECT_EQ(t.At(1).Get(TaskId{2}), -1);
 }
 
 TEST_F(TraceFixture, SizeMismatchRejected) {
