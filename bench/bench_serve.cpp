@@ -8,12 +8,17 @@
 /// latency-critical (SLA0) p99 against the committed baseline
 /// (bench/baselines/BENCH_serve.json) with generous noise headroom; the
 /// deterministic fields double as a cheap fleet regression check, and
-/// max RSS (when the platform reports it) backs the memory contract: a
-/// finished tenant keeps its result, not its reschedule workspace, so
-/// RSS grows with the tenants live at once, not with the fleet size.
+/// max RSS (when the platform reports it) backs the memory contract: no
+/// tenant holds a reschedule workspace — the server lends at most one
+/// per worker, per reschedule — so a live tenant costs its controller,
+/// trace and summary, and a finished one its result.
+///
+/// --burst (benchmark only) moves every tenant's arrival to round 0, so
+/// every admitted tenant is live at once; CI's live-tenant memory gate
+/// compares RSS at two fleet sizes under it.
 ///
 ///   bench_serve [--jobs N] [--tenants T] [--instances I] [--seed S]
-///               [--out <file>]        (default BENCH_serve.json)
+///               [--burst] [--out <file>]  (default BENCH_serve.json)
 
 #include <chrono>
 #include <cstdint>
@@ -53,6 +58,7 @@ void WriteSla(std::ostream& os, const serve::Server& server,
 
 int main(int argc, char** argv) {
   try {
+    const bool burst = cli::TakeSwitch(argc, argv, "--burst");
     const std::size_t jobs = runtime::ParseJobs(argc, argv);
     const std::size_t tenants = cli::CountFlag(argc, argv, "--tenants", 48);
     const std::size_t instances =
@@ -67,6 +73,9 @@ int main(int argc, char** argv) {
     // tenant fleet crosses defer (and, early on, shed) territory.
     fleet.config.defer_depth = tenants * instances / 4;
     fleet.config.shed_depth = tenants * instances / 2;
+    if (burst) {
+      for (serve::TenantRequest& tenant : fleet.tenants) tenant.arrival = 0;
+    }
 
     serve::ServerOptions options;
     options.jobs = jobs;
@@ -109,7 +118,8 @@ int main(int argc, char** argv) {
 
     // Human summary (wall-clock, intentionally not diffable).
     std::cout << "bench_serve: " << tenants << " tenants x " << instances
-              << " instances, jobs " << jobs << ", wall " << wall_ms
+              << " instances" << (burst ? " (burst)" : "") << ", jobs "
+              << jobs << ", wall " << wall_ms
               << " ms, rounds " << report.rounds << ", shed "
               << report.shed_tenants << " -> " << out_path << "\n";
     for (std::size_t cls = 0; cls < serve::kSlaClassCount; ++cls) {

@@ -39,6 +39,7 @@ ReschedulerConfig MakeReschedulerConfig(const AdaptiveOptions& options) {
   config.stretch = options.stretch;
   config.policy = options.policy;
   config.cache = options.cache;
+  config.engines = options.engines;
   config.reschedule = options.reschedule;
   config.metrics = options.metrics;
   config.trace = options.trace;

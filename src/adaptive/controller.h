@@ -120,6 +120,16 @@ struct AdaptiveOptions {
   /// Multi-tenant servers typically bind a ShardedScheduleCache shard:
   /// CacheBinding{&sharded.ShardFor(tenant), tenant}.
   runtime::CacheBinding cache;
+  /// Pool the controller's Rescheduler leases its reschedule workspace
+  /// (path store, DFS and scan scratch, DLS scratch) from, one
+  /// computed reschedule at a time (see dvfs::EnginePool). nullptr (the
+  /// default) gives the controller a private pool of one. An owner of
+  /// many controllers (a serve daemon, a campaign shard) injects one
+  /// pool for all of them, so their workspaces are bounded by the
+  /// reschedules running at once, not by the controllers alive. Like
+  /// the cache, the pool is thread-safe, never changes a result, and
+  /// must outlive every controller bound to it.
+  dvfs::EnginePool* engines = nullptr;
   /// Reschedule ladder configuration: full recompute (default) or
   /// warm-start incremental DLS (see adaptive::RescheduleOptions / the
   /// Rescheduler facade).
@@ -155,15 +165,16 @@ struct AdaptiveOptions {
 /// must outlive the controller.
 ///
 /// Reentrancy contract: a controller owns all of its mutable state (the
-/// profiler, the reschedule engine, the ladder) — it holds no hidden
+/// profiler, the reschedule facade, the ladder) — it holds no hidden
 /// globals, so thousands of instances coexist in one process and
 /// distinct instances may run on distinct threads concurrently. The
 /// shared services it touches are explicitly injectable: the metrics
 /// registry (options.metrics, default none), the trace session
-/// (options.trace, default none) and the schedule cache
-/// (options.cache, default unbound); the stretch policy is resolved
-/// once at construction from dvfs's fixed table, and policies
-/// themselves are stateless.
+/// (options.trace, default none), the schedule cache (options.cache,
+/// default unbound) and the engine pool its reschedules lease their
+/// workspace from (options.engines, default a private pool of one);
+/// the stretch policy is resolved once at construction from dvfs's
+/// fixed table, and policies themselves are stateless.
 /// A single controller instance is NOT thread-safe — drive each one
 /// from one thread at a time.
 class AdaptiveController {
@@ -229,14 +240,6 @@ class AdaptiveController {
   /// (exact / warm / full outcomes) and fingerprints.
   const Rescheduler& rescheduler() const { return *rescheduler_; }
 
-  /// Frees the reschedule workspace (Rescheduler::ReleaseWorkspace) of
-  /// a controller that is done for now, e.g. a finished serve session.
-  /// The current schedule, the in-use probabilities, the profiler, the
-  /// ladder state and every counter stay as they are. Any later call
-  /// returns bit-identically what it would have without the release:
-  /// the next reschedule only regrows the buffers.
-  void ReleaseWorkspace() { rescheduler_->ReleaseWorkspace(); }
-
  private:
   /// One reschedule through the facade (see adaptive::Rescheduler): the
   /// request carries the PE mask and speed floor, the facade owns the
@@ -262,8 +265,8 @@ class AdaptiveController {
   AdaptiveOptions options_;
   ctg::BranchProbabilities in_use_;
   profiling::SlidingWindowProfiler profiler_;
-  // The reschedule facade: owns the cache keying, the tier ladder and
-  // the reusable reschedule workspace — must precede unit_fingerprint_
+  // The reschedule facade: owns the cache keying and the tier ladder,
+  // and leases the reschedule workspace — must precede unit_fingerprint_
   // (derived from its fingerprints) and schedule_ (whose initializer
   // runs Reschedule()). unique_ptr so the controller stays movable.
   std::unique_ptr<Rescheduler> rescheduler_;

@@ -121,13 +121,19 @@ Rescheduler::Rescheduler(const ctg::Ctg& graph,
       graph_fingerprint_(runtime::FingerprintCtg(graph)),
       platform_fingerprint_(runtime::FingerprintPlatform(platform)),
       config_fingerprint_(0),
-      engine_(graph, analysis, platform,
-              dvfs::PathEngineOptions{.max_paths = config_.stretch.max_paths,
-                                      .metrics = config_.metrics,
-                                      .trace = config_.trace}) {
+      own_engines_(config_.engines == nullptr
+                       ? std::make_unique<dvfs::EnginePool>()
+                       : nullptr),
+      engines_(config_.engines != nullptr ? config_.engines
+                                          : own_engines_.get()) {
   config_.Validate().ThrowIfError();
   policy_ = &dvfs::GetPolicy(config_.policy);
   config_fingerprint_ = FingerprintConfig(config_);
+  // Once per facade, at construction: a facade whose every request hits
+  // the cache never leases an engine.
+  if (!analysis.bit_edge_conditions() && config_.metrics != nullptr) {
+    config_.metrics->Increment("guard.dnf_fallbacks");
+  }
 }
 
 runtime::ScheduleCacheKey Rescheduler::MakeKey(
@@ -160,7 +166,8 @@ std::vector<int> Rescheduler::ShapeSignature(
   return sig;
 }
 
-void Rescheduler::ApplyStretch(sched::Schedule& schedule,
+void Rescheduler::ApplyStretch(dvfs::PathEngine& engine,
+                               sched::Schedule& schedule,
                                const ctg::BranchProbabilities& probs,
                                double speed_floor,
                                dvfs::StretchStats& stats,
@@ -171,17 +178,19 @@ void Rescheduler::ApplyStretch(sched::Schedule& schedule,
   ctx.stretch = config_.stretch;
   ctx.speed_floor = speed_floor;
   ctx.warm = warm;
-  const std::uint64_t enum_id = engine_.enumeration_id();
-  stats = policy_->Apply(engine_, ctx);
+  const std::uint64_t enum_id = engine.enumeration_id();
+  stats = policy_->Apply(engine, ctx);
   // When Apply enumerated, the engine now holds this schedule's shape:
-  // record the pair that lets the next warm stretch rewind instead of
-  // re-running the path DFS. A rewound stretch left the recorded pair
-  // as it was, and a nominal-floor stretch never touched the engine, so
-  // recording its shape would pair it with an older enumeration. Only
-  // the warm-start rung reads the pair.
-  if (incremental() && engine_.enumeration_id() != enum_id) {
+  // record the engine, the shape and the id that let a later warm
+  // stretch on the same engine rewind instead of re-running the path
+  // DFS. A rewound stretch left the record as it was, and a
+  // nominal-floor stretch never touched the engine, so recording its
+  // shape would pair it with an older enumeration. Only the warm-start
+  // rung reads the record.
+  if (incremental() && engine.enumeration_id() != enum_id) {
+    enumerated_on_ = &engine;
     engine_shape_ = ShapeSignature(schedule);
-    engine_enum_id_ = engine_.enumeration_id();
+    engine_enum_id_ = engine.enumeration_id();
   }
 }
 
@@ -195,21 +204,24 @@ void Rescheduler::MaybeValidate(const sched::Schedule& schedule,
 }
 
 RescheduleResult Rescheduler::ComputeFull(
-    const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
-    const runtime::ScheduleCacheKey* key) {
+    dvfs::PathEngine& engine, const ctg::BranchProbabilities& probs,
+    const RescheduleRequest& req, const runtime::ScheduleCacheKey* key) {
   sched::DlsOptions dls = config_.dls;
   dls.available_pes = req.mask;
-  return FinishFull(sched::RunDls(*graph_, *analysis_, *platform_, probs,
-                                  dls, &engine_.dls_workspace()),
+  return FinishFull(engine,
+                    sched::RunDls(*graph_, *analysis_, *platform_, probs,
+                                  dls, &engine.dls_workspace()),
                     probs, req, key);
 }
 
 RescheduleResult Rescheduler::FinishFull(
-    sched::Schedule schedule, const ctg::BranchProbabilities& probs,
-    const RescheduleRequest& req, const runtime::ScheduleCacheKey* key) {
+    dvfs::PathEngine& engine, sched::Schedule schedule,
+    const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
+    const runtime::ScheduleCacheKey* key) {
   RescheduleResult result{std::move(schedule), dvfs::StretchStats{},
                           RescheduleTier::kFull};
-  ApplyStretch(result.schedule, probs, req.speed_floor, result.stretch);
+  ApplyStretch(engine, result.schedule, probs, req.speed_floor,
+               result.stretch);
   MaybeValidate(result.schedule, req);
   if (config_.cache && key != nullptr) {
     config_.cache.cache->Insert(
@@ -220,8 +232,8 @@ RescheduleResult Rescheduler::FinishFull(
 }
 
 std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
-    const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
-    const runtime::ScheduleCacheKey* key) {
+    dvfs::PathEngine& engine, const ctg::BranchProbabilities& probs,
+    const RescheduleRequest& req, const runtime::ScheduleCacheKey* key) {
   if (!basis_schedule_.has_value()) return std::nullopt;
   const sched::Schedule& seed_schedule = *basis_schedule_;
 
@@ -232,7 +244,7 @@ std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
   sched::IncrementalResult inc = sched::RunIncrementalDls(
       *graph_, *analysis_, *platform_, probs,
       sched::MappingOf(seed_schedule), delta, dls,
-      config_.reschedule.max_dirty_ratio, &engine_.dls_workspace());
+      config_.reschedule.max_dirty_ratio, &engine.dls_workspace());
   if (inc.fell_back) {
     ++tiers_.incremental_fallbacks;
     if (config_.metrics != nullptr) {
@@ -241,16 +253,17 @@ std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
     // The fallback already ran the full tier's DLS (same options, same
     // workspace, bit-identical by RunIncrementalDls's contract): finish
     // the full tier on it instead of scheduling again.
-    return FinishFull(std::move(inc.schedule), probs, req, key);
+    return FinishFull(engine, std::move(inc.schedule), probs, req, key);
   }
   RescheduleResult result{std::move(inc.schedule), dvfs::StretchStats{},
                           RescheduleTier::kWarmPrior};
   // Warm stretch: replay the seed's committed speeds for clean tasks
   // (deadline-clamped — always feasible) and run the full slack
   // computation only for the dirty region plus any task the warm DLS
-  // moved off its seed PE. When the warm schedule's shape matches the
-  // engine's current enumeration, rewind the committed delays instead
-  // of re-running the path DFS (delta re-enumeration).
+  // moved off its seed PE. When the leased engine is the one this
+  // facade last enumerated on, that enumeration is still its current
+  // one and the warm schedule's shape matches it, rewind the committed
+  // delays instead of re-running the path DFS (delta re-enumeration).
   std::vector<double> seed_speed(graph_->task_count(), 0.0);
   std::vector<char> stretch_dirty = delta.dirty;
   for (TaskId task : graph_->TaskIds()) {
@@ -265,11 +278,11 @@ std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
   warm.seed_speed = &seed_speed;
   warm.dirty = &stretch_dirty;
   warm.reuse_enumeration =
-      engine_enum_id_ != 0 &&
-      engine_enum_id_ == engine_.enumeration_id() &&
+      enumerated_on_ == &engine &&
+      engine_enum_id_ == engine.enumeration_id() &&
       engine_shape_ == ShapeSignature(result.schedule);
-  ApplyStretch(result.schedule, probs, req.speed_floor, result.stretch,
-               &warm);
+  ApplyStretch(engine, result.schedule, probs, req.speed_floor,
+               result.stretch, &warm);
   MaybeValidate(result.schedule, req);
   if (verify_incremental_) VerifyIncremental(probs, req, result);
   // A warm-started result is a valid schedule for these exact
@@ -286,12 +299,12 @@ void Rescheduler::VerifyIncremental(const ctg::BranchProbabilities& probs,
                                     const RescheduleRequest& req,
                                     const RescheduleResult& got) {
   // From-scratch reference under the same request, computed entirely on
-  // a private scratch engine. Routing the reference through engine_
-  // would advance its enumeration id and overwrite the committed path
-  // delays the next warm stretch wants to rewind — i.e. the debug
+  // a private scratch engine. Routing the reference through a leased
+  // engine would advance its enumeration id and overwrite the committed
+  // path delays the next warm stretch wants to rewind — i.e. the debug
   // oracle would perturb the production ladder it is checking. The
   // scratch engine also means ApplyStretch must not be used here (it
-  // records engine_shape_/engine_enum_id_ against engine_); the policy
+  // records the engine it stretched on for the next rewind); the policy
   // is applied directly instead. The scratch engine has no registry
   // and no trace session: its recomputes are not production work and
   // must not count or show as such.
@@ -352,16 +365,6 @@ void Rescheduler::CountTier(RescheduleTier tier) {
   }
 }
 
-void Rescheduler::ReleaseWorkspace() {
-  engine_.ReleaseWorkspace();
-  verify_engine_.reset();
-  // The engine's enumeration id has advanced past engine_enum_id_
-  // already; dropping the pair as well frees the shape and makes the
-  // no-rewind state explicit.
-  engine_shape_ = {};
-  engine_enum_id_ = 0;
-}
-
 void Rescheduler::RememberBasis(const ctg::BranchProbabilities& probs,
                                 const sched::Schedule& schedule) {
   basis_probs_ = probs;
@@ -403,16 +406,21 @@ RescheduleResult Rescheduler::Reschedule(
       probe.AddArg(obs::IntArg("cached", 0));
       if (degraded) probe.AddArg(obs::IntArg("degraded", 1));
     }
+    // The workspace is leased for the computation only; the lease
+    // returns it at the end of this block, also when the DLS, the
+    // enumeration or the oracle throws.
+    const dvfs::EnginePool::Lease engine = engines_->Acquire(
+        *graph_, *analysis_, *platform_,
+        dvfs::PathEngineOptions{.max_paths = config_.stretch.max_paths,
+                                .metrics = config_.metrics,
+                                .trace = config_.trace});
+    const runtime::ScheduleCacheKey* const key_or_null =
+        cache_ok ? &key : nullptr;
     if (!degraded && incremental()) {
-      std::optional<RescheduleResult> warm =
-          ComputeIncremental(probs, req, cache_ok ? &key : nullptr);
-      if (warm.has_value()) {
-        result = std::move(*warm);
-      } else {
-        result = ComputeFull(probs, req, cache_ok ? &key : nullptr);
-      }
-    } else {
-      result = ComputeFull(probs, req, cache_ok ? &key : nullptr);
+      result = ComputeIncremental(*engine, probs, req, key_or_null);
+    }
+    if (!result.has_value()) {
+      result = ComputeFull(*engine, probs, req, key_or_null);
     }
   }
   if (probe.tracing()) {

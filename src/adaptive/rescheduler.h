@@ -31,11 +31,23 @@
 /// "adaptive.reschedule" stage probe whose duration also lands in the
 /// "reschedule.latency_us" distribution ("…compute_latency_us" excludes
 /// exact hits), which bench_reschedule reads back as p50/p99. The facade
-/// hands the same registry to its PathEngine and that engine's DLS
-/// workspace, so "sched.dls", "dvfs.enumerate" and "dvfs.stretch" land
-/// beside it; without a registry nothing is recorded. The trace session
-/// (ReschedulerConfig::trace) takes the same route and receives the
-/// same four spans.
+/// binds the same registry to the PathEngine it leases and that engine's
+/// DLS workspace, so "sched.dls", "dvfs.enumerate" and "dvfs.stretch"
+/// land beside it; without a registry nothing is recorded. The trace
+/// session (ReschedulerConfig::trace) takes the same route and receives
+/// the same four spans.
+///
+/// Workspace lease: the facade owns no path store. When the exact tier
+/// misses, it leases a dvfs::PathEngine from its dvfs::EnginePool
+/// (ReschedulerConfig::engines, or a private pool of one) for the rest
+/// of that Reschedule(); the lease returns the engine when the call
+/// ends, also when it throws. A facade between reschedules therefore
+/// holds no path store, DFS stacks, scan scratch or DLS scratch. A
+/// warm stretch rewinds only the engine this facade last enumerated
+/// on, and only while that enumeration id is still the engine's
+/// current one; another borrower's enumeration, or a lease for another
+/// model, makes it enumerate again. Which engine a lease returns never
+/// changes a result.
 ///
 /// Exactness contract per tier: kExact returns the entry inserted for
 /// exactly these probabilities in this mode (the cache key folds the
@@ -53,11 +65,11 @@
 /// after every warm-started result, oracle-validates both, and records
 /// the energy ratio in "resched.verify.energy_ratio". The reference
 /// recompute runs against a private scratch PathEngine (lazily built on
-/// first use), so the debug oracle is side-effect-free by construction:
-/// arming it perturbs no pooled workspace state — the production
-/// engine's enumeration id, committed path delays and DLS scratch are
-/// untouched — and produced schedules are bit-identical with the oracle
-/// on or off.
+/// first use, never leased from the pool), so the debug oracle is
+/// side-effect-free by construction: arming it perturbs no leased
+/// workspace state — the production engine's enumeration id, committed
+/// path delays and DLS scratch are untouched — and produced schedules
+/// are bit-identical with the oracle on or off.
 
 #ifndef ACTG_ADAPTIVE_RESCHEDULER_H
 #define ACTG_ADAPTIVE_RESCHEDULER_H
@@ -73,6 +85,7 @@
 #include "ctg/activation.h"
 #include "ctg/condition.h"
 #include "ctg/graph.h"
+#include "dvfs/engine_pool.h"
 #include "dvfs/path_engine.h"
 #include "dvfs/policy.h"
 #include "dvfs/stretch.h"
@@ -177,10 +190,17 @@ struct ReschedulerConfig {
   /// Optional schedule memoization (cache + tenant in one value).
   runtime::CacheBinding cache;
   RescheduleOptions reschedule;
+  /// Pool the facade leases its reschedule workspace from (see the file
+  /// comment); nullptr gives the facade a private pool of one. Shared
+  /// by the controllers of one owner (a serve daemon, a campaign shard)
+  /// and must outlive every facade bound to it.
+  dvfs::EnginePool* engines = nullptr;
   /// Metrics registry for the facade's tier counters, latency samples
-  /// and "adaptive.reschedule" timer; the facade hands it to its
-  /// PathEngine and that engine's DlsWorkspace, so the DLS, enumeration
-  /// and stretch timers land here too. nullptr records nothing.
+  /// and "adaptive.reschedule" timer; the facade binds it to the
+  /// PathEngine it leases and that engine's DlsWorkspace, so the DLS,
+  /// enumeration and stretch timers land here too. "guard.dnf_fallbacks"
+  /// counts once per facade, at construction, when the graph does not
+  /// fit the bitset width. nullptr records nothing.
   runtime::Metrics* metrics = nullptr;
   /// Trace session for the "adaptive.reschedule" span, handed on like
   /// metrics so the DLS, enumeration and stretch spans land in it too.
@@ -200,11 +220,12 @@ struct RescheduleResult {
   RescheduleTier tier = RescheduleTier::kFull;
 };
 
-/// The facade. Owns the reusable reschedule workspace (path enumeration
-/// + DLS scratch), the structural fingerprints, the cache keying and
-/// the warm-start basis. The referenced graph/analysis/platform must
-/// outlive it. Not thread-safe — one
-/// Rescheduler belongs to one controller.
+/// The facade. Owns the structural fingerprints, the cache keying and
+/// the warm-start basis, and leases its reschedule workspace (path
+/// enumeration + DLS scratch) per computed reschedule. The referenced
+/// graph/analysis/platform, and the engine pool when one is injected,
+/// must outlive it. Not thread-safe — one Rescheduler belongs to one
+/// controller; the pool it leases from is thread-safe.
 class Rescheduler {
  public:
   /// Throws when \p config does not validate. The config fingerprint
@@ -222,15 +243,6 @@ class Rescheduler {
   RescheduleResult Reschedule(const ctg::BranchProbabilities& probs,
                               const RescheduleRequest& req);
 
-  /// Frees the reusable workspace: the PathEngine's buffers (see
-  /// dvfs::PathEngine::ReleaseWorkspace), the lazily built verify
-  /// engine and the recorded enumeration shape, so the next warm
-  /// stretch re-enumerates instead of rewinding. Keeps the fingerprints,
-  /// the tier counts and the warm-start basis. Every later Reschedule()
-  /// returns exactly what it would have without the release; it only
-  /// regrows the buffers.
-  void ReleaseWorkspace();
-
   const ReschedulerConfig& config() const { return config_; }
   const TierCounts& tier_counts() const { return tiers_; }
   std::uint64_t graph_fingerprint() const { return graph_fingerprint_; }
@@ -242,14 +254,16 @@ class Rescheduler {
  private:
   runtime::ScheduleCacheKey MakeKey(
       const ctg::BranchProbabilities& probs) const;
-  /// Full DLS + stretch under \p req; validates and (when \p key is
-  /// set) inserts into the cache.
-  RescheduleResult ComputeFull(const ctg::BranchProbabilities& probs,
+  /// Full DLS + stretch under \p req on the leased \p engine;
+  /// validates and (when \p key is set) inserts into the cache.
+  RescheduleResult ComputeFull(dvfs::PathEngine& engine,
+                               const ctg::BranchProbabilities& probs,
                                const RescheduleRequest& req,
                                const runtime::ScheduleCacheKey* key);
   /// ComputeFull after its DLS: stretches \p schedule, a RunDls result
   /// under \p req's mask, then validates and caches as ComputeFull.
-  RescheduleResult FinishFull(sched::Schedule schedule,
+  RescheduleResult FinishFull(dvfs::PathEngine& engine,
+                              sched::Schedule schedule,
                               const ctg::BranchProbabilities& probs,
                               const RescheduleRequest& req,
                               const runtime::ScheduleCacheKey* key);
@@ -257,9 +271,9 @@ class Rescheduler {
   /// (the caller then falls through to full). A dirty region over the
   /// ratio yields a kFull result built on the fallback's own full DLS.
   std::optional<RescheduleResult> ComputeIncremental(
-      const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
-      const runtime::ScheduleCacheKey* key);
-  void ApplyStretch(sched::Schedule& schedule,
+      dvfs::PathEngine& engine, const ctg::BranchProbabilities& probs,
+      const RescheduleRequest& req, const runtime::ScheduleCacheKey* key);
+  void ApplyStretch(dvfs::PathEngine& engine, sched::Schedule& schedule,
                     const ctg::BranchProbabilities& probs,
                     double speed_floor, dvfs::StretchStats& stats,
                     const dvfs::StretchWarmStart* warm = nullptr);
@@ -270,8 +284,8 @@ class Rescheduler {
   void MaybeValidate(const sched::Schedule& schedule,
                      const RescheduleRequest& req) const;
   /// Debug diff of a warm-started result against a from-scratch one.
-  /// Runs entirely on verify_engine_ (never engine_), so arming the
-  /// oracle cannot change what the production ladder computes.
+  /// Runs entirely on verify_engine_ (never a leased engine), so arming
+  /// the oracle cannot change what the production ladder computes.
   void VerifyIncremental(const ctg::BranchProbabilities& probs,
                          const RescheduleRequest& req,
                          const RescheduleResult& got);
@@ -293,23 +307,26 @@ class Rescheduler {
   std::uint64_t graph_fingerprint_ = 0;
   std::uint64_t platform_fingerprint_ = 0;
   std::uint64_t config_fingerprint_ = 0;
-  /// Reusable reschedule workspace (path enumeration + DLS scratch),
-  /// shared by every Reschedule() call.
-  dvfs::PathEngine engine_;
+  /// The pool every computed reschedule leases its workspace from:
+  /// config_.engines, or own_engines_ when none was injected.
+  std::unique_ptr<dvfs::EnginePool> own_engines_;
+  dvfs::EnginePool* engines_;
   /// Scratch workspace for VerifyIncremental's reference recompute,
-  /// built lazily on the first verified call. Keeping the debug oracle
-  /// off the pooled engine_ is what makes it side-effect-free: the
-  /// enumeration id / committed delays the warm-start tier relies on
-  /// are never touched by a verify pass.
+  /// built lazily on the first verified call and never pooled. Keeping
+  /// the debug oracle off the leased engines is what makes it
+  /// side-effect-free: the enumeration id / committed delays the
+  /// warm-start tier relies on are never touched by a verify pass.
   std::unique_ptr<dvfs::PathEngine> verify_engine_;
   /// Warm-start basis: the last non-degraded result (full schedule, so
   /// the warm stretch can replay its committed speed assignment).
-  /// Incremental mode only, like engine_shape_ / engine_enum_id_.
+  /// Incremental mode only, like the enumeration record below.
   std::optional<sched::Schedule> basis_schedule_;
   ctg::BranchProbabilities basis_probs_;
-  /// Shape the engine's current enumeration was built for, plus the
-  /// enumeration id it had right after the owning ApplyStretch — the
-  /// pair that licenses StretchWarmStart::reuse_enumeration.
+  /// The engine this facade last enumerated on, the shape it enumerated
+  /// and the enumeration id the engine had right after — the record that
+  /// licenses StretchWarmStart::reuse_enumeration on a later lease of
+  /// that same engine. Only identifies the engine; never dereferenced.
+  const dvfs::PathEngine* enumerated_on_ = nullptr;
   std::vector<int> engine_shape_;
   std::uint64_t engine_enum_id_ = 0;
   TierCounts tiers_;

@@ -15,6 +15,7 @@
 #include "campaign/checkpoint.h"
 #include "check/fuzz.h"
 #include "check/validator.h"
+#include "dvfs/engine_pool.h"
 #include "faults/injector.h"
 #include "runtime/pool.h"
 #include "runtime/schedule_cache.h"
@@ -98,13 +99,13 @@ void EmitRepro(const CampaignSpec& spec, const CampaignOptions& options,
                const faults::FaultPlan& plan, const util::Random& rng,
                const QuarantineRecord& rec) {
   if (options.quarantine_dir.empty()) return;
-  check::FuzzCase c{model.graph(), model.platform()};
+  check::FuzzCase c{
+      .graph = model.graph(), .platform = model.platform(), .faults = plan};
   c.policy = key.policy;
   c.reschedule_mode = key.mode;
   c.adaptive = true;
   c.trace_instances = spec.trace_instances;
   c.prob_seed = rng.Fork(3).engine().Next();
-  c.faults = plan;
   c.faults.seed = FaultSeed(rng);
   c.with_faults = !plan.Empty();
   util::AtomicFile file(options.quarantine_dir + "/quarantine-" +
@@ -131,6 +132,9 @@ void RunShard(const CampaignSpec& spec, const CampaignOptions& options,
 
   runtime::ScheduleCache shared_cache(
       ScheduleCacheOptionsFor(spec), out.metrics.get());
+  // The shard runs its instances one after another, so every controller
+  // leases the same reschedule workspace instead of growing its own.
+  dvfs::EnginePool engines;
   // Model construction is the expensive part of an instance; instances
   // cycle through workloads x model_seeds structures, so the shard
   // memoizes them — (workload, model seed) pairs build equal models, so
@@ -201,6 +205,7 @@ void RunShard(const CampaignSpec& spec, const CampaignOptions& options,
       aopts.cache = runtime::CacheBinding{
           spec.share_cache ? &shared_cache : &*private_cache,
           spec.share_cache ? 0 : static_cast<std::uint64_t>(i) + 1};
+      aopts.engines = &engines;
       aopts.metrics = out.metrics.get();
       aopts.degrade.enabled = spec.degrade;
       // In-controller schedule validation keys off the instance's own

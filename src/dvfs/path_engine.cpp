@@ -19,31 +19,45 @@ std::uint32_t Offset(std::size_t size) {
   return static_cast<std::uint32_t>(size);
 }
 
-/// Replaces each container with an empty one, freeing its storage.
-template <typename... Containers>
-void Free(Containers&... containers) {
-  ((containers = Containers{}), ...);
-}
-
 }  // namespace
 
 PathEngine::PathEngine(const ctg::Ctg& graph,
                        const ctg::ActivationAnalysis& analysis,
                        const arch::Platform& platform,
-                       PathEngineOptions options)
-    : graph_(&graph),
-      analysis_(&analysis),
-      platform_(&platform),
-      options_(options) {
+                       PathEngineOptions options) {
+  Bind(graph, analysis, platform, options);
+  if (!options_.force_dnf && !use_bitset_) Count("guard.dnf_fallbacks");
+  ClearPaths();
+}
+
+void PathEngine::Bind(const ctg::Ctg& graph,
+                      const ctg::ActivationAnalysis& analysis,
+                      const arch::Platform& platform,
+                      PathEngineOptions options) {
   ACTG_CHECK(&analysis.graph() == &graph,
              "PathEngine analysis must be over the engine's graph");
+  graph_ = &graph;
+  analysis_ = &analysis;
+  platform_ = &platform;
+  options_ = options;
   dls_workspace_.metrics = options_.metrics;
   dls_workspace_.trace = options_.trace;
   // The compiled edge conditions live in the analysis, beside the task
   // guards; a graph whose guards or conditions do not fit the bit width
   // falls back to the DNF algebra.
   use_bitset_ = !options_.force_dnf && analysis.bit_edge_conditions();
-  if (!options_.force_dnf && !use_bitset_) Count("guard.dnf_fallbacks");
+}
+
+void PathEngine::Rebind(const ctg::Ctg& graph,
+                        const ctg::ActivationAnalysis& analysis,
+                        const arch::Platform& platform,
+                        PathEngineOptions options) {
+  const bool same_model = graph_ == &graph && analysis_ == &analysis &&
+                          platform_ == &platform &&
+                          options_.force_dnf == options.force_dnf;
+  Bind(graph, analysis, platform, options);
+  if (same_model) return;
+  ++enumeration_id_;
   ClearPaths();
 }
 
@@ -363,20 +377,6 @@ void PathEngine::RewindCommits() {
   std::copy(nominal_delay_.begin(), nominal_delay_.end(), delay_.begin());
   std::copy(nominal_unlocked_.begin(), nominal_unlocked_.end(),
             unlocked_.begin());
-}
-
-void PathEngine::ReleaseWorkspace() {
-  ++enumeration_id_;
-  Free(bit_stack_, dnf_stack_, and_scratch_, task_stack_,
-       edge_stack_, task_exec_ms_, edge_comm_ms_, task_begin_, task_pool_,
-       cond_begin_, cond_pool_, guard_begin_, guard_pool_, dnf_guards_,
-       comm_, delay_, unlocked_, nominal_delay_, nominal_unlocked_,
-       span_begin_, span_pool_, span_cursor_, edge_prob_, scan_prob_after_,
-       scan_slack_ratio_);
-  dls_workspace_ = sched::DlsWorkspace{};
-  dls_workspace_.metrics = options_.metrics;
-  dls_workspace_.trace = options_.trace;
-  ClearPaths();
 }
 
 double PathEngine::MaxDelay() const {

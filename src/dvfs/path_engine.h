@@ -34,17 +34,22 @@
 /// representation change, not a semantics change.
 ///
 /// Lifetime and ownership rules: the engine borrows graph/analysis/
-/// platform (they must outlive it) and is bound to them for life; every
-/// Enumerate() call must pass a Schedule over those same objects. One
-/// engine serves one thread at a time; concurrent controllers each own
-/// their own engine (see adaptive::AdaptiveController).
+/// platform and options, from construction or the last Rebind() until
+/// the next Rebind(); the borrowed objects must outlive that binding,
+/// and every Enumerate() call must pass a Schedule over them. An engine
+/// is a leased workspace, not a controller's property: an
+/// adaptive::Rescheduler borrows one from a dvfs::EnginePool
+/// (engine_pool.h) for each reschedule that misses the exact tier, and
+/// the pool re-points it at the borrower's model, max_paths, registry
+/// and trace session on every lease. One engine serves one thread at a
+/// time.
 ///
-/// Metrics and tracing: an engine built with PathEngineOptions::metrics
+/// Metrics and tracing: an engine bound with PathEngineOptions::metrics
 /// records its "dvfs.enumerate" timer, the stretch policies'
 /// "dvfs.stretch" timer (Policy::Apply) and its DLS workspace's
-/// "sched.dls" timer into that registry, and an engine built with
+/// "sched.dls" timer into that registry, and an engine bound with
 /// PathEngineOptions::trace records the same three spans into that
-/// session; an engine built with neither records nothing.
+/// session; an engine bound with neither records nothing.
 
 #ifndef ACTG_DVFS_PATH_ENGINE_H
 #define ACTG_DVFS_PATH_ENGINE_H
@@ -80,7 +85,7 @@ struct PathEngineOptions {
   /// dls_workspace() record their stage timers and counters into, and
   /// session they record their spans into; null records nothing. They
   /// only say where to report, never what is computed. Must outlive the
-  /// engine.
+  /// binding (see PathEngine::Rebind).
   runtime::Metrics* metrics = nullptr;
   obs::TraceSession* trace = nullptr;
 };
@@ -120,8 +125,22 @@ class PathEngine {
     std::span<const double> slack_ratio;
   };
 
+  /// Binds the engine to \p graph/\p analysis/\p platform and
+  /// \p options, and counts "guard.dnf_fallbacks" in the registry when
+  /// the graph does not fit the bitset width.
   PathEngine(const ctg::Ctg& graph, const ctg::ActivationAnalysis& analysis,
              const arch::Platform& platform, PathEngineOptions options = {});
+
+  /// Re-points the engine at \p graph/\p analysis/\p platform and
+  /// \p options (registry, trace session and max_paths, which the DLS
+  /// workspace follows). Binding other objects or another force_dnf
+  /// than the current ones empties the store and advances
+  /// enumeration_id(), as a failed enumeration does, so no caller can
+  /// rewind a store built for another model; re-binding the same
+  /// objects keeps the current enumeration. Buffer capacity is kept
+  /// either way. Counts nothing: a rebinding is not a new engine.
+  void Rebind(const ctg::Ctg& graph, const ctg::ActivationAnalysis& analysis,
+              const arch::Platform& platform, PathEngineOptions options);
 
   const ctg::Ctg& graph() const { return *graph_; }
   const ctg::ActivationAnalysis& analysis() const { return *analysis_; }
@@ -225,21 +244,15 @@ class PathEngine {
   /// (!using_bitset()), for tests and the mutex-blind baseline.
   const ctg::Guard& DnfGuard(std::size_t i) const;
 
-  /// Scratch buffers for sched::RunDls, so a controller-owned engine
-  /// also amortizes the scheduler's per-call allocations. Carries the
+  /// Scratch buffers for sched::RunDls, so a reused engine also
+  /// amortizes the scheduler's per-call allocations. Carries the
   /// engine's metrics registry and trace session.
   sched::DlsWorkspace& dls_workspace() { return dls_workspace_; }
 
-  /// Frees every reusable buffer: the path store and spanning lists,
-  /// the DFS stacks, the per-enumeration and scan scratch and the DLS
-  /// workspace's buffers (its registry and session stay). The engine
-  /// is then empty as after a failed enumeration: size() is 0 and
-  /// enumeration_id() has advanced, so no caller can rewind the freed
-  /// store. Later calls regrow the buffers and compute exactly what an
-  /// engine that never released would.
-  void ReleaseWorkspace();
-
  private:
+  /// Stores the binding; Rebind() decides what it invalidates.
+  void Bind(const ctg::Ctg& graph, const ctg::ActivationAnalysis& analysis,
+            const arch::Platform& platform, PathEngineOptions options);
   void VisitBit(const sched::ScheduledDag& dag, TaskId task,
                 std::size_t depth, bool drop_unrealizable);
   void VisitDnf(const sched::ScheduledDag& dag, TaskId task,
@@ -255,9 +268,9 @@ class PathEngine {
   /// SlackRatio() without the index check.
   double SlackRatioOf(std::size_t i, double deadline_ms) const;
 
-  const ctg::Ctg* graph_;
-  const ctg::ActivationAnalysis* analysis_;
-  const arch::Platform* platform_;
+  const ctg::Ctg* graph_ = nullptr;
+  const ctg::ActivationAnalysis* analysis_ = nullptr;
+  const arch::Platform* platform_ = nullptr;
   PathEngineOptions options_;
   bool use_bitset_ = false;
 

@@ -22,8 +22,9 @@
 ///
 /// Every stretcher runs its path analysis on a dvfs::PathEngine. The
 /// optional trailing parameter lets a caller that reschedules
-/// repeatedly (the adaptive controller) pass its own engine so the
-/// enumeration buffers are reused across calls; when omitted, a
+/// repeatedly (the adaptive controller's Rescheduler, with a leased
+/// engine) pass an engine so the enumeration buffers are reused across
+/// calls; when omitted, a
 /// transient engine is built for the call — results are identical
 /// either way.
 

@@ -6,8 +6,8 @@
 /// timeline rows. There is no process-wide session: whoever owns a unit
 /// of work (a bench main, the CLI, a test) creates one and injects it
 /// where the metrics registry travels — AdaptiveOptions::trace, from
-/// which the controller hands it to its Rescheduler, PathEngine and DLS
-/// workspace — or passes it to sim::RunTrace, sim::ExecuteInstance and
+/// which the controller hands it to its Rescheduler, and that to each
+/// PathEngine it leases and its DLS workspace — or passes it to sim::RunTrace, sim::ExecuteInstance and
 /// runtime::Pool. A stage handed no session records nothing, at the cost
 /// of one null check (and, with ACTG_DISABLE_OBS, of nothing at all:
 /// every site ignores the session it is given).

@@ -12,8 +12,8 @@
 /// There is no process-wide registry. Whoever owns a unit of work (a
 /// campaign shard, a serve daemon, a bench main, a test) creates one and
 /// injects it: AdaptiveOptions / ReschedulerConfig::metrics, from which
-/// the Rescheduler hands it to its PathEngine (PathEngineOptions) and
-/// that engine's DlsWorkspace. A stage reached without a registry
+/// the Rescheduler binds it to each PathEngine it leases
+/// (PathEngineOptions) and that engine's DlsWorkspace. A stage reached without a registry
 /// records nothing. The trace session travels beside it, in the field
 /// `trace` of each of those structs.
 ///

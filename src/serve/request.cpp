@@ -276,7 +276,10 @@ FleetRequest SyntheticFleet(std::size_t tenants, std::size_t instances,
   fleet.config.seed = seed;
   for (std::size_t i = 0; i < tenants; ++i) {
     TenantRequest tenant;
-    tenant.name = "t" + std::to_string(i);
+    // Appended: GCC 12.2 flags `"t" + std::to_string(i)` with a false
+    // -Wrestrict.
+    tenant.name = "t";
+    tenant.name += std::to_string(i);
     // Cycle SLA classes 0,1,2,1 so the fleet is half throughput, one
     // quarter latency-critical and one quarter sheddable background.
     constexpr SlaClass kSlas[] = {

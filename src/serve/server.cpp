@@ -55,6 +55,7 @@ void Server::AdmitArrivals(std::size_t round) {
         fleet_.config.share_cache ? 0 : TenantId(i);
     session_options.cache =
         runtime::CacheBinding{&cache_->ShardFor(tenant), tenant};
+    session_options.engines = &engines_;
     session_options.metrics = metrics_;
     session_options.validate = fleet_.config.validate;
     sessions_[i] = std::make_unique<Session>(

@@ -11,9 +11,10 @@
 ///  * each session's trace comes from its own Random::Fork substream of
 ///    the fleet seed (tenant index as the stream id);
 ///  * the pool only decides *where* a session's round slice runs, never
-///    what it computes — sessions own their state and the schedule
-///    cache is exact-match (a hit returns precisely what the miss would
-///    have computed);
+///    what it computes — sessions own their state, the schedule cache
+///    is exact-match (a hit returns precisely what the miss would have
+///    computed), and which of the server's reschedule engines a
+///    reschedule leases never changes its result;
 ///  * admission decisions depend only on the deterministic queue depth,
 ///    updated serially at round end;
 ///  * wall-clock latencies are recorded per round slice into
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "dvfs/engine_pool.h"
 #include "report/fleet_stats.h"
 #include "runtime/metrics.h"
 #include "runtime/pool.h"
@@ -125,6 +127,9 @@ class Server {
   const FleetReport& report() const { return report_; }
   const AdmissionController& admission() const { return admission_; }
   runtime::ShardedScheduleCache& cache() { return *cache_; }
+  /// The reschedule workspaces every session's controller leases from:
+  /// at most one engine per pool worker, whatever the tenant count.
+  const dvfs::EnginePool& engines() const { return engines_; }
   runtime::Metrics& metrics() { return *metrics_; }
 
   /// Wall-clock latency percentiles of \p sla over the completed run,
@@ -152,6 +157,8 @@ class Server {
   std::unique_ptr<runtime::Metrics> own_metrics_;
   runtime::Metrics* metrics_;
   std::unique_ptr<runtime::ShardedScheduleCache> cache_;
+  /// Declared before sessions_, so it outlives every controller.
+  dvfs::EnginePool engines_;
   runtime::Pool pool_;
   AdmissionController admission_;
   std::vector<std::unique_ptr<Session>> sessions_;  ///< null when shed

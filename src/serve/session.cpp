@@ -57,6 +57,7 @@ void Session::NewApp() {
   options.threshold = request_.threshold;
   options.policy = request_.policy;
   options.cache = options_.cache;
+  options.engines = options_.engines;
   options.metrics = options_.metrics;
   options.validate_schedules = options_.validate;
   controller_ = std::make_unique<adaptive::AdaptiveController>(
@@ -116,7 +117,6 @@ void Session::Shutdown() {
   if (pending_.has_value()) {
     Reject("Shutdown", "has an unacknowledged result pending");
   }
-  ReleaseWorkspace();
   state_ = SessionState::kShutdown;
 }
 
@@ -129,12 +129,7 @@ void Session::Quarantine() {
   // NewInstance and its InstanceComplete ack — but drop any pending
   // result defensively so the summary never half-counts an instance.
   pending_.reset();
-  ReleaseWorkspace();
   state_ = SessionState::kQuarantined;
-}
-
-void Session::ReleaseWorkspace() {
-  if (controller_ != nullptr) controller_->ReleaseWorkspace();
 }
 
 const apps::TenantModel& Session::model() const {

@@ -16,14 +16,16 @@
 ///   Shutdown          finalizes the session; afterwards every event is
 ///                     rejected.
 ///
-/// A session that ends (Shutdown or Quarantine) frees its controller's
-/// reschedule workspace and keeps only its result: the summary, the
-/// model, the trace and the controller's current schedule and counters
-/// stay readable for the fleet report and the post-run oracle. What it
-/// keeps is small: an MPEG or cruise session shares its app's one
-/// immutable model with every other tenant of that app
-/// (apps::TenantModel), and its trace holds one byte per task per
-/// instance (trace::BranchTrace).
+/// A session holds no reschedule workspace, live or ended: its
+/// controller leases one from the server's dvfs::EnginePool
+/// (SessionOptions::engines) for each reschedule that misses the exact
+/// tier and returns it when that reschedule ends. A session that ends
+/// (Shutdown or Quarantine) keeps its result: the summary, the model,
+/// the trace and the controller's current schedule and counters stay
+/// readable for the fleet report and the post-run oracle. What it keeps
+/// is small: an MPEG or cruise session shares its app's one immutable
+/// model with every other tenant of that app (apps::TenantModel), and
+/// its trace holds one byte per task per instance (trace::BranchTrace).
 ///
 /// Out-of-order events (NewInstance before NewApp, InstanceComplete
 /// without a pending result, anything after Shutdown, a second NewApp)
@@ -39,7 +41,8 @@
 /// A session owns its trace and controller and is driven by one thread
 /// at a time; distinct sessions may run on distinct pool workers
 /// concurrently (see the AdaptiveController reentrancy contract). A
-/// shared model is immutable, so concurrent sessions only read it.
+/// shared model is immutable, so concurrent sessions only read it, and
+/// the engine pool is thread-safe.
 
 #ifndef ACTG_SERVE_SESSION_H
 #define ACTG_SERVE_SESSION_H
@@ -82,6 +85,9 @@ struct SessionOptions {
   /// shard and the tenant id its keys carry, in one value. Default
   /// (unbound) disables memoization.
   runtime::CacheBinding cache;
+  /// Pool the controller leases its reschedule workspace from; null
+  /// gives it a private pool of one. Must outlive the session.
+  dvfs::EnginePool* engines = nullptr;
   /// Metrics registry the controller reports into; null records
   /// nothing.
   runtime::Metrics* metrics = nullptr;
@@ -113,8 +119,7 @@ class Session {
   SessionStatus PeriodicCheck() const;
 
   /// Finalizes the session (any state except kShutdown or kQuarantined;
-  /// a pending unacknowledged instance is rejected) and frees the
-  /// controller's reschedule workspace.
+  /// a pending unacknowledged instance is rejected).
   void Shutdown();
 
   /// Marks the session watchdog-quarantined: its dispatcher caught
@@ -122,7 +127,6 @@ class Session {
   /// NewInstance are the cooperative check points). Terminal — every
   /// further event is rejected; the partial summary stays readable so
   /// the fleet report can account for what completed before the stall.
-  /// Frees the controller's reschedule workspace like Shutdown.
   void Quarantine();
 
   // -- Accessors ----------------------------------------------------
@@ -152,8 +156,6 @@ class Session {
 
  private:
   [[noreturn]] void Reject(const char* event, const char* why) const;
-  /// AdaptiveController::ReleaseWorkspace, once the app is built.
-  void ReleaseWorkspace();
 
   TenantRequest request_;
   SessionOptions options_;

@@ -42,11 +42,14 @@ struct Gen {
 
   explicit Gen(const RandomCtgParams& p) : rng(p.seed), params(&p) {}
 
-  TaskId NewTask() {
-    return builder.AddTask("t" + std::to_string(next_name++));
-  }
-  TaskId NewOrTask() {
-    return builder.AddOrTask("t" + std::to_string(next_name++));
+  TaskId NewTask() { return builder.AddTask(NextName()); }
+  TaskId NewOrTask() { return builder.AddOrTask(NextName()); }
+  /// "t<n>", appended: GCC 12.2 flags `"t" + std::to_string(n)` with a
+  /// false -Wrestrict.
+  std::string NextName() {
+    std::string name = "t";
+    name += std::to_string(next_name++);
+    return name;
   }
   double Comm() {
     return rng.Uniform(params->comm_min_kb, params->comm_max_kb);

@@ -8,6 +8,7 @@
 #include "apps/common.h"
 #include "dvfs/stretch.h"
 #include "apps/fig1_example.h"
+#include "dvfs/engine_pool.h"
 #include "faults/injector.h"
 #include "faults/plan.h"
 #include "runtime/metrics.h"
@@ -341,7 +342,8 @@ TEST(AdaptiveMetrics, ConcurrentControllersFillOnlyTheirOwnRegistries) {
 }
 
 // ---------------------------------------------------------------------------
-// Release contract: freeing the reschedule workspace changes no result.
+// Lease contract: which pooled engine a reschedule leases changes no
+// result.
 
 std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
@@ -366,94 +368,133 @@ void ExpectSameSchedule(const sched::Schedule& want,
   EXPECT_EQ(want.pseudo_edges().size(), got.pseudo_edges().size());
 }
 
-// Two controllers over the same faulted, drifting trace with the ladder
-// on, each with a private cache: one releases its workspace after every
-// instance, the other never does. Every instance result, every adopted
-// schedule and every count must agree, in both reschedule modes.
-TEST(AdaptiveRelease, ReleasingAfterEveryInstanceChangesNothing) {
-  tgff::RandomCtgParams params;
-  params.task_count = 20;
-  params.fork_count = 3;
-  params.category = tgff::Category::kForkJoin;
-  params.seed = 5;
-  tgff::RandomCase rc = tgff::MakeRandomCtg(params).value();
-  apps::AssignDeadline(rc.graph, rc.platform, 1.3);
-  const ctg::ActivationAnalysis analysis(rc.graph);
-  trace::TraceGenerator gen(rc.graph);
-  for (TaskId f : rc.graph.ForkIds()) {
-    trace::SinusoidProcess::Params sp;
-    sp.amplitude = 0.45;
-    sp.period = 90.0;
-    gen.SetProcess(f, std::make_unique<trace::SinusoidProcess>(sp));
-  }
-  util::Random rng(77);
-  const trace::BranchTrace trace = gen.Generate(500, rng);
+// One model of the pooled-lease test: a random CTG, its analysis, a
+// drifting trace and a fault plan with overruns and dropouts.
+struct LeaseCase {
+  tgff::RandomCase rc;
+  std::unique_ptr<ctg::ActivationAnalysis> analysis;
+  trace::BranchTrace trace;
+  std::unique_ptr<faults::Injector> injector;
 
-  faults::FaultPlan plan;
-  plan.overrun.probability = 0.15;
-  plan.overrun.min_factor = 1.2;
-  plan.overrun.max_factor = 1.8;
-  plan.dropout.probability = 0.05;
-  plan.dropout.duration = 3;
-  plan.dropout.rerun_penalty = 2.0;
-  const faults::Injector injector(plan, rc.graph, rc.platform, 21);
+  LeaseCase(tgff::Category category, int tasks, std::uint64_t seed)
+      : rc([&] {
+          tgff::RandomCtgParams params;
+          params.task_count = tasks;
+          params.fork_count = 3;
+          params.category = category;
+          params.seed = seed;
+          return tgff::MakeRandomCtg(params).value();
+        }()) {
+    apps::AssignDeadline(rc.graph, rc.platform, 1.3);
+    analysis = std::make_unique<ctg::ActivationAnalysis>(rc.graph);
+    trace::TraceGenerator gen(rc.graph);
+    for (TaskId f : rc.graph.ForkIds()) {
+      trace::SinusoidProcess::Params sp;
+      sp.amplitude = 0.45;
+      sp.period = 90.0;
+      gen.SetProcess(f, std::make_unique<trace::SinusoidProcess>(sp));
+    }
+    util::Random rng(72 + seed);
+    trace = gen.Generate(500, rng);
+    faults::FaultPlan plan;
+    plan.overrun.probability = 0.15;
+    plan.overrun.min_factor = 1.2;
+    plan.overrun.max_factor = 1.8;
+    plan.dropout.probability = 0.05;
+    plan.dropout.duration = 3;
+    plan.dropout.rerun_penalty = 2.0;
+    injector = std::make_unique<faults::Injector>(plan, rc.graph,
+                                                  rc.platform, 16 + seed);
+  }
+};
+
+// Controllers of two different models share one engine pool and run
+// interleaved instance by instance, so every lease re-points the one
+// engine at the other model; each is compared with a controller of the
+// same model that has a private pool. Over faulted, drifting traces with
+// the ladder on, every instance result, every adopted schedule (bitwise)
+// and every tier and ladder count must agree, in both reschedule modes
+// (verify engine armed in incremental mode).
+TEST(AdaptivePool, ControllersOfTwoModelsSharingOnePoolMatchPrivatePools) {
+  const LeaseCase cases[2] = {
+      LeaseCase(tgff::Category::kForkJoin, 20, 5),
+      LeaseCase(tgff::Category::kForkJoin, 22, 7)};
+  ASSERT_NE(cases[0].rc.graph.task_count(), cases[1].rc.graph.task_count());
 
   for (const RescheduleMode mode :
        {RescheduleMode::kFull, RescheduleMode::kIncremental}) {
     SCOPED_TRACE(RescheduleModeName(mode));
-    runtime::ScheduleCache caches[2];
-    std::vector<std::unique_ptr<AdaptiveController>> units;
-    for (runtime::ScheduleCache& cache : caches) {
-      AdaptiveOptions options;
-      options.window_length = 20;
-      options.threshold = 0.1;
-      options.reschedule.mode = mode;
-      options.reschedule.max_dirty_ratio = 0.9;
-      options.reschedule.verify_incremental =
-          mode == RescheduleMode::kIncremental;
-      options.cache = runtime::CacheBinding{&cache, 0};
-      options.degrade.enabled = true;
-      units.push_back(std::make_unique<AdaptiveController>(
-          rc.graph, analysis, rc.platform,
-          apps::UniformProbabilities(rc.graph), options));
+    dvfs::EnginePool shared;
+    // Per model: [0] a private pool, [1] the shared one; each controller
+    // has its own cache.
+    runtime::ScheduleCache caches[2][2];
+    std::unique_ptr<AdaptiveController> units[2][2];
+    for (int m = 0; m < 2; ++m) {
+      const LeaseCase& c = cases[m];
+      for (int pooled = 0; pooled < 2; ++pooled) {
+        AdaptiveOptions options;
+        options.window_length = 20;
+        options.threshold = 0.1;
+        options.reschedule.mode = mode;
+        options.reschedule.max_dirty_ratio = 0.9;
+        options.reschedule.verify_incremental =
+            mode == RescheduleMode::kIncremental;
+        options.cache = runtime::CacheBinding{&caches[m][pooled], 0};
+        options.degrade.enabled = true;
+        options.engines = pooled == 1 ? &shared : nullptr;
+        units[m][pooled] = std::make_unique<AdaptiveController>(
+            c.rc.graph, *c.analysis, c.rc.platform,
+            apps::UniformProbabilities(c.rc.graph), options);
+      }
     }
-    AdaptiveController& kept = *units[0];
-    AdaptiveController& released = *units[1];
-    released.ReleaseWorkspace();
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      SCOPED_TRACE("instance " + std::to_string(i));
-      const faults::InstanceFaults f = injector.ForInstance(i);
-      ctg::BranchAssignment assignment = trace.At(i);
-      injector.ApplyDrift(i, assignment);
-      const sim::InstanceResult a = kept.ProcessInstance(assignment, &f);
-      const sim::InstanceResult b = released.ProcessInstance(assignment, &f);
-      released.ReleaseWorkspace();
-      ASSERT_EQ(Bits(a.energy_mj), Bits(b.energy_mj));
-      ASSERT_EQ(Bits(a.makespan_ms), Bits(b.makespan_ms));
-      ASSERT_EQ(Bits(a.overrun_ms), Bits(b.overrun_ms));
-      ASSERT_EQ(a.deadline_met, b.deadline_met);
-      ASSERT_EQ(a.active_tasks, b.active_tasks);
-      ASSERT_EQ(a.failed_pe_hits, b.failed_pe_hits);
-      ExpectSameSchedule(kept.current_schedule(), released.current_schedule());
-      ASSERT_FALSE(::testing::Test::HasFailure());
+    for (std::size_t i = 0; i < cases[0].trace.size(); ++i) {
+      for (int m = 0; m < 2; ++m) {
+        SCOPED_TRACE("model " + std::to_string(m) + " instance " +
+                     std::to_string(i));
+        const LeaseCase& c = cases[m];
+        const faults::InstanceFaults f = c.injector->ForInstance(i);
+        ctg::BranchAssignment assignment = c.trace.At(i);
+        c.injector->ApplyDrift(i, assignment);
+        AdaptiveController& alone = *units[m][0];
+        AdaptiveController& pooled = *units[m][1];
+        const sim::InstanceResult a = alone.ProcessInstance(assignment, &f);
+        const sim::InstanceResult b = pooled.ProcessInstance(assignment, &f);
+        ASSERT_EQ(Bits(a.energy_mj), Bits(b.energy_mj));
+        ASSERT_EQ(Bits(a.makespan_ms), Bits(b.makespan_ms));
+        ASSERT_EQ(Bits(a.overrun_ms), Bits(b.overrun_ms));
+        ASSERT_EQ(a.deadline_met, b.deadline_met);
+        ASSERT_EQ(a.active_tasks, b.active_tasks);
+        ASSERT_EQ(a.failed_pe_hits, b.failed_pe_hits);
+        ExpectSameSchedule(alone.current_schedule(),
+                           pooled.current_schedule());
+        ASSERT_FALSE(::testing::Test::HasFailure());
+      }
     }
-    const TierCounts& want = kept.rescheduler().tier_counts();
-    const TierCounts& got = released.rescheduler().tier_counts();
-    EXPECT_EQ(got.exact, want.exact);
-    EXPECT_EQ(got.warm_prior, want.warm_prior);
-    EXPECT_EQ(got.full, want.full);
-    EXPECT_EQ(got.incremental_fallbacks, want.incremental_fallbacks);
-    EXPECT_EQ(released.reschedule_count(), kept.reschedule_count());
-    EXPECT_EQ(released.oob_reschedule_count(), kept.oob_reschedule_count());
-    EXPECT_EQ(released.escalation_count(), kept.escalation_count());
-    EXPECT_EQ(released.recovery_count(), kept.recovery_count());
-    // The run reaches every rung the release could disturb.
-    EXPECT_GT(want.exact, 0u);
-    EXPECT_GT(want.full, 0u);
-    EXPECT_GT(kept.oob_reschedule_count(), 0u);
-    EXPECT_GT(kept.reschedule_count(), 5u);
-    if (mode == RescheduleMode::kIncremental) {
-      EXPECT_GT(want.warm_prior, 0u);
+    // Run one after the other, the controllers never held two leases at
+    // once.
+    EXPECT_EQ(shared.size(), 1u);
+    for (int m = 0; m < 2; ++m) {
+      SCOPED_TRACE("model " + std::to_string(m));
+      const AdaptiveController& alone = *units[m][0];
+      const AdaptiveController& pooled = *units[m][1];
+      const TierCounts& want = alone.rescheduler().tier_counts();
+      const TierCounts& got = pooled.rescheduler().tier_counts();
+      EXPECT_EQ(got.exact, want.exact);
+      EXPECT_EQ(got.warm_prior, want.warm_prior);
+      EXPECT_EQ(got.full, want.full);
+      EXPECT_EQ(got.incremental_fallbacks, want.incremental_fallbacks);
+      EXPECT_EQ(pooled.reschedule_count(), alone.reschedule_count());
+      EXPECT_EQ(pooled.oob_reschedule_count(), alone.oob_reschedule_count());
+      EXPECT_EQ(pooled.escalation_count(), alone.escalation_count());
+      EXPECT_EQ(pooled.recovery_count(), alone.recovery_count());
+      // The run reaches every rung a foreign lease could disturb.
+      EXPECT_GT(want.exact, 0u);
+      EXPECT_GT(want.full, 0u);
+      EXPECT_GT(alone.oob_reschedule_count(), 0u);
+      EXPECT_GT(alone.reschedule_count(), 5u);
+      if (mode == RescheduleMode::kIncremental) {
+        EXPECT_GT(want.warm_prior, 0u);
+      }
     }
   }
 }

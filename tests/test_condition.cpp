@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "ctg/condition.h"
 #include "util/error.h"
@@ -18,6 +19,14 @@ Guard::ForkArity Arity() {
     if (fork == kForkC) return 3;
     return 0;
   };
+}
+
+/// "f<id>", the fork names of the ToString tests. Appended: GCC 12.2
+/// flags `"f" + std::to_string(id)` with a false -Wrestrict.
+std::string ForkName(TaskId t) {
+  std::string name = "f";
+  name += std::to_string(t.value);
+  return name;
 }
 
 Condition A(int o) { return Condition{kForkA, o}; }
@@ -146,7 +155,7 @@ TEST(Minterm, WithoutRemovesOneFork) {
 }
 
 TEST(Minterm, ToStringForms) {
-  const auto name = [](TaskId t) { return "f" + std::to_string(t.value); };
+  const auto name = ForkName;
   EXPECT_EQ(Minterm().ToString(name), "1");
   const auto ab = *Minterm(A(1)).Conjoin(Minterm(B(0)));
   EXPECT_EQ(ab.ToString(name), "f3=1&f5=0");
@@ -287,7 +296,7 @@ TEST(Guard, SupportListsDistinctForks) {
 }
 
 TEST(Guard, ToStringForms) {
-  const auto name = [](TaskId t) { return "f" + std::to_string(t.value); };
+  const auto name = ForkName;
   EXPECT_EQ(Guard::False().ToString(name), "0");
   EXPECT_EQ(Guard::True().ToString(name), "1");
   const Guard g = Guard::Of(Minterm(A(0)));

@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include "adaptive/rescheduler.h"
+#include "apps/common.h"
 #include "arch/platform.h"
 #include "ctg/activation.h"
 #include "ctg/condition.h"
 #include "ctg/condition_bitset.h"
 #include "ctg/graph.h"
+#include "dvfs/engine_pool.h"
 #include "dvfs/path_engine.h"
 #include "runtime/metrics.h"
 
@@ -35,7 +38,7 @@ struct Universe {
     std::uniform_int_distribution<int> arity(2, 4);
     const int n = fork_count(rng);
     for (int i = 0; i < n; ++i) {
-      forks.push_back(TaskId{static_cast<std::size_t>(i)});
+      forks.push_back(TaskId{i});
       arities.push_back(arity(rng));
     }
     space = ConditionSpace(forks, arities);
@@ -174,8 +177,12 @@ TEST(BitsetDifferential, GuardPredicatesMatchDnfAndGroundTruth) {
     EXPECT_EQ(g1.CompatibleWith(m), with_m);
 
     // Syntactic implication is sound in both representations.
-    if (bg1.Implies(bg2)) EXPECT_TRUE(implies_semantically);
-    if (g1.Implies(g2)) EXPECT_TRUE(implies_semantically);
+    if (bg1.Implies(bg2)) {
+      EXPECT_TRUE(implies_semantically);
+    }
+    if (g1.Implies(g2)) {
+      EXPECT_TRUE(implies_semantically);
+    }
 
     // Conjunction and disjunction, rebuilt both ways, must evaluate
     // identically to the DNF results.
@@ -216,7 +223,7 @@ TEST(ConditionSpace, PackedWidthOverflowFallsBackToDnf) {
   // Five 64-outcome forks need 320 bits > kMaxBits == 256.
   std::vector<TaskId> forks;
   std::vector<int> arities;
-  for (std::size_t f = 0; f < 5; ++f) {
+  for (int f = 0; f < 5; ++f) {
     forks.push_back(TaskId{f});
     arities.push_back(64);
   }
@@ -250,8 +257,11 @@ TEST(ConditionSpace, ActivationAnalysisFallbackCountsMetric) {
     builder.AddEdge(prev, fork);
     const TaskId join = builder.AddOrTask("join" + std::to_string(f));
     for (int o = 0; o < kOutcomes; ++o) {
-      const TaskId branch = builder.AddTask(
-          "b" + std::to_string(f) + "_" + std::to_string(o));
+      // Appended: GCC 12.2 flags "b" + std::to_string(f) with a false
+      // -Wrestrict.
+      std::string name = "b";
+      name += std::to_string(f) + "_" + std::to_string(o);
+      const TaskId branch = builder.AddTask(name);
       builder.AddConditionalEdge(fork, branch, o);
       builder.AddEdge(branch, join);
       if (o == 0) first_branches.push_back(branch);
@@ -276,6 +286,26 @@ TEST(ConditionSpace, ActivationAnalysisFallbackCountsMetric) {
                                 dvfs::PathEngineOptions{.metrics = &metrics});
   EXPECT_FALSE(engine.using_bitset());
   EXPECT_EQ(metrics.counter("guard.dnf_fallbacks"), 1u);
+
+  // A Rescheduler counts it once, at construction, whether it never
+  // leases an engine (every request a cache hit) or leases one per
+  // computed reschedule. Nominal-floor requests lease without
+  // enumerating the million paths of this graph.
+  runtime::Metrics facade_metrics;
+  dvfs::EnginePool pool;
+  adaptive::ReschedulerConfig config;
+  config.engines = &pool;
+  config.metrics = &facade_metrics;
+  adaptive::Rescheduler facade(graph, analysis, platform, config);
+  EXPECT_EQ(facade_metrics.counter("guard.dnf_fallbacks"), 1u);
+  const BranchProbabilities probs = apps::UniformProbabilities(graph);
+  for (int i = 0; i < 2; ++i) {
+    facade.Reschedule(probs, adaptive::RescheduleRequest{
+                                 config.dls.available_pes, 1.0, "test"});
+  }
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(facade_metrics.counter("dvfs.stretch.calls"), 2u);
+  EXPECT_EQ(facade_metrics.counter("guard.dnf_fallbacks"), 1u);
 
   // The DNF algebra still answers every query: two branches of one
   // fork are mutually exclusive, branches of different forks are not.

@@ -20,6 +20,7 @@
 #include "check/validator.h"
 #include "ctg/activation.h"
 #include "ctg/condition.h"
+#include "dvfs/engine_pool.h"
 #include "dvfs/paths.h"
 #include "runtime/metrics.h"
 #include "runtime/pool.h"
@@ -1090,6 +1091,201 @@ TEST(ReschedulerConfigValidate, RejectsUnknownPolicy) {
   EXPECT_THROW(adaptive::Rescheduler(fc.graph, *fc.analysis, fc.platform,
                                      config),
                actg::Error);
+}
+
+// ---------------------------------------------------------------------------
+// Lease contract: the facade leases its workspace per computed reschedule
+
+// bench_reschedule's case: a 48-task fork-join CTG on 4 PEs whose fork
+// with the smallest dirty region oscillates on a sinusoid, rescheduled
+// in incremental mode through a cache.
+struct SinusoidCase {
+  tgff::RandomCase rc;
+  std::optional<ctg::ActivationAnalysis> analysis;
+  ctg::BranchProbabilities base;
+  TaskId fork;
+
+  SinusoidCase()
+      : rc([] {
+          tgff::RandomCtgParams params;
+          params.task_count = 48;
+          params.pe_count = 4;
+          params.fork_count = 4;
+          params.category = tgff::Category::kForkJoin;
+          params.seed = 42;
+          return tgff::MakeRandomCtg(params).value();
+        }()) {
+    apps::AssignDeadline(rc.graph, rc.platform, 1.3);
+    analysis.emplace(rc.graph);
+    base = apps::UniformProbabilities(rc.graph);
+    fork = rc.graph.ForkIds().front();
+    std::size_t best = rc.graph.task_count() + 1;
+    for (TaskId candidate : rc.graph.ForkIds()) {
+      const sched::IncrementalDelta delta = sched::ComputeDirtyRegion(
+          rc.graph, *analysis, base,
+          WithForkAt(rc.graph, base, candidate, 0.9));
+      if (delta.dirty_count < best) {
+        best = delta.dirty_count;
+        fork = candidate;
+      }
+    }
+  }
+
+  ctg::BranchProbabilities At(std::size_t step) const {
+    return WithForkAt(rc.graph, base, fork,
+                      0.5 + 0.4 * std::sin(0.7 * static_cast<double>(step)));
+  }
+};
+
+struct LeasedRun {
+  std::vector<adaptive::RescheduleResult> results;
+  adaptive::TierCounts tiers;
+  std::uint64_t enumerations = 0;
+  std::uint64_t stretches = 0;
+};
+
+// A facade that re-leases its own untouched engine keeps every rewind
+// it makes with a private pool: over bench_reschedule's sinusoid, a
+// pool shared with nobody reads the same "dvfs.enumerate.calls" and tier
+// counts as the private pool of one. When another borrower leases the
+// engine between two reschedules — enumerating another schedule of the
+// same model, or re-pointing it at another model — the facade
+// enumerates again instead of rewinding, and every result is bitwise
+// equal to the private pool's.
+TEST(ReschedulerLease, ReLeasingAnUntouchedEngineKeepsItsRewinds) {
+  const SinusoidCase sc;
+  const FacadeCase other;
+  const sched::Schedule interloper_schedule = sched::RunDls(
+      sc.rc.graph, *sc.analysis, sc.rc.platform, sc.base);
+  constexpr std::size_t kSteps = 256;
+  const auto run = [&](dvfs::EnginePool* pool, bool interleave) {
+    runtime::Metrics metrics;
+    runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
+    adaptive::ReschedulerConfig config;
+    config.cache = runtime::CacheBinding{&cache, 0};
+    config.reschedule.mode = adaptive::RescheduleMode::kIncremental;
+    config.engines = pool;
+    config.metrics = &metrics;
+    adaptive::Rescheduler facade(sc.rc.graph, *sc.analysis, sc.rc.platform,
+                                 config);
+    const adaptive::RescheduleRequest req{config.dls.available_pes, 0.0,
+                                          "test"};
+    LeasedRun out;
+    for (std::size_t i = 0; i < kSteps; ++i) {
+      out.results.push_back(facade.Reschedule(sc.At(i), req));
+      if (!interleave) continue;
+      if (i % 2 == 0) {
+        const dvfs::EnginePool::Lease lease = pool->Acquire(
+            sc.rc.graph, *sc.analysis, sc.rc.platform, {});
+        lease->Enumerate(interloper_schedule);
+      } else {
+        const dvfs::EnginePool::Lease lease = pool->Acquire(
+            other.graph, *other.analysis, other.platform, {});
+      }
+    }
+    out.tiers = facade.tier_counts();
+    out.enumerations = metrics.counter("dvfs.enumerate.calls");
+    out.stretches = metrics.counter("dvfs.stretch.calls");
+    return out;
+  };
+
+  const LeasedRun alone = run(nullptr, false);
+  dvfs::EnginePool shared;
+  const LeasedRun untouched = run(&shared, false);
+  dvfs::EnginePool crowded;
+  const LeasedRun interleaved = run(&crowded, true);
+  EXPECT_EQ(shared.size(), 1u);
+  EXPECT_EQ(crowded.size(), 1u);
+
+  // The sinusoid makes rewinds: fewer enumerations than stretches.
+  ASSERT_GT(alone.tiers.warm_prior, 0u);
+  EXPECT_EQ(alone.stretches, alone.tiers.full + alone.tiers.warm_prior);
+  EXPECT_LT(alone.enumerations, alone.stretches);
+  EXPECT_EQ(untouched.enumerations, alone.enumerations);
+  // Every foreign lease forces the next stretch to enumerate.
+  EXPECT_EQ(interleaved.enumerations, interleaved.stretches);
+  EXPECT_GT(interleaved.enumerations, alone.enumerations);
+
+  for (const LeasedRun* got : {&untouched, &interleaved}) {
+    EXPECT_EQ(got->tiers.exact, alone.tiers.exact);
+    EXPECT_EQ(got->tiers.warm_prior, alone.tiers.warm_prior);
+    EXPECT_EQ(got->tiers.full, alone.tiers.full);
+    EXPECT_EQ(got->tiers.incremental_fallbacks,
+              alone.tiers.incremental_fallbacks);
+    EXPECT_EQ(got->stretches, alone.stretches);
+    ASSERT_EQ(got->results.size(), alone.results.size());
+    for (std::size_t i = 0; i < alone.results.size(); ++i) {
+      const adaptive::RescheduleResult& want = alone.results[i];
+      const adaptive::RescheduleResult& have = got->results[i];
+      EXPECT_EQ(have.tier, want.tier) << "step " << i;
+      EXPECT_TRUE(SamePlacements(sc.rc.graph, have.schedule, want.schedule))
+          << "step " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(have.stretch.max_path_delay_ms),
+                std::bit_cast<std::uint64_t>(want.stretch.max_path_delay_ms))
+          << "step " << i;
+      EXPECT_EQ(
+          std::bit_cast<std::uint64_t>(have.stretch.total_extension_ms),
+          std::bit_cast<std::uint64_t>(want.stretch.total_extension_ms))
+          << "step " << i;
+    }
+  }
+}
+
+// A reschedule that throws still returns its engine: MPEG on one PE has
+// 413,850 paths, and with max_paths 1 the enumeration fails. The pool
+// keeps the one engine it had, idle, and the next borrower gets it with
+// an empty store, not the half-built or the earlier enumeration.
+TEST(ReschedulerLease, ThrowingRescheduleReturnsItsEngine) {
+  const apps::MpegModel mpeg = apps::MakeMpegModel();
+  const ctg::ActivationAnalysis analysis(mpeg.graph);
+  const ctg::BranchProbabilities probs =
+      apps::UniformProbabilities(mpeg.graph);
+  arch::PeMask one_pe;
+  for (PeId pe : mpeg.platform.PeIds()) {
+    if (pe != PeId{0}) one_pe = one_pe.Without(pe);
+  }
+  dvfs::EnginePool pool;
+
+  // A healthy reschedule first leaves a store in the engine.
+  adaptive::ReschedulerConfig healthy_config;
+  healthy_config.engines = &pool;
+  adaptive::Rescheduler healthy(mpeg.graph, analysis, mpeg.platform,
+                                healthy_config);
+  const adaptive::RescheduleResult first = healthy.Reschedule(
+      probs, {healthy_config.dls.available_pes, 0.0, "test"});
+  ASSERT_GT(first.stretch.path_count, 0u);
+  ASSERT_EQ(pool.size(), 1u);
+
+  adaptive::ReschedulerConfig failing_config;
+  failing_config.engines = &pool;
+  failing_config.dls.available_pes = one_pe;
+  failing_config.stretch.max_paths = 1;
+  adaptive::Rescheduler failing(mpeg.graph, analysis, mpeg.platform,
+                                failing_config);
+  EXPECT_THROW(failing.Reschedule(probs, {one_pe, 0.0, "test"}),
+               InvalidArgument);
+  EXPECT_EQ(pool.size(), 1u);
+  {
+    const dvfs::EnginePool::Lease next =
+        pool.Acquire(mpeg.graph, analysis, mpeg.platform, {});
+    EXPECT_EQ(pool.size(), 1u) << "the failed reschedule kept its engine";
+    EXPECT_EQ(next->size(), 0u);
+    for (TaskId task : mpeg.graph.TaskIds()) {
+      EXPECT_TRUE(next->Spanning(task).empty());
+    }
+  }
+
+  // The engine serves the healthy facade again, exactly as a private one.
+  adaptive::Rescheduler fresh(mpeg.graph, analysis, mpeg.platform, {});
+  const ctg::BranchProbabilities later =
+      WithForkAt(mpeg.graph, probs, mpeg.graph.ForkIds().front(), 0.8);
+  const adaptive::RescheduleRequest req{healthy_config.dls.available_pes,
+                                        0.0, "test"};
+  const adaptive::RescheduleResult again = healthy.Reschedule(later, req);
+  const adaptive::RescheduleResult want = fresh.Reschedule(later, req);
+  EXPECT_TRUE(SamePlacements(mpeg.graph, again.schedule, want.schedule));
+  EXPECT_EQ(again.stretch.path_count, want.stretch.path_count);
+  EXPECT_EQ(pool.size(), 1u);
 }
 
 }  // namespace

@@ -316,6 +316,48 @@ TEST(PathEngine, ScanRefusesProbabilitiesBoundBeforeEnumerateOrRewind) {
   EXPECT_THROW(engine.ScanSpanning(task, deadline), InternalError);
 }
 
+// An engine is re-pointed at its borrower on every lease. Rebinding it
+// to the model it holds keeps the enumeration, so its owner can still
+// rewind it; rebinding it to another model empties the store and
+// advances the id, and the engine then enumerates that model exactly as
+// a fresh engine does (capacity kept, no residue).
+TEST(PathEngine, RebindKeepsTheEnumerationOnlyForTheSameModel) {
+  const Case a(tgff::Category::kForkJoin, 3);
+  const Case b(Generate(tgff::Category::kFlat, 4, 1.3, 24));
+  ASSERT_NE(a.rc.graph.task_count(), b.rc.graph.task_count());
+  const sched::Schedule schedule_a = a.Schedule();
+  const sched::Schedule schedule_b = b.Schedule();
+
+  dvfs::PathEngine engine(a.rc.graph, a.analysis, a.rc.platform);
+  engine.Enumerate(schedule_a);
+  const std::uint64_t id = engine.enumeration_id();
+  const std::size_t paths = engine.size();
+  ASSERT_GT(paths, 0u);
+  engine.Rebind(a.rc.graph, a.analysis, a.rc.platform,
+                dvfs::PathEngineOptions{.max_paths = paths});
+  EXPECT_EQ(engine.enumeration_id(), id);
+  EXPECT_EQ(engine.options().max_paths, paths);
+  ExpectMatchesPathSet(engine, dvfs::PathSet(schedule_a), a);
+
+  engine.Rebind(b.rc.graph, b.analysis, b.rc.platform, {});
+  EXPECT_NE(engine.enumeration_id(), id);
+  EXPECT_EQ(engine.size(), 0u);
+  for (TaskId task : b.rc.graph.TaskIds()) {
+    EXPECT_TRUE(engine.Spanning(task).empty());
+  }
+  engine.Enumerate(schedule_b);
+  ExpectMatchesPathSet(engine, dvfs::PathSet(schedule_b), b);
+
+  // Back to the first model: its store was replaced, so it is
+  // enumerated afresh.
+  const std::uint64_t id_b = engine.enumeration_id();
+  engine.Rebind(a.rc.graph, a.analysis, a.rc.platform, {});
+  EXPECT_NE(engine.enumeration_id(), id_b);
+  EXPECT_EQ(engine.size(), 0u);
+  engine.Enumerate(schedule_a);
+  ExpectMatchesPathSet(engine, dvfs::PathSet(schedule_a), a);
+}
+
 TEST(PathEngine, FailedEnumerationLeavesNothingToRewind) {
   const Case c = OnePeCase();
   const sched::Schedule masked = c.Schedule();

@@ -22,12 +22,48 @@
 namespace actg::serve {
 namespace {
 
-// ------------------------------------------------------- Shared models
+// ------------------------------------------------ Leased workspaces
 
 // Defined first so that, when this binary runs as one process (as the
-// thread-sanitizer job runs it), this is the process's first use of the
-// bundled models: four pool workers start MPEG and cruise tenants in the
-// same round and race to build the one model each app shares.
+// thread-sanitizer job runs it), four pool workers lease the server's
+// reschedule engines concurrently from the first round on, and make the
+// process's first use of the bundled models: MPEG and cruise tenants
+// start in the same round and race to build the one model each app
+// shares. However many tenants are live, a server never holds more
+// engines than it has workers, and which engine a reschedule leases
+// never shows in the report.
+TEST(LeasedEngines, FleetHoldsAtMostOneEnginePerWorker) {
+  FleetRequest fleet = SyntheticFleet(48, 24, 11);
+  for (std::size_t i = 0; i < fleet.tenants.size(); ++i) {
+    fleet.tenants[i].arrival = i / 16;
+  }
+  std::string reports[2];
+  std::size_t engines[2] = {};
+  const std::size_t jobs[2] = {4, 1};
+  for (int run = 0; run < 2; ++run) {
+    ServerOptions options;
+    options.jobs = jobs[run];
+    Server server(fleet, options);
+    std::ostringstream os;
+    server.Run().Write(os);
+    reports[run] = os.str();
+    engines[run] = server.engines().size();
+    std::size_t reschedules = 0;
+    for (const TenantReport& row : server.report().tenants) {
+      reschedules += row.reschedules;
+    }
+    EXPECT_GT(reschedules, 0u);
+  }
+  EXPECT_GE(engines[0], 1u);
+  EXPECT_LE(engines[0], 4u);
+  EXPECT_EQ(engines[1], 1u);
+  EXPECT_EQ(reports[0], reports[1]) << "fleet report depends on --jobs";
+}
+
+// ------------------------------------------------------- Shared models
+
+// Four pool workers start MPEG and cruise tenants in the same round;
+// every tenant of one app must end up on that app's one model.
 TEST(SharedModels, TenantsStartedInOneRoundShareOneModelPerApp) {
   FleetRequest fleet;
   fleet.config.seed = 9;
@@ -257,10 +293,9 @@ TEST(Session, RunsToCompletionAndAggregates) {
   session.Shutdown();
 }
 
-// A session that ends, by Shutdown or by Quarantine, frees its
-// reschedule workspace but keeps its result: the schedule in force, the
-// counters and the trace read as before, and the oracle still replays
-// them.
+// A session that ends, by Shutdown or by Quarantine, keeps its result:
+// the schedule in force, the counters and the trace read as before, and
+// the oracle still replays them.
 TEST(Session, EndingKeepsTheScheduleInForce) {
   for (const bool quarantine : {false, true}) {
     SCOPED_TRACE(quarantine ? "quarantine" : "shutdown");
