@@ -26,6 +26,8 @@ constexpr std::uint64_t kProbStream = 0x70726F6273ULL;   // "probs"
 constexpr std::uint64_t kTraceStream = 0x7472616365ULL;  // "trace"
 constexpr std::uint64_t kFaultStream = 0x66617565ULL;
 
+}  // namespace
+
 trace::BranchTrace SampleTrace(const ctg::Ctg& graph,
                                const ctg::BranchProbabilities& probs,
                                std::size_t instances, std::uint64_t seed) {
@@ -46,6 +48,8 @@ trace::BranchTrace SampleTrace(const ctg::Ctg& graph,
   }
   return trace;
 }
+
+namespace {
 
 /// Rebuilds the case's graph without one task and/or one edge. Returns
 /// nullopt when the mutated graph no longer validates (e.g. a fork lost

@@ -35,6 +35,7 @@
 #include "ctg/graph.h"
 #include "faults/plan.h"
 #include "tgff/random_ctg.h"
+#include "trace/trace.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -92,6 +93,13 @@ FuzzCase Materialize(const FuzzCaseSpec& spec);
 /// distribution per fork, deterministic in (graph, seed).
 ctg::BranchProbabilities CaseProbabilities(const ctg::Ctg& graph,
                                            std::uint64_t seed);
+
+/// The random trace RunCase executes: one decision per fork per
+/// instance, drawn from \p probs, instance i from its own substream of
+/// \p seed.
+trace::BranchTrace SampleTrace(const ctg::Ctg& graph,
+                               const ctg::BranchProbabilities& probs,
+                               std::size_t instances, std::uint64_t seed);
 
 /// Runs the full pipeline on \p c and returns the merged oracle report:
 ///  1. DLS under the case's options  -> CheckSchedule (mask expectation)

@@ -82,10 +82,10 @@ void ActivationAnalysis::CompileBitGuards() {
   for (TaskId fork : g.ForkIds()) arities.push_back(g.OutcomeCount(fork));
   space_ = ConditionSpace(g.ForkIds(), arities);
   if (!space_.valid()) return;
-  bit_guards_.resize(g.task_count());
-  for (std::size_t i = 0; i < bit_guards_.size(); ++i) {
-    if (!space_.Encode(ActivationGuard(TaskId{static_cast<int>(i)}),
-                       bit_guards_[i])) {
+  // Task slots are the first task_guard_count_ interned guards.
+  bit_guards_.resize(task_guard_count_);
+  for (std::size_t k = 0; k < task_guard_count_; ++k) {
+    if (!space_.Encode(guards_[k], bit_guards_[k])) {
       // A guard the space cannot express; retire the whole compiled
       // layer so every caller consistently uses the DNF algebra.
       space_ = ConditionSpace();
@@ -97,16 +97,20 @@ void ActivationAnalysis::CompileBitGuards() {
 
 void ActivationAnalysis::CompileEdgeConditions() {
   const Ctg& g = *graph_;
-  edge_has_cond_.assign(g.edge_count(), 0);
+  edge_cond_slot_.assign(g.edge_count(), kNoCondition);
+  std::uint32_t conditional = 0;
   for (EdgeId eid : g.EdgeIds()) {
-    if (g.edge(eid).condition.has_value()) edge_has_cond_[eid.index()] = 1;
+    if (g.edge(eid).condition.has_value()) {
+      edge_cond_slot_[eid.index()] = conditional++;
+    }
   }
   if (!space_.valid()) return;
-  edge_cond_bits_.resize(g.edge_count());
+  edge_cond_bits_.resize(conditional);
   for (EdgeId eid : g.EdgeIds()) {
     const auto& cond = g.edge(eid).condition;
     if (cond.has_value() &&
-        !space_.Encode(*cond, edge_cond_bits_[eid.index()])) {
+        !space_.Encode(*cond,
+                       edge_cond_bits_[edge_cond_slot_[eid.index()]])) {
       // A condition the space cannot express: path guards then stay on
       // the DNF algebra, while the task guards keep their compiled form.
       edge_cond_bits_.clear();
@@ -125,10 +129,11 @@ void ActivationAnalysis::ComputeMutex() {
       // Mutual exclusion is unsatisfiability of X(τi) ∧ X(τj) — a
       // form-independent predicate, so the compiled guards give the
       // same answer as the DNF walk.
+      const std::size_t a = task_slots_[i];
+      const std::size_t b = task_slots_[j];
       const bool exclusive =
-          use_bits ? !bit_guards_[i].CompatibleWith(bit_guards_[j])
-                   : !guards_[task_slots_[i]].CompatibleWith(
-                         guards_[task_slots_[j]]);
+          use_bits ? !bit_guards_[a].CompatibleWith(bit_guards_[b])
+                   : !guards_[a].CompatibleWith(guards_[b]);
       mutex_[i * n + j] = exclusive;
       mutex_[j * n + i] = exclusive;
     }

@@ -12,6 +12,8 @@
 #ifndef ACTG_CTG_ACTIVATION_H
 #define ACTG_CTG_ACTIVATION_H
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "ctg/condition.h"
@@ -57,7 +59,9 @@ class ActivationProbabilities {
 /// Task and edge guards are stored once per distinct DNF (Guard's
 /// operator==): the structured graphs repeat few guards (MPEG's 104
 /// task and edge guards are 19 distinct ones), so Evaluate expands each
-/// distinct guard once per distribution.
+/// distinct guard once per distribution. The compiled forms are stored
+/// once too: one BitGuard per distinct task guard, which every task
+/// sharing that DNF reads, and one BitMinterm per conditional edge.
 class ActivationAnalysis {
  public:
   /// Runs the analysis (single topological pass plus pairwise mutex
@@ -93,15 +97,17 @@ class ActivationAnalysis {
 
   /// Compiled form of X(τ). Meaningful only when space().valid(); the
   /// compiled guards answer exactly the form-independent predicates
-  /// (satisfiability, emptiness, evaluation) of the DNF guard.
+  /// (satisfiability, emptiness, evaluation) of the DNF guard. Tasks
+  /// whose DNFs are equal share one object. Unchecked: \p task must be
+  /// a task of the graph (the path DFS reads it once per arc).
   const BitGuard& BitActivationGuard(TaskId task) const {
-    return bit_guards_.at(task.index());
+    return bit_guards_[task_slots_[task.index()]];
   }
 
   /// True when edge \p edge carries a branch condition C(e). Unchecked:
   /// \p edge must be an edge of the graph.
   bool HasEdgeCondition(EdgeId edge) const {
-    return edge_has_cond_[edge.index()] != 0;
+    return edge_cond_slot_[edge.index()] != kNoCondition;
   }
 
   /// True when space() is valid and every edge condition compiled into
@@ -112,7 +118,7 @@ class ActivationAnalysis {
   /// Compiled C(e) of a conditional edge. Unchecked; meaningful only
   /// when bit_edge_conditions() and HasEdgeCondition(edge).
   const BitMinterm& BitEdgeCondition(EdgeId edge) const {
-    return edge_cond_bits_[edge.index()];
+    return edge_cond_bits_[edge_cond_slot_[edge.index()]];
   }
 
   /// True when the two tasks can never be active in the same instance
@@ -176,16 +182,24 @@ class ActivationAnalysis {
                              const BranchProbabilities* probs,
                              std::vector<Scenario>& out) const;
 
+  /// edge_cond_slot_ entry of an unconditional edge.
+  static constexpr std::uint32_t kNoCondition =
+      std::numeric_limits<std::uint32_t>::max();
+
   const Ctg* graph_;
   std::vector<Guard> guards_;             // distinct task and edge guards
   std::size_t task_guard_count_ = 0;      // task guards: guards_[0, count)
   std::vector<std::size_t> task_slots_;   // task index -> guards_ index
   std::vector<std::size_t> edge_slots_;   // edge index -> guards_ index
   ConditionSpace space_;
-  std::vector<BitGuard> bit_guards_;  // empty when !space_.valid()
-  std::vector<char> edge_has_cond_;   // by edge index
+  /// guards_[k] compiled, for every task slot k < task_guard_count_;
+  /// empty when !space_.valid().
+  std::vector<BitGuard> bit_guards_;
+  /// By edge index: the edge's entry in edge_cond_bits_, or kNoCondition.
+  std::vector<std::uint32_t> edge_cond_slot_;
   bool bit_edge_conditions_ = false;
-  std::vector<BitMinterm> edge_cond_bits_;  // empty unless the above
+  /// One per conditional edge, in edge order; empty unless the above.
+  std::vector<BitMinterm> edge_cond_bits_;
   /// n×n bit matrix, row-major: bit a·n + b is MutuallyExclusive(a, b).
   std::vector<bool> mutex_;
   std::vector<std::pair<TaskId, TaskId>> implied_deps_;

@@ -19,6 +19,33 @@ std::uint32_t Offset(std::size_t size) {
   return static_cast<std::uint32_t>(size);
 }
 
+std::uint64_t Mix(std::uint64_t hash, std::uint64_t value) {
+  hash = (hash ^ value) * 0x9E3779B97F4A7C15ULL;
+  return hash ^ (hash >> 29);
+}
+
+/// Hash of a compiled path guard. The outcome bits determine the masks
+/// within one condition space, so they alone identify a minterm.
+std::uint64_t HashGuard(const ctg::BitGuard& guard) {
+  std::uint64_t hash = 0;
+  for (const ctg::BitMinterm& m : guard.minterms()) {
+    for (const std::uint64_t word : m.bits) hash = Mix(hash, word);
+  }
+  return hash;
+}
+
+std::uint64_t HashGuard(const ctg::Guard& guard) {
+  std::uint64_t hash = 0;
+  for (const ctg::Minterm& m : guard.minterms()) {
+    for (const ctg::Condition& c : m.conditions()) {
+      hash = Mix(hash, (static_cast<std::uint64_t>(c.fork.value) << 32) ^
+                           static_cast<std::uint32_t>(c.outcome));
+    }
+    hash = Mix(hash, ~std::uint64_t{0});  // minterm separator
+  }
+  return hash;
+}
+
 }  // namespace
 
 PathEngine::PathEngine(const ctg::Ctg& graph,
@@ -70,9 +97,10 @@ void PathEngine::ClearPaths() {
   task_pool_.clear();
   cond_begin_.assign(1, 0);
   cond_pool_.clear();
-  guard_begin_.assign(1, 0);
-  guard_pool_.clear();
-  dnf_guards_.clear();
+  guard_id_.clear();
+  table_.clear();
+  table_pool_.clear();
+  dnf_table_.clear();
   comm_.clear();
   delay_.clear();
   unlocked_.clear();
@@ -195,21 +223,12 @@ void PathEngine::VisitDnf(const sched::ScheduledDag& dag, TaskId task,
 void PathEngine::Emit(std::size_t depth) {
   ACTG_CHECK(size() < options_.max_paths,
              "Path enumeration exceeded max_paths");
-  const std::vector<ctg::BitMinterm>* guard =
-      use_bitset_ ? &bit_stack_[depth].minterms() : nullptr;
-  ACTG_CHECK(task_pool_.size() + task_stack_.size() <= kMaxPoolSize &&
-                 (guard == nullptr ||
-                  guard_pool_.size() + guard->size() <= kMaxPoolSize),
+  ACTG_CHECK(task_pool_.size() + task_stack_.size() <= kMaxPoolSize,
              "Path enumeration exceeded the path store's 32-bit offsets");
   task_pool_.insert(task_pool_.end(), task_stack_.begin(),
                     task_stack_.end());
   task_begin_.push_back(Offset(task_pool_.size()));
-  if (guard != nullptr) {
-    guard_pool_.insert(guard_pool_.end(), guard->begin(), guard->end());
-    guard_begin_.push_back(Offset(guard_pool_.size()));
-  } else {
-    dnf_guards_.push_back(dnf_stack_[depth]);
-  }
+  guard_id_.push_back(InternGuard(depth));
   // Delay accumulation order matches PathSet::PathSet exactly (edges in
   // path order, then tasks in path order) so results stay bit-identical.
   double comm = 0.0;
@@ -232,6 +251,41 @@ void PathEngine::Emit(std::size_t depth) {
   comm_.push_back(comm);
   delay_.push_back(delay);
   unlocked_.push_back(unlocked);
+}
+
+std::uint32_t PathEngine::InternGuard(std::size_t depth) {
+  // Sibling paths mostly share a guard, so the previous path's id is
+  // the first candidate; the table is scanned by hash only on a change.
+  if (!guard_id_.empty() && SameGuard(guard_id_.back(), depth)) {
+    return guard_id_.back();
+  }
+  const std::uint64_t hash = use_bitset_ ? HashGuard(bit_stack_[depth])
+                                         : HashGuard(dnf_stack_[depth]);
+  for (std::size_t k = 0; k < table_.size(); ++k) {
+    if (table_[k].hash == hash && SameGuard(k, depth)) return Offset(k);
+  }
+  TableEntry entry{.hash = hash};
+  if (use_bitset_) {
+    const std::vector<ctg::BitMinterm>& minterms =
+        bit_stack_[depth].minterms();
+    ACTG_CHECK(table_pool_.size() + minterms.size() <= kMaxPoolSize,
+               "Path enumeration exceeded the path store's 32-bit offsets");
+    entry.begin = Offset(table_pool_.size());
+    table_pool_.insert(table_pool_.end(), minterms.begin(), minterms.end());
+    entry.end = Offset(table_pool_.size());
+  } else {
+    dnf_table_.push_back(dnf_stack_[depth]);
+  }
+  table_.push_back(entry);
+  return Offset(table_.size() - 1);
+}
+
+bool PathEngine::SameGuard(std::size_t id, std::size_t depth) const {
+  if (!use_bitset_) return dnf_table_[id] == dnf_stack_[depth];
+  const std::vector<ctg::BitMinterm>& minterms = bit_stack_[depth].minterms();
+  return table_[id].end - table_[id].begin == minterms.size() &&
+         std::equal(minterms.begin(), minterms.end(),
+                    table_pool_.begin() + table_[id].begin);
 }
 
 void PathEngine::BuildSpanning() {
@@ -300,13 +354,29 @@ PathEngine::MintermProbe PathEngine::Probe(const ctg::Minterm& m) const {
 bool PathEngine::GuardCompatibleWith(std::size_t i,
                                      const MintermProbe& probe) const {
   CheckPath(i);
-  if (use_bitset_) {
-    for (std::uint32_t k = guard_begin_[i]; k < guard_begin_[i + 1]; ++k) {
-      if (guard_pool_[k].CompatibleWith(probe.bits)) return true;
-    }
-    return false;
+  return TableCompatible(guard_id_[i], probe);
+}
+
+bool PathEngine::TableCompatible(std::size_t id,
+                                 const MintermProbe& probe) const {
+  if (!use_bitset_) return dnf_table_[id].CompatibleWith(*probe.minterm);
+  for (std::uint32_t k = table_[id].begin; k < table_[id].end; ++k) {
+    if (table_pool_[k].CompatibleWith(probe.bits)) return true;
   }
-  return dnf_guards_[i].CompatibleWith(*probe.minterm);
+  return false;
+}
+
+std::span<const ctg::BitMinterm> PathEngine::GuardMinterms(
+    std::uint32_t id) const {
+  ACTG_CHECK(use_bitset_, "GuardMinterms is only available in bitset mode");
+  ACTG_CHECK(id < guard_count(), "guard id out of range");
+  return {table_pool_.data() + table_[id].begin,
+          table_[id].end - table_[id].begin};
+}
+
+PathEngine::GuardMatch PathEngine::MatchGuards(const MintermProbe& probe) {
+  compatible_.assign(guard_count(), GuardMatch::kUntested);
+  return GuardMatch(*this, probe, compatible_.data());
 }
 
 std::size_t PathEngine::PositionOf(std::size_t i, TaskId task) const {
@@ -387,7 +457,8 @@ double PathEngine::MaxDelay() const {
 
 const ctg::Guard& PathEngine::DnfGuard(std::size_t i) const {
   ACTG_CHECK(!use_bitset_, "DnfGuard is only available in DNF mode");
-  return dnf_guards_.at(i);
+  CheckPath(i);
+  return dnf_table_[guard_id_[i]];
 }
 
 }  // namespace actg::dvfs

@@ -16,22 +16,28 @@
 /// ops.
 ///
 /// The path store is compact and records at emit time what the DFS
-/// already knows: per-path tasks, conditional edges and guard minterms
-/// live in flat pools indexed by 32-bit offsets; the per-path
-/// comm/delay/unlocked values and their rewind copy are contiguous
-/// arrays; each task's spanning list is one CSR row of (path, position)
-/// entries. The stretch scan therefore never searches a path for a
-/// task, and prob(p, τ) walks only the path's conditional edges
-/// (ScanSpanning) — with the same factors in the same order as
-/// ProbAfter, so the results are bit-identical (DESIGN.md §8.1).
+/// already knows: per-path tasks and conditional edges live in flat
+/// pools indexed by 32-bit offsets; the per-path comm/delay/unlocked
+/// values and their rewind copy are contiguous arrays; each task's
+/// spanning list is one CSR row of (path, position) entries. A path's
+/// guard is one 32-bit id into the enumeration's table of distinct path
+/// guards, which holds each guard's minterms once (MPEG on one PE: 385
+/// guards for 413,850 paths); Emit interns a guard by comparing it with
+/// the previous path's, then by a hash scan of the table. The stretch
+/// scan therefore never searches a path for a task, tests each Γ(τ)
+/// minterm once per distinct guard (MatchGuards), and prob(p, τ) walks
+/// only the path's conditional edges (ScanSpanning) — with the same
+/// factors in the same order as ProbAfter, so the results are
+/// bit-identical (DESIGN.md §8.1).
 ///
 /// The engine falls back to the DNF algebra (counted under
 /// "guard.dnf_fallbacks" in its registry) when the graph does not fit
 /// the fixed bit width; PathEngineOptions::force_dnf selects the same
 /// DNF mode explicitly so benchmarks can compare the two
 /// representations in one binary. Both modes enumerate the same paths
-/// in the same order and answer the same predicates — the bitset is a
-/// representation change, not a semantics change.
+/// in the same order, intern guards into the same id table and answer
+/// the same predicates — the bitset is a representation change, not a
+/// semantics change.
 ///
 /// Lifetime and ownership rules: the engine borrows graph/analysis/
 /// platform and options, from construction or the last Rebind() until
@@ -198,6 +204,52 @@ class PathEngine {
   /// the stretching heuristic needs per Γ(τ) minterm).
   bool GuardCompatibleWith(std::size_t i, const MintermProbe& probe) const;
 
+  /// Number of distinct path guards of the current enumeration.
+  std::size_t guard_count() const { return table_.size(); }
+
+  /// Guard id of every path, by path index, each below guard_count():
+  /// two paths of one enumeration share an id exactly when their guards
+  /// are equal (BitGuard or Guard operator==). Valid until the next
+  /// Enumerate().
+  std::span<const std::uint32_t> guard_ids() const { return guard_id_; }
+
+  /// Minterms of distinct guard \p id in bitset mode, in the order the
+  /// DFS conjoined them; for tests.
+  std::span<const ctg::BitMinterm> GuardMinterms(std::uint32_t id) const;
+
+  /// A probed minterm's GuardCompatibleWith() answer per distinct path
+  /// guard, tested on the first ask and then read back (MatchGuards()).
+  class GuardMatch {
+   public:
+    /// True when distinct guard \p id and the probed minterm can hold
+    /// simultaneously.
+    bool operator()(std::uint32_t id) {
+      char& known = memo_[id];
+      if (known == kUntested) {
+        known = engine_->TableCompatible(id, probe_) ? 1 : 0;
+      }
+      return known != 0;
+    }
+
+   private:
+    friend class PathEngine;
+    static constexpr char kUntested = 2;
+    GuardMatch(const PathEngine& engine, const MintermProbe& probe,
+               char* memo)
+        : engine_(&engine), probe_(probe), memo_(memo) {}
+
+    const PathEngine* engine_;
+    MintermProbe probe_;
+    char* memo_;
+  };
+
+  /// Starts matching \p probe against the distinct path guards of the
+  /// current enumeration, so the stretch tests each Γ(τ) minterm at most
+  /// once per distinct guard and spanning paths read the answer by their
+  /// guard_ids(). The match uses engine-owned scratch: it is valid until
+  /// the next MatchGuards(), Enumerate() or Rebind().
+  GuardMatch MatchGuards(const MintermProbe& probe);
+
   /// prob(p, τ): joint probability of the conditional branches on path
   /// \p i lying at or after \p task. Throws when the path does not span
   /// the task.
@@ -241,7 +293,8 @@ class PathEngine {
   double MaxDelay() const;
 
   /// Path \p i's guard in DNF form; only available in DNF mode
-  /// (!using_bitset()), for tests and the mutex-blind baseline.
+  /// (!using_bitset()), for tests and the mutex-blind baseline. Paths
+  /// with one guard id return the same object.
   const ctg::Guard& DnfGuard(std::size_t i) const;
 
   /// Scratch buffers for sched::RunDls, so a reused engine also
@@ -258,6 +311,12 @@ class PathEngine {
   void VisitDnf(const sched::ScheduledDag& dag, TaskId task,
                 std::size_t depth, bool drop_unrealizable);
   void Emit(std::size_t depth);
+  /// Id of the DFS guard at \p depth, added to the table when new.
+  std::uint32_t InternGuard(std::size_t depth);
+  /// True when distinct guard \p id equals the DFS guard at \p depth.
+  bool SameGuard(std::size_t id, std::size_t depth) const;
+  /// GuardCompatibleWith() of distinct guard \p id.
+  bool TableCompatible(std::size_t id, const MintermProbe& probe) const;
   /// Adds \p delta to counter \p name in the engine's registry, if any.
   void Count(const char* name, std::uint64_t delta = 1) const;
   void ClearPaths();
@@ -288,14 +347,24 @@ class PathEngine {
   // Current enumeration, in CSR form with 32-bit offsets (all cleared
   // keeping capacity). Path i's tasks are task_pool_[task_begin_[i],
   // task_begin_[i + 1]); its conditional edges are
-  // cond_pool_[cond_begin_[i], cond_begin_[i + 1]).
+  // cond_pool_[cond_begin_[i], cond_begin_[i + 1]); its guard is
+  // distinct guard guard_id_[i].
   std::vector<std::uint32_t> task_begin_;
   std::vector<TaskId> task_pool_;
   std::vector<std::uint32_t> cond_begin_;
   std::vector<CondEdge> cond_pool_;
-  std::vector<std::uint32_t> guard_begin_;  // bitset mode
-  std::vector<ctg::BitMinterm> guard_pool_;
-  std::vector<ctg::Guard> dnf_guards_;      // DNF mode
+  std::vector<std::uint32_t> guard_id_;
+  // Distinct path guards: guard k's minterms are
+  // table_pool_[table_[k].begin, table_[k].end) in bitset mode and
+  // dnf_table_[k] in DNF mode; table_[k].hash is its hash in either.
+  struct TableEntry {
+    std::uint64_t hash = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  std::vector<TableEntry> table_;
+  std::vector<ctg::BitMinterm> table_pool_;
+  std::vector<ctg::Guard> dnf_table_;
   std::vector<double> comm_;
   std::vector<double> delay_;
   std::vector<double> unlocked_;
@@ -312,10 +381,11 @@ class PathEngine {
 
   // Stretch-scan scratch: probability by edge index (BindProbabilities;
   // empty when unbound), prob(p, τ) and slack ratio by spanning entry
-  // (ScanSpanning).
+  // (ScanSpanning), compatibility by guard id (MatchGuards).
   std::vector<double> edge_prob_;
   std::vector<double> scan_prob_after_;
   std::vector<double> scan_slack_ratio_;
+  std::vector<char> compatible_;
 
   sched::DlsWorkspace dls_workspace_;
 };

@@ -141,6 +141,8 @@ class Server {
   /// The live sessions in tenant-file order; a shed tenant's slot is
   /// null. Sessions outlive Run() so oracle tests can re-validate
   /// sampled instances (Session::model()/controller()/assignment()).
+  /// What a finished session keeps is small: no reschedule workspace,
+  /// and a trace of one byte per deciding fork per instance.
   const std::vector<std::unique_ptr<Session>>& sessions() const {
     return sessions_;
   }

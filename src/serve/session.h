@@ -25,7 +25,8 @@
 /// readable for the fleet report and the post-run oracle. What it keeps
 /// is small: an MPEG or cruise session shares its app's one immutable
 /// model with every other tenant of that app (apps::TenantModel), and
-/// its trace holds one byte per task per instance (trace::BranchTrace).
+/// its trace holds one byte per deciding fork per instance
+/// (trace::BranchTrace).
 ///
 /// Out-of-order events (NewInstance before NewApp, InstanceComplete
 /// without a pending result, anything after Shutdown, a second NewApp)

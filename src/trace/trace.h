@@ -6,15 +6,18 @@
 /// vector <x1, x2, ..., xn>. The ith position of such vector indicates
 /// the branch decision for the ith branching node in the graph."
 /// A BranchTrace stores one decision vector per CTG instance, one byte
-/// per task: a serve tenant or campaign instance holds its whole trace
-/// for its lifetime, so the bytes, not the BranchAssignment objects
-/// At() rebuilds from them, are what a fleet keeps.
+/// per deciding fork: its columns are the tasks that decide in some
+/// instance (MPEG 9 of 40 tasks, cruise 2 of 32), learned on Append.
+/// A serve tenant or campaign instance holds its whole trace for its
+/// lifetime, so the bytes, not the BranchAssignment objects At()
+/// rebuilds from them, are what a fleet keeps.
 
 #ifndef ACTG_TRACE_TRACE_H
 #define ACTG_TRACE_TRACE_H
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ctg/condition.h"
@@ -30,9 +33,11 @@ class BranchTrace {
   /// Creates an empty trace whose assignments cover \p task_count tasks.
   explicit BranchTrace(std::size_t task_count) : task_count_(task_count) {}
 
-  /// Appends the decision vector of one CTG instance. Throws
-  /// actg::InvalidArgument, leaving the trace unchanged, when its size
-  /// is not task_count() or an outcome does not fit a byte (>= 255).
+  /// Appends the decision vector of one CTG instance. A task that
+  /// decides for the first time becomes a column, unset (-1) in every
+  /// earlier instance. Throws actg::InvalidArgument, leaving the trace
+  /// unchanged, when its size is not task_count() or an outcome does
+  /// not fit a byte (>= 255).
   void Append(const ctg::BranchAssignment& assignment);
 
   /// Decision vector of instance \p i, rebuilt from its bytes: equal to
@@ -40,14 +45,20 @@ class BranchTrace {
   ctg::BranchAssignment At(std::size_t i) const;
 
   /// Reserves storage for \p instances instances in total, so a trace
-  /// of known length holds no growth slack.
-  void Reserve(std::size_t instances) {
-    outcomes_.reserve(instances * task_count_);
-  }
+  /// of known length holds no growth slack once its columns are known
+  /// (a column learned later re-reserves for the same length).
+  void Reserve(std::size_t instances);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t task_count() const { return task_count_; }
+
+  /// The tasks that decide in some instance, one byte column each, in
+  /// the order they first decided.
+  std::span<const TaskId> deciding_tasks() const { return columns_; }
+
+  /// Decision bytes held: size() × deciding_tasks().size().
+  std::size_t stored_bytes() const { return outcomes_.size(); }
 
   /// Empirical probability that \p fork selected \p outcome over the
   /// instance range [begin, end). Instances where the fork is unresolved
@@ -61,7 +72,8 @@ class BranchTrace {
     return EmpiricalProbability(fork, outcome, 0, size());
   }
 
-  /// Sub-trace [begin, end).
+  /// Sub-trace [begin, end); its columns are the tasks that decide in
+  /// that range.
   BranchTrace Slice(std::size_t begin, std::size_t end) const;
 
   /// Branch probabilities profiled from the whole trace for every fork
@@ -73,13 +85,20 @@ class BranchTrace {
  private:
   /// Byte that stores an unset (-1) outcome.
   static constexpr std::uint8_t kUnset = 0xFF;
+  /// ColumnOf() of a task that never decides.
+  static constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
 
-  /// Outcome of \p fork in instance \p i; -1 when unset.
-  int OutcomeAt(std::size_t i, TaskId fork) const;
+  /// Column of \p fork, or kNoColumn; throws when the id is not a task.
+  std::size_t ColumnOf(TaskId fork) const;
+  /// Appends the columns \p added, unset in every stored instance.
+  void AddColumns(const std::vector<TaskId>& added);
 
   std::size_t task_count_ = 0;
   std::size_t size_ = 0;
-  /// size_ × task_count_ outcomes, row-major by instance.
+  /// Instances Reserve() asked room for.
+  std::size_t reserved_ = 0;
+  std::vector<TaskId> columns_;
+  /// size_ × columns_.size() outcomes, row-major by instance.
   std::vector<std::uint8_t> outcomes_;
 };
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "apps/cruise.h"
 #include "apps/fig1_example.h"
 #include "apps/mpeg.h"
 #include "ctg/activation.h"
+#include "tgff/random_ctg.h"
 #include "util/error.h"
 
 namespace actg::ctg {
@@ -265,6 +267,117 @@ TEST(CruiseActivation, LawBranchesAreMutex) {
   EXPECT_TRUE(analysis.MutuallyExclusive(accel, decel));
   EXPECT_TRUE(analysis.MutuallyExclusive(accel, manual));
   EXPECT_TRUE(analysis.MutuallyExclusive(decel, manual));
+}
+
+// --------------------------------------------------------------------------
+// One compiled guard per distinct task-guard slot and per conditional edge
+
+/// Checks \p graph's compiled guards against the DNF ones they encode:
+/// every task's BitActivationGuard is the encoded X(τ) and is shared by
+/// exactly the tasks whose DNF is the same slot; every conditional
+/// edge's BitEdgeCondition is its encoded C(e); the mutex matrix, read
+/// from the slot guards, answers as the DNF algebra does.
+void ExpectCompiledOncePerSlot(const Ctg& graph) {
+  const ActivationAnalysis analysis(graph);
+  ASSERT_TRUE(analysis.space().valid());
+  ASSERT_TRUE(analysis.bit_edge_conditions());
+  for (TaskId a : graph.TaskIds()) {
+    BitGuard expected;
+    ASSERT_TRUE(analysis.space().Encode(analysis.ActivationGuard(a), expected));
+    EXPECT_EQ(analysis.BitActivationGuard(a), expected) << a.value;
+    for (TaskId b : graph.TaskIds()) {
+      const bool same_slot =
+          &analysis.ActivationGuard(a) == &analysis.ActivationGuard(b);
+      EXPECT_EQ(same_slot,
+                analysis.ActivationGuard(a) == analysis.ActivationGuard(b));
+      EXPECT_EQ(&analysis.BitActivationGuard(a) ==
+                    &analysis.BitActivationGuard(b),
+                same_slot)
+          << a.value << " " << b.value;
+      EXPECT_EQ(analysis.MutuallyExclusive(a, b),
+                !analysis.ActivationGuard(a).CompatibleWith(
+                    analysis.ActivationGuard(b)));
+    }
+  }
+  for (EdgeId eid : graph.EdgeIds()) {
+    const auto& cond = graph.edge(eid).condition;
+    EXPECT_EQ(analysis.HasEdgeCondition(eid), cond.has_value());
+    if (!cond.has_value()) continue;
+    BitMinterm expected;
+    ASSERT_TRUE(analysis.space().Encode(*cond, expected));
+    EXPECT_EQ(analysis.BitEdgeCondition(eid), expected) << eid.value;
+  }
+}
+
+TEST(CompiledGuards, OnePerDistinctSlotAndConditionalEdge) {
+  ExpectCompiledOncePerSlot(apps::MakeFig1Example().graph);
+  ExpectCompiledOncePerSlot(apps::MakeMpegModel().graph);
+  ExpectCompiledOncePerSlot(apps::MakeCruiseModel().graph);
+  for (std::uint64_t seed : {3u, 4u}) {
+    for (tgff::Category category :
+         {tgff::Category::kForkJoin, tgff::Category::kFlat}) {
+      tgff::RandomCtgParams params;
+      params.task_count = 24;
+      params.fork_count = 3;
+      params.category = category;
+      params.seed = seed;
+      ExpectCompiledOncePerSlot(tgff::MakeRandomCtg(params).value().graph);
+    }
+  }
+}
+
+TEST(CompiledGuards, MpegSharesFewSlots) {
+  // MPEG's 40 task guards are 13 distinct DNFs: 13 compiled guards.
+  const apps::MpegModel m = apps::MakeMpegModel();
+  const ActivationAnalysis analysis(m.graph);
+  std::vector<const BitGuard*> distinct;
+  for (TaskId t : m.graph.TaskIds()) {
+    const BitGuard* guard = &analysis.BitActivationGuard(t);
+    if (std::find(distinct.begin(), distinct.end(), guard) == distinct.end()) {
+      distinct.push_back(guard);
+    }
+  }
+  EXPECT_EQ(distinct.size(), 13u);
+}
+
+TEST(CompiledGuards, OverwideGraphKeepsTheDnfFallback) {
+  // 3 forks of 100 outcomes need 300 bits, past the 256-bit width: no
+  // compiled layer, and every answer still comes from the DNF algebra.
+  CtgBuilder builder;
+  TaskId prev = builder.AddTask("src");
+  for (int f = 0; f < 3; ++f) {
+    std::string fork_name = "fork";
+    fork_name += std::to_string(f);
+    const TaskId fork = builder.AddOrTask(fork_name);
+    builder.AddEdge(prev, fork);
+    std::string join_name = "join";
+    join_name += std::to_string(f);
+    const TaskId join = builder.AddOrTask(join_name);
+    for (int o = 0; o < 100; ++o) {
+      std::string name = "b";
+      name += std::to_string(f) + "_" + std::to_string(o);
+      const TaskId branch = builder.AddTask(name);
+      builder.AddConditionalEdge(fork, branch, o);
+      builder.AddEdge(branch, join);
+    }
+    prev = join;
+  }
+  builder.SetDeadline(1000.0);
+  const Ctg graph = std::move(builder).Build();
+  const ActivationAnalysis analysis(graph);
+  EXPECT_FALSE(analysis.space().valid());
+  EXPECT_FALSE(analysis.bit_edge_conditions());
+  std::size_t conditional = 0;
+  for (EdgeId eid : graph.EdgeIds()) {
+    const bool has = graph.edge(eid).condition.has_value();
+    EXPECT_EQ(analysis.HasEdgeCondition(eid), has);
+    conditional += has ? 1 : 0;
+  }
+  EXPECT_EQ(conditional, 300u);
+  const std::vector<TaskId> tasks = graph.TaskIds();
+  // Ids: src, fork0, join0, b0_0, b0_1, ...
+  EXPECT_TRUE(analysis.MutuallyExclusive(tasks[3], tasks[4]));
+  EXPECT_FALSE(analysis.MutuallyExclusive(tasks[3], tasks[1]));
 }
 
 }  // namespace

@@ -11,17 +11,22 @@
 /// stretch calls, or rewound.
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/common.h"
+#include "apps/cruise.h"
+#include "apps/fig1_example.h"
 #include "apps/mpeg.h"
 #include "ctg/activation.h"
 #include "dvfs/path_engine.h"
 #include "dvfs/paths.h"
+#include "dvfs/policy.h"
 #include "dvfs/stretch.h"
 #include "sched/dls.h"
 #include "tgff/random_ctg.h"
@@ -385,6 +390,218 @@ TEST(PathEngine, FailedEnumerationLeavesNothingToRewind) {
   // The engine stays usable: the next enumeration is complete.
   engine.Enumerate(healthy);
   ExpectMatchesPathSet(engine, dvfs::PathSet(healthy), c);
+}
+
+// ---------------------------------------------------------------------------
+// Interned path guards against the per-path guard store they replaced
+
+/// The per-path guard copies the engine stored before it interned its
+/// guards: path i's compiled guard, rebuilt from a PathSet's tasks and
+/// edges with the conjunctions the DFS runs, in its order, and the
+/// compatibility loop over its minterms.
+class PerPathGuards {
+ public:
+  PerPathGuards(const dvfs::PathSet& paths,
+                const ctg::ActivationAnalysis& analysis) {
+    ctg::BitGuard scratch;
+    begin_.push_back(0);
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      const dvfs::Path& path = paths.path(i);
+      ctg::BitGuard guard = analysis.BitActivationGuard(path.tasks[0]);
+      for (std::size_t k = 1; k < path.tasks.size(); ++k) {
+        guard.AndWith(analysis.BitActivationGuard(path.tasks[k]), scratch);
+        const std::optional<EdgeId>& edge = path.edges[k - 1];
+        if (edge.has_value() && analysis.HasEdgeCondition(*edge)) {
+          guard.AndWithMinterm(analysis.BitEdgeCondition(*edge));
+        }
+      }
+      pool_.insert(pool_.end(), guard.minterms().begin(),
+                   guard.minterms().end());
+      begin_.push_back(pool_.size());
+    }
+  }
+
+  std::span<const ctg::BitMinterm> Guard(std::size_t i) const {
+    return {pool_.data() + begin_[i], begin_[i + 1] - begin_[i]};
+  }
+
+  bool CompatibleWith(std::size_t i, const ctg::BitMinterm& probe) const {
+    for (const ctg::BitMinterm& m : Guard(i)) {
+      if (m.CompatibleWith(probe)) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::vector<std::size_t> begin_;
+  std::vector<ctg::BitMinterm> pool_;
+};
+
+/// Words of a compiled guard, as an ordered map key.
+std::vector<std::uint64_t> GuardKey(std::span<const ctg::BitMinterm> guard) {
+  std::vector<std::uint64_t> key;
+  for (const ctg::BitMinterm& m : guard) {
+    key.insert(key.end(), m.bits.begin(), m.bits.end());
+    key.insert(key.end(), m.mask.begin(), m.mask.end());
+  }
+  return key;
+}
+
+/// Fig. 1, MPEG on its three PEs and on two, the cruise controller and
+/// four generated CTGs (one-PE MPEG, at 413,850 paths, is left to
+/// bench_micro).
+template <typename Fn>
+void ForEachGuardCase(Fn&& fn) {
+  {
+    apps::Fig1Example fig1 = apps::MakeFig1Example();
+    const Case c(
+        tgff::RandomCase{std::move(fig1.graph), std::move(fig1.platform)});
+    fn(c);
+  }
+  for (const std::uint64_t removed : {0b000u, 0b100u}) {
+    apps::MpegModel mpeg = apps::MakeMpegModel();
+    const Case c(
+        tgff::RandomCase{std::move(mpeg.graph), std::move(mpeg.platform)},
+        arch::PeMask::WithoutBits(removed));
+    fn(c);
+  }
+  {
+    apps::CruiseModel cruise = apps::MakeCruiseModel();
+    const Case c(
+        tgff::RandomCase{std::move(cruise.graph), std::move(cruise.platform)});
+    fn(c);
+  }
+  for (std::uint64_t seed : {7u, 8u}) {
+    for (tgff::Category category :
+         {tgff::Category::kForkJoin, tgff::Category::kFlat}) {
+      const Case c(category, seed);
+      fn(c);
+    }
+  }
+}
+
+TEST(PathEngineGuards, EqualGuardsShareOneIdAndTheTableHoldsEachOnce) {
+  ForEachGuardCase([&](const Case& c) {
+    const sched::Schedule schedule = c.Schedule();
+    for (bool drop_unrealizable : {true, false}) {
+      const dvfs::PathSet expected(schedule, 1 << 20, drop_unrealizable);
+      const PerPathGuards reference(expected, c.analysis);
+      dvfs::PathEngine bits(c.rc.graph, c.analysis, c.rc.platform);
+      dvfs::PathEngine dnf(c.rc.graph, c.analysis, c.rc.platform,
+                           dvfs::PathEngineOptions{.force_dnf = true});
+      bits.Enumerate(schedule, drop_unrealizable);
+      dnf.Enumerate(schedule, drop_unrealizable);
+      ASSERT_EQ(bits.size(), expected.size());
+      ASSERT_EQ(dnf.size(), expected.size());
+
+      // Bitset mode: each id holds its paths' guard, minterm for
+      // minterm; ids and distinct guards correspond one to one.
+      std::map<std::vector<std::uint64_t>, std::uint32_t> bit_ids;
+      std::vector<char> used(bits.guard_count(), 0);
+      for (std::size_t i = 0; i < bits.size(); ++i) {
+        const std::uint32_t id = bits.guard_ids()[i];
+        ASSERT_LT(id, bits.guard_count());
+        const std::span<const ctg::BitMinterm> stored = bits.GuardMinterms(id);
+        const std::span<const ctg::BitMinterm> want = reference.Guard(i);
+        ASSERT_TRUE(std::equal(stored.begin(), stored.end(), want.begin(),
+                               want.end()))
+            << "path " << i;
+        const auto [it, inserted] = bit_ids.emplace(GuardKey(want), id);
+        EXPECT_EQ(it->second, id) << "path " << i;
+        used[id] = 1;
+      }
+      EXPECT_EQ(bit_ids.size(), bits.guard_count());
+      EXPECT_EQ(std::count(used.begin(), used.end(), 1),
+                static_cast<std::ptrdiff_t>(bits.guard_count()));
+      EXPECT_LE(bits.guard_count(), bits.size());
+
+      // DNF mode: the same with the PathSet's DNF guards; paths sharing
+      // an id read one object. Entries: (guard, its first path).
+      std::vector<std::pair<ctg::Guard, std::size_t>> dnf_firsts;
+      for (std::size_t i = 0; i < dnf.size(); ++i) {
+        const ctg::Guard& want = expected.path(i).guard;
+        EXPECT_EQ(dnf.DnfGuard(i), want) << "path " << i;
+        const auto it = std::find_if(
+            dnf_firsts.begin(), dnf_firsts.end(),
+            [&](const auto& entry) { return entry.first == want; });
+        if (it == dnf_firsts.end()) {
+          dnf_firsts.emplace_back(want, i);
+          continue;
+        }
+        EXPECT_EQ(dnf.guard_ids()[i], dnf.guard_ids()[it->second])
+            << "path " << i;
+        EXPECT_EQ(&dnf.DnfGuard(i), &dnf.DnfGuard(it->second));
+      }
+      EXPECT_EQ(dnf_firsts.size(), dnf.guard_count());
+    }
+  });
+}
+
+TEST(PathEngineGuards, CompatibilityMatchesTheDnfEngineAndThePerPathStore) {
+  ForEachGuardCase([&](const Case& c) {
+    const sched::Schedule schedule = c.Schedule();
+    const dvfs::PathSet expected(schedule);
+    const PerPathGuards reference(expected, c.analysis);
+    dvfs::PathEngine bits(c.rc.graph, c.analysis, c.rc.platform);
+    dvfs::PathEngine dnf(c.rc.graph, c.analysis, c.rc.platform,
+                         dvfs::PathEngineOptions{.force_dnf = true});
+    bits.Enumerate(schedule);
+    dnf.Enumerate(schedule);
+    ASSERT_EQ(bits.size(), expected.size());
+    // Every path against every Γ(τ) minterm of the graph, through the
+    // per-path test and through the memoized match the stretch reads.
+    for (const ctg::Minterm& m : c.analysis.AllMinterms()) {
+      ctg::BitMinterm encoded;
+      ASSERT_TRUE(c.analysis.space().Encode(m, encoded));
+      const dvfs::PathEngine::MintermProbe bit_probe = bits.Probe(m);
+      const dvfs::PathEngine::MintermProbe dnf_probe = dnf.Probe(m);
+      dvfs::PathEngine::GuardMatch bit_match = bits.MatchGuards(bit_probe);
+      dvfs::PathEngine::GuardMatch dnf_match = dnf.MatchGuards(dnf_probe);
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        const bool want = reference.CompatibleWith(i, encoded);
+        ASSERT_EQ(expected.path(i).guard.CompatibleWith(m), want) << i;
+        ASSERT_EQ(bits.GuardCompatibleWith(i, bit_probe), want) << i;
+        ASSERT_EQ(dnf.GuardCompatibleWith(i, dnf_probe), want) << i;
+        ASSERT_EQ(bit_match(bits.guard_ids()[i]), want) << i;
+        ASSERT_EQ(dnf_match(dnf.guard_ids()[i]), want) << i;
+      }
+    }
+  });
+}
+
+TEST(PathEngineGuards, AllPoliciesGiveBitwiseEqualSchedulesInBothModes) {
+  ForEachGuardCase([&](const Case& c) {
+    for (const std::string& name : dvfs::PolicyNames()) {
+      SCOPED_TRACE(name);
+      const auto stretch = [&](dvfs::PathEngine& engine) {
+        sched::Schedule s = c.Schedule();
+        dvfs::PolicyContext ctx;
+        ctx.schedule = &s;
+        ctx.probs = &c.probs;
+        ctx.nlp.iterations = 25;  // the NLP reads paths, never guards
+        dvfs::GetPolicy(name).Apply(engine, ctx);
+        return s;
+      };
+      dvfs::PathEngine fresh(c.rc.graph, c.analysis, c.rc.platform);
+      const sched::Schedule baseline = stretch(fresh);
+      dvfs::PathEngine bits(c.rc.graph, c.analysis, c.rc.platform);
+      dvfs::PathEngine dnf(c.rc.graph, c.analysis, c.rc.platform,
+                           dvfs::PathEngineOptions{.force_dnf = true});
+      // The second round runs on warmed tables.
+      for (int round = 0; round < 2; ++round) {
+        for (dvfs::PathEngine* engine : {&bits, &dnf}) {
+          const sched::Schedule got = stretch(*engine);
+          for (TaskId task : c.rc.graph.TaskIds()) {
+            const auto& a = baseline.placement(task);
+            const auto& b = got.placement(task);
+            EXPECT_EQ(a.speed_ratio, b.speed_ratio);
+            EXPECT_EQ(a.start_ms, b.start_ms);
+            EXPECT_EQ(a.finish_ms, b.finish_ms);
+          }
+        }
+      }
+    }
+  });
 }
 
 }  // namespace

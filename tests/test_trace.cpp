@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
+#include "apps/common.h"
 #include "apps/fig1_example.h"
+#include "apps/tenants.h"
+#include "check/fuzz.h"
 #include "trace/generators.h"
 #include "trace/trace.h"
 #include "util/error.h"
@@ -137,6 +142,243 @@ TEST_F(TraceFixture, ProfiledProbabilitiesMatchCounts) {
   EXPECT_NEAR(probs.Outcome(ForkA(), 0), 0.7, 1e-12);
   // Fork B never resolved -> uniform prior.
   EXPECT_NEAR(probs.Outcome(ForkB(), 0), 0.5, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Fork columns against the per-task store they replaced
+
+/// The per-task store BranchTrace kept before it learned its columns:
+/// one byte per task per instance. Kept as the reference the column
+/// store must answer exactly like.
+class PerTaskTrace {
+ public:
+  explicit PerTaskTrace(std::size_t task_count) : task_count_(task_count) {}
+
+  void Append(const ctg::BranchAssignment& assignment) {
+    const std::size_t row = outcomes_.size();
+    outcomes_.resize(row + task_count_, kUnset);
+    for (std::size_t t = 0; t < task_count_; ++t) {
+      const int outcome = assignment.Get(TaskId{static_cast<int>(t)});
+      if (outcome >= 0) outcomes_[row + t] = static_cast<std::uint8_t>(outcome);
+    }
+    ++size_;
+  }
+
+  ctg::BranchAssignment At(std::size_t i) const {
+    ctg::BranchAssignment assignment(task_count_);
+    for (std::size_t t = 0; t < task_count_; ++t) {
+      const std::uint8_t outcome = outcomes_[i * task_count_ + t];
+      if (outcome != kUnset) {
+        assignment.Set(TaskId{static_cast<int>(t)}, outcome);
+      }
+    }
+    return assignment;
+  }
+
+  double EmpiricalProbability(TaskId fork, int outcome, std::size_t begin,
+                              std::size_t end) const {
+    std::size_t resolved = 0;
+    std::size_t hits = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint8_t selected = outcomes_[i * task_count_ + fork.index()];
+      if (selected == kUnset) continue;
+      ++resolved;
+      if (selected == outcome) ++hits;
+    }
+    if (resolved == 0) return 0.0;
+    return static_cast<double>(hits) / static_cast<double>(resolved);
+  }
+
+  PerTaskTrace Slice(std::size_t begin, std::size_t end) const {
+    PerTaskTrace out(task_count_);
+    for (std::size_t i = begin; i < end; ++i) out.Append(At(i));
+    return out;
+  }
+
+  ctg::BranchProbabilities ProfiledProbabilities(const ctg::Ctg& graph) const {
+    ctg::BranchProbabilities probs(task_count_);
+    for (TaskId fork : graph.ForkIds()) {
+      const int arity = graph.OutcomeCount(fork);
+      std::vector<double> dist(static_cast<std::size_t>(arity), 0.0);
+      std::size_t resolved = 0;
+      for (std::size_t i = 0; i < size_; ++i) {
+        const std::uint8_t selected =
+            outcomes_[i * task_count_ + fork.index()];
+        if (selected == kUnset) continue;
+        ++resolved;
+        dist[selected] += 1.0;
+      }
+      for (double& p : dist) {
+        p = resolved == 0 ? 1.0 / static_cast<double>(arity)
+                          : p / static_cast<double>(resolved);
+      }
+      probs.Set(fork, std::move(dist));
+    }
+    return probs;
+  }
+
+  std::size_t size() const { return size_; }
+
+ private:
+  static constexpr std::uint8_t kUnset = 0xFF;
+  std::size_t task_count_;
+  std::size_t size_ = 0;
+  std::vector<std::uint8_t> outcomes_;
+};
+
+/// The reference holding the decisions of \p trace, read through At().
+PerTaskTrace ReferenceOf(const BranchTrace& trace) {
+  PerTaskTrace reference(trace.task_count());
+  for (std::size_t i = 0; i < trace.size(); ++i) reference.Append(trace.At(i));
+  return reference;
+}
+
+/// Every instance, every fork's empirical probability over the whole
+/// trace and two sub-ranges, and the profiled probabilities of
+/// \p graph equal the reference's, bit for bit.
+void ExpectAnswersLike(const BranchTrace& trace, const PerTaskTrace& reference,
+                       const ctg::Ctg& graph) {
+  ASSERT_EQ(trace.size(), reference.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const ctg::BranchAssignment got = trace.At(i);
+    const ctg::BranchAssignment want = reference.At(i);
+    for (TaskId task : graph.TaskIds()) {
+      ASSERT_EQ(got.Get(task), want.Get(task)) << i << " " << task.value;
+    }
+  }
+  const std::size_t n = trace.size();
+  const std::size_t ranges[][2] = {{0, n}, {n / 3, n / 2}, {n / 2, n / 2}};
+  for (TaskId fork : graph.ForkIds()) {
+    for (int o = 0; o < graph.OutcomeCount(fork); ++o) {
+      for (const auto& range : ranges) {
+        EXPECT_EQ(trace.EmpiricalProbability(fork, o, range[0], range[1]),
+                  reference.EmpiricalProbability(fork, o, range[0], range[1]))
+            << fork.value << " " << o;
+      }
+    }
+  }
+  const ctg::BranchProbabilities got = trace.ProfiledProbabilities(graph);
+  const ctg::BranchProbabilities want = reference.ProfiledProbabilities(graph);
+  for (TaskId fork : graph.ForkIds()) {
+    for (int o = 0; o < graph.OutcomeCount(fork); ++o) {
+      EXPECT_EQ(got.Outcome(fork, o), want.Outcome(fork, o));
+    }
+  }
+}
+
+/// ExpectAnswersLike on the whole trace and on three slices of it.
+void ExpectMatchesPerTaskStore(const BranchTrace& trace,
+                               const ctg::Ctg& graph) {
+  const PerTaskTrace reference = ReferenceOf(trace);
+  ExpectAnswersLike(trace, reference, graph);
+  const std::size_t n = trace.size();
+  const std::size_t slices[][2] = {{0, n / 2}, {n / 4, n}, {n, n}};
+  for (const auto& slice : slices) {
+    ExpectAnswersLike(trace.Slice(slice[0], slice[1]),
+                      reference.Slice(slice[0], slice[1]), graph);
+  }
+}
+
+/// The generators decide every fork in every instance, so the trace
+/// keeps exactly one column per fork.
+void ExpectOneColumnPerFork(const BranchTrace& trace, const ctg::Ctg& graph) {
+  std::vector<TaskId> columns(trace.deciding_tasks().begin(),
+                              trace.deciding_tasks().end());
+  std::sort(columns.begin(), columns.end());
+  std::vector<TaskId> forks = graph.ForkIds();
+  std::sort(forks.begin(), forks.end());
+  EXPECT_EQ(columns, forks);
+  EXPECT_EQ(trace.stored_bytes(), trace.size() * forks.size());
+}
+
+TEST(BranchTraceColumns, TenantTracesMatchThePerTaskStore) {
+  // Movie, road and random-walk traces of all four workloads.
+  for (apps::TenantWorkload workload :
+       {apps::TenantWorkload::kMpeg, apps::TenantWorkload::kCruise,
+        apps::TenantWorkload::kRandomForkJoin,
+        apps::TenantWorkload::kRandomFlat}) {
+    const apps::TenantModel model(workload, 11);
+    const BranchTrace trace = model.MakeTrace(96, util::Random(5));
+    SCOPED_TRACE(std::string(apps::TenantWorkloadName(workload)));
+    ASSERT_EQ(trace.size(), 96u);
+    ExpectOneColumnPerFork(trace, model.graph());
+    ExpectMatchesPerTaskStore(trace, model.graph());
+    if (workload == apps::TenantWorkload::kMpeg) {
+      EXPECT_EQ(trace.stored_bytes(), 96u * 9u);  // 40 tasks, 9 forks
+    }
+    if (workload == apps::TenantWorkload::kCruise) {
+      EXPECT_EQ(trace.stored_bytes(), 96u * 2u);  // 32 tasks, 2 forks
+    }
+  }
+}
+
+TEST_F(TraceFixture, GeneratorAndFuzzTracesMatchThePerTaskStore) {
+  TraceGenerator gen(ex_.graph);
+  gen.SetProcess(ForkA(), std::make_unique<ConstantProcess>(
+                              std::vector<double>{0.3, 0.7}));
+  gen.SetProcess(ForkB(), std::make_unique<ConstantProcess>(
+                              std::vector<double>{0.6, 0.4}));
+  util::Random rng(21);
+  const BranchTrace generated = gen.Generate(200, rng);
+  ExpectOneColumnPerFork(generated, ex_.graph);
+  ExpectMatchesPerTaskStore(generated, ex_.graph);
+
+  const BranchTrace sampled = check::SampleTrace(
+      ex_.graph, apps::UniformProbabilities(ex_.graph), 150, 9);
+  ExpectOneColumnPerFork(sampled, ex_.graph);
+  ExpectMatchesPerTaskStore(sampled, ex_.graph);
+}
+
+TEST_F(TraceFixture, NestedForkUnsetEarlyReadsUnsetAfterItsColumnArrives) {
+  // Fork B lies under a2: it decides only from instance 4 on, so its
+  // column is learned late and the earlier instances must read unset.
+  BranchTrace t(ex_.graph.task_count());
+  PerTaskTrace reference(ex_.graph.task_count());
+  t.Reserve(10);
+  for (int i = 0; i < 10; ++i) {
+    const ctg::BranchAssignment asg =
+        i < 4 ? Assign(0, -1) : Assign(1, i % 2);
+    t.Append(asg);
+    reference.Append(asg);
+    EXPECT_EQ(t.deciding_tasks().size(), i < 4 ? 1u : 2u);
+    EXPECT_EQ(t.stored_bytes(), t.size() * t.deciding_tasks().size());
+  }
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(t.At(i).Get(ForkB()), -1);
+  EXPECT_EQ(t.At(4).Get(ForkB()), 0);
+  EXPECT_EQ(t.At(5).Get(ForkB()), 1);
+  EXPECT_DOUBLE_EQ(t.EmpiricalProbability(ForkB(), 0), 0.5);
+  EXPECT_EQ(t.EmpiricalProbability(ForkB(), 0, 0, 4), 0.0);
+  ExpectAnswersLike(t, reference, ex_.graph);
+  // A slice before the fork decides keeps no column for it.
+  const BranchTrace early = t.Slice(0, 4);
+  EXPECT_EQ(early.deciding_tasks().size(), 1u);
+  EXPECT_EQ(early.stored_bytes(), 4u);
+  ExpectAnswersLike(early, reference.Slice(0, 4), ex_.graph);
+}
+
+TEST(BranchTraceColumns, RejectedAppendLeavesSizeColumnsAndBytes) {
+  BranchTrace t(4);
+  ctg::BranchAssignment first(4);
+  first.Set(TaskId{1}, 3);
+  t.Append(first);
+  // Task 2 would be a new column, but task 3's outcome does not fit.
+  ctg::BranchAssignment rejected(4);
+  rejected.Set(TaskId{1}, 0);
+  rejected.Set(TaskId{2}, 1);
+  rejected.Set(TaskId{3}, 255);
+  EXPECT_THROW(t.Append(rejected), InvalidArgument);
+  ASSERT_EQ(t.size(), 1u);
+  ASSERT_EQ(t.deciding_tasks().size(), 1u);
+  EXPECT_EQ(t.deciding_tasks()[0], TaskId{1});
+  EXPECT_EQ(t.stored_bytes(), 1u);
+  EXPECT_EQ(t.At(0).Get(TaskId{1}), 3);
+  EXPECT_EQ(t.At(0).Get(TaskId{2}), -1);
+  rejected.Set(TaskId{3}, 254);
+  t.Append(rejected);
+  EXPECT_EQ(t.deciding_tasks().size(), 3u);
+  EXPECT_EQ(t.stored_bytes(), 6u);
+  EXPECT_EQ(t.At(0).Get(TaskId{3}), -1);
+  EXPECT_EQ(t.At(1).Get(TaskId{3}), 254);
 }
 
 // ---------------------------------------------------------------------------
