@@ -10,12 +10,13 @@
 /// point, because the merge consumes the same per-shard states in the
 /// same shard order either way.
 ///
-/// The format is line-oriented text like campaign-v1 (lines starting
-/// with '#' and blank lines are skipped; diagnostics carry "checkpoint
-/// line N: ..."), but it is a machine format: every accumulator is
-/// serialized as its exact integer state (__int128 sums as hi/lo 64-bit
-/// words, doubles as IEEE-754 bit patterns in hex), so a load followed
-/// by a store round-trips bit-identically.
+/// The format follows the shared line grammar of util/line_reader.h
+/// (diagnostics "checkpoint line N: ..."), except that only a line whose
+/// first token starts with '#' is a comment: qrec details may contain
+/// one. It is a machine format: every accumulator is serialized as its
+/// exact integer state (__int128 sums as hi/lo 64-bit words, doubles as
+/// IEEE-754 bit patterns in hex), so a load followed by a store
+/// round-trips bit-identically.
 ///
 ///   checkpoint v2
 ///   fingerprint <hex16>        # FNV-1a 64 of WriteCampaignFile(spec)

@@ -1,10 +1,10 @@
 #include "campaign/spec.h"
 
 #include <functional>
-#include <sstream>
 #include <utility>
 
 #include "dvfs/policy.h"
+#include "util/line_reader.h"
 
 namespace actg::campaign {
 
@@ -154,165 +154,92 @@ util::Error CampaignSpec::Validate() const {
 
 namespace {
 
-/// Line-oriented reader mirroring serve/request.cpp: '#' starts a
-/// comment, blank lines are skipped, failures carry the line number.
-struct CampaignReader {
-  std::istream& is;
-  int line_number = 0;
-
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw InvalidArgument("campaign line " +
-                          std::to_string(line_number) + ": " + message);
-  }
-
-  bool NextTokens(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is, line)) {
-      ++line_number;
-      if (const auto hash = line.find('#'); hash != std::string::npos) {
-        line.erase(hash);
-      }
-      std::istringstream split(line);
-      tokens.clear();
-      for (std::string tok; split >> tok;) tokens.push_back(tok);
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  double Number(const std::string& token) const {
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(token, &used);
-    } catch (const std::exception&) {
-      Fail("expected a number, got '" + token + "'");
-    }
-    if (used != token.size()) Fail("trailing garbage in '" + token + "'");
-    return value;
-  }
-
-  std::size_t Count(const std::string& token) const {
-    const double value = Number(token);
-    if (value < 0.0 || value != static_cast<double>(
-                                    static_cast<std::size_t>(value))) {
-      Fail("expected a non-negative integer, got '" + token + "'");
-    }
-    return static_cast<std::size_t>(value);
-  }
-
-  bool Flag(const std::string& token) const {
-    const std::size_t value = Count(token);
-    if (value > 1) Fail("expected 0 or 1, got '" + token + "'");
-    return value == 1;
-  }
-};
-
-CampaignSpec ParseCampaignFileImpl(std::istream& is) {
-  CampaignReader reader{is};
-  std::vector<std::string> tokens;
-  if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
-      tokens[0] != "campaign" || tokens[1] != "v1") {
-    reader.Fail("expected header 'campaign v1'");
-  }
+CampaignSpec ReadCampaign(util::LineReader& reader) {
+  reader.ExpectHeader("campaign v1");
   CampaignSpec spec;
-  auto one = [&](const char* what) -> const std::string& {
-    if (tokens.size() != 2) {
-      reader.Fail(std::string(tokens[0]) + " needs " + what);
-    }
-    return tokens[1];
-  };
-  while (reader.NextTokens(tokens)) {
-    const std::string& directive = tokens[0];
-    if (directive == "end") {
-      spec.ApplyDefaults();
-      spec.Validate().ThrowIfError();
-      return spec;
-    }
+  const auto count = [&] { return reader.U64(reader.Operand("<count>")); };
+  const auto flag = [&] { return reader.Flag(reader.Operand("<0|1>")); };
+  while (reader.NextBeforeEnd()) {
+    const std::string& directive = reader.directive();
     if (directive == "seed") {
-      spec.seed = static_cast<std::uint64_t>(reader.Count(one("<uint64>")));
+      spec.seed = reader.U64(reader.Operand("<uint64>"));
     } else if (directive == "instances") {
-      spec.instances = reader.Count(one("<count>"));
+      spec.instances = count();
     } else if (directive == "shards") {
-      spec.shards = reader.Count(one("<count>"));
+      spec.shards = count();
     } else if (directive == "trace_instances") {
-      spec.trace_instances = reader.Count(one("<count>"));
+      spec.trace_instances = count();
     } else if (directive == "model_seeds") {
-      spec.model_seeds = reader.Count(one("<count>"));
+      spec.model_seeds = count();
     } else if (directive == "oracle_rate") {
-      spec.oracle_rate = reader.Number(one("<fraction>"));
+      spec.oracle_rate = reader.Number(reader.Operand("<fraction>"));
     } else if (directive == "share_cache") {
-      spec.share_cache = reader.Flag(one("<0|1>"));
+      spec.share_cache = flag();
     } else if (directive == "cache_capacity") {
-      spec.cache_capacity = reader.Count(one("<count>"));
+      spec.cache_capacity = count();
     } else if (directive == "threshold") {
-      spec.threshold = reader.Number(one("<t>"));
+      spec.threshold = reader.Number(reader.Operand("<t>"));
     } else if (directive == "window") {
-      spec.window = reader.Count(one("<count>"));
+      spec.window = count();
     } else if (directive == "degrade") {
-      spec.degrade = reader.Flag(one("<0|1>"));
+      spec.degrade = flag();
     } else if (directive == "quarantine_cap") {
-      spec.quarantine_cap = reader.Count(one("<count>"));
+      spec.quarantine_cap = count();
     } else if (directive == "quarantine_retries") {
-      spec.quarantine_retries = reader.Count(one("<count>"));
+      spec.quarantine_retries = count();
     } else if (directive == "reschedule_budget") {
-      spec.reschedule_budget = reader.Count(one("<count>"));
+      spec.reschedule_budget = count();
     } else if (directive == "poison_every") {
-      spec.poison_every = reader.Count(one("<count>"));
+      spec.poison_every = count();
     } else if (directive == "workload") {
-      const auto workload = apps::ParseTenantWorkload(one("<name>"));
-      if (!workload) {
-        reader.Fail("unknown workload '" + tokens[1] + "'");
-      }
+      const std::string& name = reader.Operand("<name>");
+      const auto workload = apps::ParseTenantWorkload(name);
+      if (!workload) reader.Fail("unknown workload '" + name + "'");
       spec.workloads.push_back(*workload);
     } else if (directive == "policy") {
-      spec.policies.push_back(one("<name>"));
+      spec.policies.push_back(reader.Operand("<name>"));
     } else if (directive == "mode") {
-      const auto mode = adaptive::ParseRescheduleMode(one("<name>"));
-      if (!mode) {
-        reader.Fail("unknown reschedule mode '" + tokens[1] + "'");
-      }
+      const std::string& name = reader.Operand("<name>");
+      const auto mode = adaptive::ParseRescheduleMode(name);
+      if (!mode) reader.Fail("unknown reschedule mode '" + name + "'");
       spec.modes.push_back(*mode);
     } else if (directive == "storm") {
-      if (tokens.size() != 3 && tokens.size() != 4) {
-        reader.Fail("storm needs <name> <preset> [intensity]");
-      }
+      reader.Operands(2, 3, "<name> <preset> [intensity]");
       StormSpec storm;
-      storm.name = tokens[1];
-      storm.preset = tokens[2];
-      if (tokens.size() == 4) storm.intensity = reader.Number(tokens[3]);
+      storm.name = reader[1];
+      storm.preset = reader[2];
+      if (reader.size() == 4) storm.intensity = reader.Number(reader[3]);
       if (util::Error err = storm.Validate(); !err.ok()) {
         reader.Fail(err.message());
       }
       spec.storms.push_back(std::move(storm));
     } else {
-      reader.Fail("unknown directive '" + directive + "'");
+      reader.UnknownDirective();
     }
   }
-  reader.Fail("missing 'end'");
+  spec.ApplyDefaults();
+  spec.Validate().ThrowIfError();
+  return spec;
 }
 
 }  // namespace
 
 util::Expected<CampaignSpec> ParseCampaignFile(std::istream& is) {
-  try {
-    return ParseCampaignFileImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  return util::ParseLines(is, "campaign", ReadCampaign);
 }
 
 void WriteCampaignFile(std::ostream& os, const CampaignSpec& spec) {
+  using util::FormatNumber;
   os << "campaign v1\n";
   os << "seed " << spec.seed << "\n";
   os << "instances " << spec.instances << "\n";
   os << "shards " << spec.shards << "\n";
   os << "trace_instances " << spec.trace_instances << "\n";
   os << "model_seeds " << spec.model_seeds << "\n";
-  os << "oracle_rate " << spec.oracle_rate << "\n";
+  os << "oracle_rate " << FormatNumber(spec.oracle_rate) << "\n";
   os << "share_cache " << (spec.share_cache ? 1 : 0) << "\n";
   os << "cache_capacity " << spec.cache_capacity << "\n";
-  os << "threshold " << spec.threshold << "\n";
+  os << "threshold " << FormatNumber(spec.threshold) << "\n";
   os << "window " << spec.window << "\n";
   os << "degrade " << (spec.degrade ? 1 : 0) << "\n";
   os << "quarantine_cap " << spec.quarantine_cap << "\n";
@@ -330,7 +257,7 @@ void WriteCampaignFile(std::ostream& os, const CampaignSpec& spec) {
   }
   for (const StormSpec& storm : spec.storms) {
     os << "storm " << storm.name << " " << storm.preset << " "
-       << storm.intensity << "\n";
+       << FormatNumber(storm.intensity) << "\n";
   }
   os << "end\n";
 }

@@ -12,10 +12,10 @@
 /// every per-instance result is a pure function of (spec, i),
 /// independent of shard boundaries and worker count.
 ///
-/// Like serve-v1 and faults-v1, the format is line-oriented ('#'
-/// comments, blank lines ignored), parses into util::Expected with
-/// "campaign line N: ..." diagnostics, and every parsed object
-/// Validates() up front.
+/// The format follows the shared line grammar of util/line_reader.h
+/// ('#' comments, blank lines ignored, exact integers), parses into
+/// util::Expected with "campaign line N: ..." diagnostics, and every
+/// parsed object Validates() up front.
 
 #ifndef ACTG_CAMPAIGN_SPEC_H
 #define ACTG_CAMPAIGN_SPEC_H
@@ -170,11 +170,13 @@ struct CampaignSpec {
 ///   storm <name> <preset> [intensity]        # repeated axis
 ///   end
 ///
-/// Unlisted axes default as in ApplyDefaults(). Malformed input is
-/// reported as a util::Error with a "campaign line N: ..." diagnostic.
+/// Unlisted axes default as in ApplyDefaults(). The seed and counts are
+/// exact unsigned integers, flags 0 or 1. Malformed input is reported
+/// as a util::Error with a "campaign line N: ..." diagnostic.
 util::Expected<CampaignSpec> ParseCampaignFile(std::istream& is);
 
-/// Serializes \p spec in the ParseCampaignFile format (round-trips).
+/// Serializes \p spec in the ParseCampaignFile format; it reads back to
+/// the same spec, doubles bit for bit (util::FormatNumber).
 void WriteCampaignFile(std::ostream& os, const CampaignSpec& spec);
 
 /// Deterministic synthetic campaign used by bench_campaign and the

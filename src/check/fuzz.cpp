@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "adaptive/controller.h"
@@ -15,6 +14,7 @@
 #include "sim/executor.h"
 #include "trace/trace.h"
 #include "util/error.h"
+#include "util/line_reader.h"
 
 namespace actg::check {
 
@@ -444,14 +444,10 @@ void WriteRepro(std::ostream& os, const FuzzCase& c) {
   os << "end\n";
 }
 
-util::Expected<FuzzCase> ParseRepro(std::istream& is) {
-  const auto fail = [](const std::string& message) {
-    return util::Error::Invalid("fuzzcase: " + message);
-  };
-  std::string line;
-  if (!std::getline(is, line) || line != "fuzzcase v1") {
-    return fail("expected header 'fuzzcase v1'");
-  }
+namespace {
+
+FuzzCase ReadRepro(util::LineReader& reader) {
+  reader.ExpectHeader("fuzzcase v1");
   std::string policy = "online";
   bool mutex_aware = true;
   bool prob_weighted = true;
@@ -464,70 +460,52 @@ util::Expected<FuzzCase> ParseRepro(std::istream& is) {
   faults::FaultPlan fault_plan;
   std::optional<ctg::Ctg> graph;
   std::optional<arch::Platform> platform;
-  bool ended = false;
-  while (!ended && std::getline(is, line)) {
-    std::istringstream split(line);
-    std::string directive;
-    if (!(split >> directive) || directive[0] == '#') continue;
-    if (directive == "end") {
-      ended = true;
-    } else if (directive == "policy") {
-      if (!(split >> policy)) return fail("policy needs a name");
+  while (reader.NextBeforeEnd()) {
+    const std::string& directive = reader.directive();
+    if (directive == "policy") {
+      policy = reader.Operand("<name>");
     } else if (directive == "mutex_aware") {
-      int value = 0;
-      if (!(split >> value)) return fail("mutex_aware needs 0|1");
-      mutex_aware = value != 0;
+      mutex_aware = reader.Flag(reader.Operand("<0|1>"));
     } else if (directive == "prob_weighted") {
-      int value = 0;
-      if (!(split >> value)) return fail("prob_weighted needs 0|1");
-      prob_weighted = value != 0;
+      prob_weighted = reader.Flag(reader.Operand("<0|1>"));
     } else if (directive == "mask") {
-      if (!(split >> masked_pes)) return fail("mask needs a bitmask");
+      masked_pes = reader.U64(reader.Operand("<bitmask>"));
     } else if (directive == "prob_seed") {
-      if (!(split >> prob_seed)) return fail("prob_seed needs a seed");
+      prob_seed = reader.U64(reader.Operand("<seed>"));
     } else if (directive == "trace_instances") {
-      if (!(split >> trace_instances)) {
-        return fail("trace_instances needs a count");
-      }
+      trace_instances = reader.U64(reader.Operand("<count>"));
     } else if (directive == "adaptive") {
-      int value = 0;
-      if (!(split >> value)) return fail("adaptive needs 0|1");
-      adaptive = value != 0;
+      adaptive = reader.Flag(reader.Operand("<0|1>"));
     } else if (directive == "reschedule") {
-      std::string name;
-      if (!(split >> name)) return fail("reschedule needs a mode name");
+      const std::string& name = reader.Operand("<mode>");
       const auto mode = adaptive::ParseRescheduleMode(name);
       if (!mode.has_value()) {
-        return fail("unknown reschedule mode '" + name + "'");
+        reader.Fail("unknown reschedule mode '" + name + "'");
       }
       reschedule_mode = *mode;
     } else if (directive == "faults") {
-      util::Expected<faults::FaultPlan> plan = faults::ParseFaultPlan(is);
-      if (!plan.ok()) return plan.error();
-      fault_plan = std::move(plan).value();
+      reader.Operands(0, "no operands");
+      fault_plan = faults::ReadFaultPlan(reader);
       with_faults = true;
     } else if (directive == "graph") {
-      util::Expected<ctg::Ctg> parsed = io::ParseCtg(is);
-      if (!parsed.ok()) return parsed.error();
-      graph.emplace(std::move(parsed).value());
+      reader.Operands(0, "no operands");
+      graph.emplace(io::ReadCtg(reader));
     } else if (directive == "platform") {
-      util::Expected<arch::Platform> parsed = io::ParsePlatform(is);
-      if (!parsed.ok()) return parsed.error();
-      platform.emplace(std::move(parsed).value());
+      reader.Operands(0, "no operands");
+      platform.emplace(io::ReadPlatform(reader));
     } else {
-      return fail("unknown directive '" + directive + "'");
+      reader.UnknownDirective();
     }
   }
-  if (!ended) return fail("missing 'end'");
-  if (!graph.has_value()) return fail("missing embedded graph");
-  if (!platform.has_value()) return fail("missing embedded platform");
+  if (!graph.has_value()) reader.Fail("missing embedded graph");
+  if (!platform.has_value()) reader.Fail("missing embedded platform");
   if (platform->task_count() != graph->task_count()) {
-    return fail("platform and graph disagree on the task count");
+    reader.Fail("platform and graph disagree on the task count");
   }
   if (platform->pe_count() <= 64 &&
       arch::PeMask::WithoutBits(masked_pes)
               .CountAvailable(platform->pe_count()) == 0) {
-    return fail("mask removes every PE");
+    reader.Fail("mask removes every PE");
   }
   return FuzzCase{std::move(*graph), std::move(*platform),
                   std::move(policy), mutex_aware,
@@ -535,6 +513,12 @@ util::Expected<FuzzCase> ParseRepro(std::istream& is) {
                   prob_seed,         trace_instances,
                   adaptive,          reschedule_mode,
                   with_faults,       std::move(fault_plan)};
+}
+
+}  // namespace
+
+util::Expected<FuzzCase> ParseRepro(std::istream& is) {
+  return util::ParseLines(is, "fuzzcase", ReadRepro);
 }
 
 }  // namespace actg::check

@@ -123,11 +123,17 @@ FuzzCase Shrink(const FuzzCase& c,
                 const std::function<bool(const FuzzCase&)>& still_fails);
 
 /// Serializes \p c in the replayable "fuzzcase v1" text format (knob
-/// directives plus embedded faults-v1 / ctg-v1 / platform-v1 blocks).
+/// directives plus embedded faults-v1 / ctg-v1 / platform-v1 blocks,
+/// each introduced by a bare `faults` / `graph` / `platform` line).
+/// Every value reads back bit for bit.
 void WriteRepro(std::ostream& os, const FuzzCase& c);
 
-/// Parses a repro file; malformed input is reported as a util::Error
-/// with a "fuzzcase: ..." diagnostic.
+/// Parses a repro file in the shared line grammar of
+/// util/line_reader.h: '#' comments (the provenance lines actg_fuzz
+/// writes above the header among them), exact integers, flags 0 or 1,
+/// no trailing operands. Malformed input, the embedded blocks' included,
+/// is reported as a util::Error with a "fuzzcase line N: ..."
+/// diagnostic counting lines of the whole file.
 util::Expected<FuzzCase> ParseRepro(std::istream& is);
 
 }  // namespace actg::check

@@ -1,8 +1,6 @@
 #include "faults/plan.h"
 
-#include <sstream>
 #include <string>
-#include <vector>
 
 namespace actg::faults {
 
@@ -64,130 +62,61 @@ bool FaultPlan::Empty() const {
          link.probability <= 0.0 && drift.max_flip_probability <= 0.0;
 }
 
-namespace {
-
-/// Line-oriented reader mirroring io/text_format: '#' starts a comment,
-/// blank lines are skipped, failures carry the line number.
-struct PlanReader {
-  std::istream& is;
-  int line_number = 0;
-
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw InvalidArgument("fault_plan line " +
-                          std::to_string(line_number) + ": " + message);
-  }
-
-  bool NextTokens(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is, line)) {
-      ++line_number;
-      if (const auto hash = line.find('#'); hash != std::string::npos) {
-        line.erase(hash);
-      }
-      std::istringstream split(line);
-      tokens.clear();
-      for (std::string tok; split >> tok;) tokens.push_back(tok);
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  double Number(const std::string& token) const {
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(token, &used);
-    } catch (const std::exception&) {
-      Fail("expected a number, got '" + token + "'");
-    }
-    if (used != token.size()) Fail("trailing garbage in '" + token + "'");
-    return value;
-  }
-
-  std::size_t Count(const std::string& token) const {
-    const double value = Number(token);
-    if (value < 0.0 || value != static_cast<std::size_t>(value)) {
-      Fail("expected a non-negative integer, got '" + token + "'");
-    }
-    return static_cast<std::size_t>(value);
-  }
-};
-
-FaultPlan ParseFaultPlanImpl(std::istream& is) {
-  PlanReader reader{is};
-  std::vector<std::string> tokens;
-  if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
-      tokens[0] != "faults" || tokens[1] != "v1") {
-    reader.Fail("expected header 'faults v1'");
-  }
+FaultPlan ReadFaultPlan(util::LineReader& reader) {
+  reader.ExpectHeader("faults v1");
   FaultPlan plan;
-  while (reader.NextTokens(tokens)) {
-    const std::string& directive = tokens[0];
-    if (directive == "end") {
-      plan.Validate().ThrowIfError();
-      return plan;
-    }
+  while (reader.NextBeforeEnd()) {
+    const std::string& directive = reader.directive();
     if (directive == "intensity") {
-      if (tokens.size() != 2) reader.Fail("intensity needs <scale>");
-      plan.intensity = reader.Number(tokens[1]);
+      plan.intensity = reader.Number(reader.Operand("<scale>"));
     } else if (directive == "seed") {
-      if (tokens.size() != 2) reader.Fail("seed needs <uint64>");
-      plan.seed = static_cast<std::uint64_t>(reader.Count(tokens[1]));
+      plan.seed = reader.U64(reader.Operand("<uint64>"));
     } else if (directive == "overrun") {
-      if (tokens.size() != 4) {
-        reader.Fail("overrun needs <prob> <min_factor> <max_factor>");
-      }
-      plan.overrun.probability = reader.Number(tokens[1]);
-      plan.overrun.min_factor = reader.Number(tokens[2]);
-      plan.overrun.max_factor = reader.Number(tokens[3]);
+      reader.Operands(3, "<prob> <min_factor> <max_factor>");
+      plan.overrun.probability = reader.Number(reader[1]);
+      plan.overrun.min_factor = reader.Number(reader[2]);
+      plan.overrun.max_factor = reader.Number(reader[3]);
     } else if (directive == "dropout") {
-      if (tokens.size() != 4) {
-        reader.Fail("dropout needs <prob> <duration> <rerun_penalty>");
-      }
-      plan.dropout.probability = reader.Number(tokens[1]);
-      plan.dropout.duration = reader.Count(tokens[2]);
-      plan.dropout.rerun_penalty = reader.Number(tokens[3]);
+      reader.Operands(3, "<prob> <duration> <rerun_penalty>");
+      plan.dropout.probability = reader.Number(reader[1]);
+      plan.dropout.duration = reader.U64(reader[2]);
+      plan.dropout.rerun_penalty = reader.Number(reader[3]);
     } else if (directive == "link") {
-      if (tokens.size() != 4) {
-        reader.Fail("link needs <prob> <bandwidth_factor> <duration>");
-      }
-      plan.link.probability = reader.Number(tokens[1]);
-      plan.link.bandwidth_factor = reader.Number(tokens[2]);
-      plan.link.duration = reader.Count(tokens[3]);
+      reader.Operands(3, "<prob> <bandwidth_factor> <duration>");
+      plan.link.probability = reader.Number(reader[1]);
+      plan.link.bandwidth_factor = reader.Number(reader[2]);
+      plan.link.duration = reader.U64(reader[3]);
     } else if (directive == "drift") {
-      if (tokens.size() != 3) {
-        reader.Fail("drift needs <max_flip_prob> <ramp_instances>");
-      }
-      plan.drift.max_flip_probability = reader.Number(tokens[1]);
-      plan.drift.ramp_instances = reader.Count(tokens[2]);
+      reader.Operands(2, "<max_flip_prob> <ramp_instances>");
+      plan.drift.max_flip_probability = reader.Number(reader[1]);
+      plan.drift.ramp_instances = reader.U64(reader[2]);
     } else {
-      reader.Fail("unknown directive '" + directive + "'");
+      reader.UnknownDirective();
     }
   }
-  reader.Fail("missing 'end'");
+  plan.Validate().ThrowIfError();
+  return plan;
 }
 
-}  // namespace
-
 util::Expected<FaultPlan> ParseFaultPlan(std::istream& is) {
-  try {
-    return ParseFaultPlanImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  return util::ParseLines(is, "fault_plan", ReadFaultPlan);
 }
 
 void WriteFaultPlan(std::ostream& os, const FaultPlan& plan) {
+  using util::FormatNumber;
   os << "faults v1\n";
-  os << "intensity " << plan.intensity << "\n";
+  os << "intensity " << FormatNumber(plan.intensity) << "\n";
   if (plan.seed != 0) os << "seed " << plan.seed << "\n";
-  os << "overrun " << plan.overrun.probability << " "
-     << plan.overrun.min_factor << " " << plan.overrun.max_factor << "\n";
-  os << "dropout " << plan.dropout.probability << " "
-     << plan.dropout.duration << " " << plan.dropout.rerun_penalty << "\n";
-  os << "link " << plan.link.probability << " "
-     << plan.link.bandwidth_factor << " " << plan.link.duration << "\n";
-  os << "drift " << plan.drift.max_flip_probability << " "
+  os << "overrun " << FormatNumber(plan.overrun.probability) << " "
+     << FormatNumber(plan.overrun.min_factor) << " "
+     << FormatNumber(plan.overrun.max_factor) << "\n";
+  os << "dropout " << FormatNumber(plan.dropout.probability) << " "
+     << plan.dropout.duration << " "
+     << FormatNumber(plan.dropout.rerun_penalty) << "\n";
+  os << "link " << FormatNumber(plan.link.probability) << " "
+     << FormatNumber(plan.link.bandwidth_factor) << " "
+     << plan.link.duration << "\n";
+  os << "drift " << FormatNumber(plan.drift.max_flip_probability) << " "
      << plan.drift.ramp_instances << "\n";
   os << "end\n";
 }

@@ -28,6 +28,7 @@
 #include <ostream>
 
 #include "util/error.h"
+#include "util/line_reader.h"
 
 namespace actg::faults {
 
@@ -98,7 +99,8 @@ struct FaultPlan {
   bool Empty() const;
 };
 
-/// Parses a plan from the library's line-oriented text format:
+/// Parses a plan from the faults-v1 text format (the shared line
+/// grammar of util/line_reader.h):
 ///
 ///   faults v1
 ///   intensity <scale>               # optional, default 1
@@ -109,11 +111,18 @@ struct FaultPlan {
 ///   drift <max_flip_prob> <ramp_instances>
 ///   end
 ///
-/// Every directive is optional; malformed input is reported as a
-/// util::Error with a "fault_plan line N: ..." diagnostic.
+/// Every directive is optional. The seed, durations and ramp length are
+/// exact unsigned integers; malformed input is reported as a util::Error
+/// with a "fault_plan line N: ..." diagnostic.
 util::Expected<FaultPlan> ParseFaultPlan(std::istream& is);
 
-/// Serializes \p plan in the ParseFaultPlan format.
+/// Reads one faults-v1 block, header through 'end', from \p reader for
+/// a format that embeds a plan; malformed input throws InvalidArgument
+/// with the embedding format's line diagnostics.
+FaultPlan ReadFaultPlan(util::LineReader& reader);
+
+/// Serializes \p plan in the ParseFaultPlan format. Doubles print
+/// through util::FormatNumber, so the plan reads back bit for bit.
 void WriteFaultPlan(std::ostream& os, const FaultPlan& plan);
 
 }  // namespace actg::faults

@@ -2,7 +2,6 @@
 
 #include <iomanip>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -17,56 +16,16 @@ bool HasWhitespace(const std::string& s) {
   return s.find_first_of(" \t\r\n") != std::string::npos;
 }
 
-/// Tokenized view of one input stream with line tracking for messages.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is) {}
-
-  /// Next non-empty, non-comment line split into tokens; false at EOF.
-  bool Next(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_number_;
-      const std::size_t hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      std::istringstream split(line);
-      tokens.clear();
-      std::string token;
-      while (split >> token) tokens.push_back(token);
-      if (!tokens.empty()) return true;
-    }
-    return false;
+/// \p token as an index below \p count.
+template <typename Id>
+Id Index(const util::LineReader& reader, const std::string& token,
+         int count, const char* what) {
+  const int index = reader.Int(token);
+  if (index < 0 || index >= count) {
+    reader.Fail(std::string(what) + " index out of range: " + token);
   }
-
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw InvalidArgument("text_format line " +
-                          std::to_string(line_number_) + ": " + message);
-  }
-
-  double Number(const std::string& token) const {
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(token, &used);
-      if (used != token.size()) Fail("malformed number '" + token + "'");
-      return value;
-    } catch (const std::logic_error&) {
-      Fail("malformed number '" + token + "'");
-    }
-  }
-
-  int Integer(const std::string& token) const {
-    const double value = Number(token);
-    const int result = static_cast<int>(value);
-    if (static_cast<double>(result) != value) {
-      Fail("expected an integer, got '" + token + "'");
-    }
-    return result;
-  }
-
- private:
-  std::istream& is_;
-  int line_number_ = 0;
-};
+  return Id{index};
+}
 
 }  // namespace
 
@@ -109,90 +68,62 @@ void WriteCtg(std::ostream& os, const ctg::Ctg& graph) {
   os << "end\n";
 }
 
-namespace {
-
-/// Parser bodies; they report malformed input by throwing
-/// InvalidArgument, which the Parse* boundaries below convert to the
-/// value-semantic util::Error.
-ctg::Ctg ParseCtgImpl(std::istream& is) {
-  LineReader reader(is);
-  std::vector<std::string> tokens;
-  if (!reader.Next(tokens) || tokens.size() != 2 || tokens[0] != "ctg" ||
-      tokens[1] != "v1") {
-    reader.Fail("expected header 'ctg v1'");
-  }
-
+ctg::Ctg ReadCtg(util::LineReader& reader) {
+  reader.ExpectHeader("ctg v1");
   ctg::CtgBuilder builder;
   int task_count = 0;
   double deadline = 0.0;
   std::unordered_set<std::string> task_names;
   const auto task_id = [&](const std::string& token) {
-    const int index = reader.Integer(token);
-    if (index < 0 || index >= task_count) {
-      reader.Fail("task index out of range: " + token);
-    }
-    return TaskId{index};
+    return Index<TaskId>(reader, token, task_count, "task");
   };
 
-  while (reader.Next(tokens)) {
-    const std::string& directive = tokens[0];
-    if (directive == "end") {
-      ctg::Ctg graph = std::move(builder).Build();
-      if (deadline > 0.0) graph.SetDeadline(deadline);
-      return graph;
-    }
+  while (reader.NextBeforeEnd()) {
+    const std::string& directive = reader.directive();
     if (directive == "deadline") {
-      if (tokens.size() != 2) reader.Fail("deadline needs one value");
-      deadline = reader.Number(tokens[1]);
+      deadline = reader.Number(reader.Operand("one value"));
       if (deadline <= 0.0) reader.Fail("deadline must be positive");
     } else if (directive == "task") {
-      if (tokens.size() != 3) reader.Fail("task needs <name> <and|or>");
-      if (!task_names.insert(tokens[1]).second) {
-        reader.Fail("duplicate task name '" + tokens[1] + "'");
+      reader.Operands(2, "<name> <and|or>");
+      if (!task_names.insert(reader[1]).second) {
+        reader.Fail("duplicate task name '" + reader[1] + "'");
       }
-      if (tokens[2] == "or") {
-        builder.AddOrTask(tokens[1]);
-      } else if (tokens[2] == "and") {
-        builder.AddTask(tokens[1]);
+      if (reader[2] == "or") {
+        builder.AddOrTask(reader[1]);
+      } else if (reader[2] == "and") {
+        builder.AddTask(reader[1]);
       } else {
         reader.Fail("task kind must be 'and' or 'or'");
       }
       ++task_count;
     } else if (directive == "edge") {
-      if (tokens.size() != 5) {
-        reader.Fail("edge needs <src> <dst> <comm_kb> <outcome|->");
-      }
-      const TaskId src = task_id(tokens[1]);
-      const TaskId dst = task_id(tokens[2]);
-      const double comm = reader.Number(tokens[3]);
-      if (tokens[4] == "-") {
+      reader.Operands(4, "<src> <dst> <comm_kb> <outcome|->");
+      const TaskId src = task_id(reader[1]);
+      const TaskId dst = task_id(reader[2]);
+      const double comm = reader.Number(reader[3]);
+      if (reader[4] == "-") {
         builder.AddEdge(src, dst, comm);
       } else {
-        builder.AddConditionalEdge(src, dst, reader.Integer(tokens[4]),
-                                   comm);
+        builder.AddConditionalEdge(src, dst, reader.Int(reader[4]), comm);
       }
     } else if (directive == "labels") {
-      if (tokens.size() < 4) {
-        reader.Fail("labels needs <fork> and >= 2 labels");
-      }
+      reader.Operands(3, util::LineReader::kAny,
+                      "<fork> and >= 2 labels");
+      const auto labels = reader.tokens().subspan(2);
       builder.SetOutcomeLabels(
-          task_id(tokens[1]),
-          std::vector<std::string>(tokens.begin() + 2, tokens.end()));
+          task_id(reader[1]),
+          std::vector<std::string>(labels.begin(), labels.end()));
     } else {
-      reader.Fail("unknown directive '" + directive + "'");
+      reader.UnknownDirective();
     }
   }
-  reader.Fail("missing 'end'");
+  ctg::Ctg graph = std::move(builder).Build();
+  if (deadline > 0.0) graph.SetDeadline(deadline);
+  return graph;
 }
 
-}  // namespace
-
 util::Expected<ctg::Ctg> ParseCtg(std::istream& is) {
-  try {
-    return ParseCtgImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  return util::ParseLines(is, "text_format", ReadCtg);
 }
 
 void WritePlatform(std::ostream& os, const arch::Platform& platform) {
@@ -231,87 +162,57 @@ void WritePlatform(std::ostream& os, const arch::Platform& platform) {
   os << "end\n";
 }
 
-namespace {
-
-arch::Platform ParsePlatformImpl(std::istream& is) {
-  LineReader reader(is);
-  std::vector<std::string> tokens;
-  if (!reader.Next(tokens) || tokens.size() != 2 ||
-      tokens[0] != "platform" || tokens[1] != "v1") {
-    reader.Fail("expected header 'platform v1'");
-  }
-  if (!reader.Next(tokens) || tokens.size() != 3 || tokens[0] != "dims") {
+arch::Platform ReadPlatform(util::LineReader& reader) {
+  reader.ExpectHeader("platform v1");
+  if (!reader.Next() || reader.size() != 3 || reader.directive() != "dims") {
     reader.Fail("expected 'dims <tasks> <pes>'");
   }
-  const int task_count = reader.Integer(tokens[1]);
-  const int pe_count = reader.Integer(tokens[2]);
+  const int task_count = reader.Int(reader[1]);
+  const int pe_count = reader.Int(reader[2]);
   if (task_count <= 0 || pe_count <= 0) {
     reader.Fail("dims must be positive");
   }
   arch::PlatformBuilder builder(static_cast<std::size_t>(task_count),
                                 static_cast<std::size_t>(pe_count));
   const auto pe_id = [&](const std::string& token) {
-    const int index = reader.Integer(token);
-    if (index < 0 || index >= pe_count) {
-      reader.Fail("PE index out of range: " + token);
-    }
-    return PeId{index};
+    return Index<PeId>(reader, token, pe_count, "PE");
   };
   const auto task_id = [&](const std::string& token) {
-    const int index = reader.Integer(token);
-    if (index < 0 || index >= task_count) {
-      reader.Fail("task index out of range: " + token);
-    }
-    return TaskId{index};
+    return Index<TaskId>(reader, token, task_count, "task");
   };
 
-  while (reader.Next(tokens)) {
-    const std::string& directive = tokens[0];
-    if (directive == "end") {
-      return std::move(builder).Build();
-    }
+  while (reader.NextBeforeEnd()) {
+    const std::string& directive = reader.directive();
     if (directive == "pe") {
-      if (tokens.size() != 4) {
-        reader.Fail("pe needs <index> <name> <min_speed_ratio>");
-      }
-      const PeId pe = pe_id(tokens[1]);
-      builder.SetPeName(pe, tokens[2]);
-      builder.SetMinSpeedRatio(pe, reader.Number(tokens[3]));
+      reader.Operands(3, "<index> <name> <min_speed_ratio>");
+      const PeId pe = pe_id(reader[1]);
+      builder.SetPeName(pe, reader[2]);
+      builder.SetMinSpeedRatio(pe, reader.Number(reader[3]));
     } else if (directive == "levels") {
-      if (tokens.size() < 3) reader.Fail("levels needs <pe> <ratios...>");
+      reader.Operands(2, util::LineReader::kAny, "<pe> <ratios...>");
       std::vector<double> levels;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        levels.push_back(reader.Number(tokens[i]));
+      for (const std::string& token : reader.tokens().subspan(2)) {
+        levels.push_back(reader.Number(token));
       }
-      builder.SetSpeedLevels(pe_id(tokens[1]), std::move(levels));
+      builder.SetSpeedLevels(pe_id(reader[1]), std::move(levels));
     } else if (directive == "cost") {
-      if (tokens.size() != 5) {
-        reader.Fail("cost needs <task> <pe> <wcet> <energy>");
-      }
-      builder.SetTaskCost(task_id(tokens[1]), pe_id(tokens[2]),
-                          reader.Number(tokens[3]),
-                          reader.Number(tokens[4]));
+      reader.Operands(4, "<task> <pe> <wcet> <energy>");
+      builder.SetTaskCost(task_id(reader[1]), pe_id(reader[2]),
+                          reader.Number(reader[3]),
+                          reader.Number(reader[4]));
     } else if (directive == "link") {
-      if (tokens.size() != 5) {
-        reader.Fail("link needs <a> <b> <bandwidth> <tx_energy>");
-      }
-      builder.SetLink(pe_id(tokens[1]), pe_id(tokens[2]),
-                      reader.Number(tokens[3]), reader.Number(tokens[4]));
+      reader.Operands(4, "<a> <b> <bandwidth> <tx_energy>");
+      builder.SetLink(pe_id(reader[1]), pe_id(reader[2]),
+                      reader.Number(reader[3]), reader.Number(reader[4]));
     } else {
-      reader.Fail("unknown directive '" + directive + "'");
+      reader.UnknownDirective();
     }
   }
-  reader.Fail("missing 'end'");
+  return std::move(builder).Build();
 }
 
-}  // namespace
-
 util::Expected<arch::Platform> ParsePlatform(std::istream& is) {
-  try {
-    return ParsePlatformImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  return util::ParseLines(is, "text_format", ReadPlatform);
 }
 
 }  // namespace actg::io

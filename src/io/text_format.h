@@ -5,7 +5,9 @@
 /// files instead of C++ builders, and lets experiments be re-run on
 /// externally produced graphs (e.g. converted from real TGFF output).
 ///
-/// Format (one directive per line, '#' starts a comment):
+/// Format (the shared line grammar of util/line_reader.h: one directive
+/// per line, '#' comments to the end of the line, diagnostics
+/// "text_format line N: ..."):
 ///
 ///   ctg v1
 ///   deadline <ms>
@@ -23,7 +25,10 @@
 ///   end
 ///
 /// Task and PE names must not contain whitespace, and task names must
-/// be unique within one graph.
+/// be unique within one graph. Indices (task, PE, outcome, dims) are
+/// exact ints; every other number is a double. The writers print
+/// max_digits10 significant digits, so every value reads back bit for
+/// bit.
 
 #ifndef ACTG_IO_TEXT_FORMAT_H
 #define ACTG_IO_TEXT_FORMAT_H
@@ -34,6 +39,7 @@
 #include "arch/platform.h"
 #include "ctg/graph.h"
 #include "util/error.h"
+#include "util/line_reader.h"
 
 namespace actg::io {
 
@@ -47,12 +53,20 @@ void WriteCtg(std::ostream& os, const ctg::Ctg& graph);
 /// CtgBuilder.
 util::Expected<ctg::Ctg> ParseCtg(std::istream& is);
 
+/// Reads one ctg-v1 block, header through 'end', from \p reader for a
+/// format that embeds a graph; malformed input throws InvalidArgument
+/// with the embedding format's line diagnostics.
+ctg::Ctg ReadCtg(util::LineReader& reader);
+
 /// Serializes \p platform.
 void WritePlatform(std::ostream& os, const arch::Platform& platform);
 
 /// Parses a platform; malformed input is reported as a util::Error
 /// with a "text_format line N: ..." diagnostic.
 util::Expected<arch::Platform> ParsePlatform(std::istream& is);
+
+/// ReadCtg's counterpart for one platform-v1 block.
+arch::Platform ReadPlatform(util::LineReader& reader);
 
 }  // namespace actg::io
 

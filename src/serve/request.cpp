@@ -1,9 +1,11 @@
 #include "serve/request.h"
 
-#include <sstream>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "dvfs/policy.h"
+#include "util/line_reader.h"
 
 namespace actg::serve {
 
@@ -61,13 +63,13 @@ util::Error FleetRequest::Validate() const {
   if (tenants.empty()) {
     return util::Error::Invalid("FleetRequest: at least one tenant");
   }
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    if (util::Error err = tenants[i].Validate(); !err.ok()) return err;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (tenants[j].name == tenants[i].name) {
-        return util::Error::Invalid("FleetRequest: duplicate tenant '" +
-                                    tenants[i].name + "'");
-      }
+  std::unordered_set<std::string_view> names;
+  names.reserve(tenants.size());
+  for (const TenantRequest& tenant : tenants) {
+    if (util::Error err = tenant.Validate(); !err.ok()) return err;
+    if (!names.insert(tenant.name).second) {
+      return util::Error::Invalid("FleetRequest: duplicate tenant '" +
+                                  tenant.name + "'");
     }
   }
   return {};
@@ -75,165 +77,88 @@ util::Error FleetRequest::Validate() const {
 
 namespace {
 
-/// Line-oriented reader mirroring faults/plan.cpp: '#' starts a
-/// comment, blank lines are skipped, failures carry the line number.
-struct ServeReader {
-  std::istream& is;
-  int line_number = 0;
+SlaClass Sla(const util::LineReader& reader, const std::string& token) {
+  const std::optional<SlaClass> sla = ParseSlaClass(token);
+  if (!sla) reader.Fail("unknown SLA class '" + token + "'");
+  return *sla;
+}
 
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw InvalidArgument("serve line " + std::to_string(line_number) +
-                          ": " + message);
-  }
-
-  bool NextTokens(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is, line)) {
-      ++line_number;
-      if (const auto hash = line.find('#'); hash != std::string::npos) {
-        line.erase(hash);
-      }
-      std::istringstream split(line);
-      tokens.clear();
-      for (std::string tok; split >> tok;) tokens.push_back(tok);
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  double Number(const std::string& token) const {
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(token, &used);
-    } catch (const std::exception&) {
-      Fail("expected a number, got '" + token + "'");
-    }
-    if (used != token.size()) Fail("trailing garbage in '" + token + "'");
-    return value;
-  }
-
-  std::size_t Count(const std::string& token) const {
-    const double value = Number(token);
-    if (value < 0.0 || value != static_cast<double>(
-                                    static_cast<std::size_t>(value))) {
-      Fail("expected a non-negative integer, got '" + token + "'");
-    }
-    return static_cast<std::size_t>(value);
-  }
-
-  SlaClass Sla(const std::string& token) const {
-    const std::optional<SlaClass> sla = ParseSlaClass(token);
-    if (!sla) Fail("unknown SLA class '" + token + "'");
-    return *sla;
-  }
-};
-
-TenantRequest ParseTenantLine(const ServeReader& reader,
-                              const std::vector<std::string>& tokens) {
-  if (tokens.size() < 5) {
-    reader.Fail(
-        "tenant needs <name> <sla> <workload> <instances> [key=value...]");
-  }
+TenantRequest ReadTenant(const util::LineReader& reader) {
+  reader.Operands(4, util::LineReader::kAny,
+                  "<name> <sla> <workload> <instances> [key=value...]");
   TenantRequest tenant;
-  tenant.name = tokens[1];
-  tenant.sla = reader.Sla(tokens[2]);
-  const auto workload = apps::ParseTenantWorkload(tokens[3]);
-  if (!workload) reader.Fail("unknown workload '" + tokens[3] + "'");
+  tenant.name = reader[1];
+  tenant.sla = Sla(reader, reader[2]);
+  const auto workload = apps::ParseTenantWorkload(reader[3]);
+  if (!workload) reader.Fail("unknown workload '" + reader[3] + "'");
   tenant.workload = *workload;
-  tenant.instances = reader.Count(tokens[4]);
-  for (std::size_t i = 5; i < tokens.size(); ++i) {
-    const std::string& option = tokens[i];
+  tenant.instances = reader.U64(reader[4]);
+  for (const std::string& option : reader.tokens().subspan(5)) {
     const auto eq = option.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 == option.size()) {
       reader.Fail("tenant option '" + option + "' is not key=value");
     }
-    const std::string key = option.substr(0, eq);
-    const std::string value = option.substr(eq + 1);
+    const std::string_view key = std::string_view(option).substr(0, eq);
+    const std::string_view value = std::string_view(option).substr(eq + 1);
     if (key == "seed") {
-      tenant.seed = static_cast<std::uint64_t>(reader.Count(value));
+      tenant.seed = reader.U64(value);
     } else if (key == "arrival") {
-      tenant.arrival = reader.Count(value);
+      tenant.arrival = reader.U64(value);
     } else if (key == "threshold") {
       tenant.threshold = reader.Number(value);
     } else if (key == "window") {
-      tenant.window = reader.Count(value);
+      tenant.window = reader.U64(value);
     } else if (key == "policy") {
       tenant.policy = value;
     } else {
-      reader.Fail("unknown tenant option '" + key + "'");
+      reader.Fail("unknown tenant option '" + option.substr(0, eq) + "'");
     }
   }
   return tenant;
 }
 
-FleetRequest ParseServeFileImpl(std::istream& is) {
-  ServeReader reader{is};
-  std::vector<std::string> tokens;
-  if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
-      tokens[0] != "serve" || tokens[1] != "v1") {
-    reader.Fail("expected header 'serve v1'");
-  }
+FleetRequest ReadFleet(util::LineReader& reader) {
+  reader.ExpectHeader("serve v1");
   FleetRequest fleet;
-  while (reader.NextTokens(tokens)) {
-    const std::string& directive = tokens[0];
-    if (directive == "end") {
-      fleet.Validate().ThrowIfError();
-      return fleet;
-    }
+  ServeConfig& c = fleet.config;
+  while (reader.NextBeforeEnd()) {
+    const std::string& directive = reader.directive();
     if (directive == "seed") {
-      if (tokens.size() != 2) reader.Fail("seed needs <uint64>");
-      fleet.config.seed = static_cast<std::uint64_t>(reader.Count(tokens[1]));
+      c.seed = reader.U64(reader.Operand("<uint64>"));
     } else if (directive == "shards") {
-      if (tokens.size() != 2) reader.Fail("shards needs <count>");
-      fleet.config.cache_shards = reader.Count(tokens[1]);
+      c.cache_shards = reader.U64(reader.Operand("<count>"));
     } else if (directive == "shard_capacity") {
-      if (tokens.size() != 2) reader.Fail("shard_capacity needs <count>");
-      fleet.config.shard_capacity = reader.Count(tokens[1]);
+      c.shard_capacity = reader.U64(reader.Operand("<count>"));
     } else if (directive == "share_cache") {
-      if (tokens.size() != 2) reader.Fail("share_cache needs <0|1>");
-      const std::size_t flag = reader.Count(tokens[1]);
-      if (flag > 1) reader.Fail("share_cache needs <0|1>");
-      fleet.config.share_cache = flag == 1;
+      c.share_cache = reader.Flag(reader.Operand("<0|1>"));
     } else if (directive == "batch") {
-      if (tokens.size() != 2) reader.Fail("batch needs <count>");
-      fleet.config.batch = reader.Count(tokens[1]);
+      c.batch = reader.U64(reader.Operand("<count>"));
     } else if (directive == "defer_depth") {
-      if (tokens.size() != 2) reader.Fail("defer_depth needs <count>");
-      fleet.config.defer_depth = reader.Count(tokens[1]);
+      c.defer_depth = reader.U64(reader.Operand("<count>"));
     } else if (directive == "shed_depth") {
-      if (tokens.size() != 2) reader.Fail("shed_depth needs <count>");
-      fleet.config.shed_depth = reader.Count(tokens[1]);
+      c.shed_depth = reader.U64(reader.Operand("<count>"));
     } else if (directive == "recover_rounds") {
-      if (tokens.size() != 2) reader.Fail("recover_rounds needs <count>");
-      fleet.config.recover_rounds = reader.Count(tokens[1]);
+      c.recover_rounds = reader.U64(reader.Operand("<count>"));
     } else if (directive == "budget") {
-      if (tokens.size() != 3) reader.Fail("budget needs <sla> <ms>");
-      const SlaClass sla = reader.Sla(tokens[1]);
-      fleet.config.budget_ms[static_cast<std::size_t>(sla)] =
-          reader.Number(tokens[2]);
+      reader.Operands(2, "<sla> <ms>");
+      c.budget_ms[static_cast<std::size_t>(Sla(reader, reader[1]))] =
+          reader.Number(reader[2]);
     } else if (directive == "validate") {
-      if (tokens.size() != 2) reader.Fail("validate needs <0|1>");
-      const std::size_t flag = reader.Count(tokens[1]);
-      if (flag > 1) reader.Fail("validate needs <0|1>");
-      fleet.config.validate = flag == 1;
+      c.validate = reader.Flag(reader.Operand("<0|1>"));
     } else if (directive == "tenant") {
-      fleet.tenants.push_back(ParseTenantLine(reader, tokens));
+      fleet.tenants.push_back(ReadTenant(reader));
     } else {
-      reader.Fail("unknown directive '" + directive + "'");
+      reader.UnknownDirective();
     }
   }
-  reader.Fail("missing 'end'");
+  fleet.Validate().ThrowIfError();
+  return fleet;
 }
 
 }  // namespace
 
 util::Expected<FleetRequest> ParseServeFile(std::istream& is) {
-  try {
-    return ParseServeFileImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  return util::ParseLines(is, "serve", ReadFleet);
 }
 
 void WriteServeFile(std::ostream& os, const FleetRequest& fleet) {
@@ -250,7 +175,7 @@ void WriteServeFile(std::ostream& os, const FleetRequest& fleet) {
   for (std::size_t i = 0; i < kSlaClassCount; ++i) {
     if (c.budget_ms[i] > 0.0) {
       os << "budget " << SlaName(static_cast<SlaClass>(i)) << " "
-         << c.budget_ms[i] << "\n";
+         << util::FormatNumber(c.budget_ms[i]) << "\n";
     }
   }
   if (c.validate) os << "validate 1\n";
@@ -259,7 +184,8 @@ void WriteServeFile(std::ostream& os, const FleetRequest& fleet) {
        << apps::TenantWorkloadName(t.workload) << " " << t.instances;
     if (t.seed != 0) os << " seed=" << t.seed;
     if (t.arrival != 0) os << " arrival=" << t.arrival;
-    os << " threshold=" << t.threshold << " window=" << t.window
+    os << " threshold=" << util::FormatNumber(t.threshold)
+       << " window=" << t.window
        << " policy=" << t.policy;
     os << "\n";
   }

@@ -10,9 +10,10 @@
 /// from a util::Random::Fork substream of the root seed, and all
 /// admission decisions depend only on deterministic queue depths.
 ///
-/// Like faults-v1, the format is line-oriented ('#' comments, blank
-/// lines ignored), parses into util::Expected with "serve line N: ..."
-/// diagnostics, and every parsed object Validates() up front.
+/// The format follows the shared line grammar of util/line_reader.h
+/// ('#' comments, blank lines ignored, exact integers), parses into
+/// util::Expected with "serve line N: ..." diagnostics, and every parsed
+/// object Validates() up front.
 
 #ifndef ACTG_SERVE_REQUEST_H
 #define ACTG_SERVE_REQUEST_H
@@ -99,7 +100,8 @@ struct FleetRequest {
   std::vector<TenantRequest> tenants;
 
   /// Ok when the config and every tenant validate, at least one tenant
-  /// is present and tenant names are unique.
+  /// is present and tenant names are unique (the first repeat in tenant
+  /// order is reported). Linear in the tenant count.
   util::Error Validate() const;
 };
 
@@ -121,11 +123,13 @@ struct FleetRequest {
 /// Tenant keys: seed=<uint64> arrival=<round> threshold=<t>
 /// window=<len> policy=<name>. Workloads: mpeg, cruise, random1
 /// (fork-join), random2 (flat). SLA classes: SLA0/latency_critical,
-/// SLA1/throughput, SLA2/background. Malformed input is reported as a
+/// SLA1/throughput, SLA2/background. Seeds and counts are exact
+/// unsigned integers, flags 0 or 1. Malformed input is reported as a
 /// util::Error with a "serve line N: ..." diagnostic.
 util::Expected<FleetRequest> ParseServeFile(std::istream& is);
 
-/// Serializes \p fleet in the ParseServeFile format (round-trips).
+/// Serializes \p fleet in the ParseServeFile format; it reads back to
+/// the same fleet, doubles bit for bit (util::FormatNumber).
 void WriteServeFile(std::ostream& os, const FleetRequest& fleet);
 
 /// Deterministic synthetic fleet used by bench_serve and the

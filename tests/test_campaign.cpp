@@ -22,6 +22,7 @@
 #include "campaign/spec.h"
 #include "check/fuzz.h"
 #include "check/validator.h"
+#include "corpus_file.h"
 #include "golden_file.h"
 #include "runtime/metrics.h"
 #include "util/error.h"
@@ -119,6 +120,22 @@ TEST(CampaignSpecFile, SyntheticRoundTripsByteIdentically) {
   EXPECT_EQ(first.str(), second.str());
 }
 
+// The seed used to read back through a double: above 2^53 it came back
+// rounded (9408751927250898473 as 9408751927250898944).
+TEST(CampaignSpecFile, SeedAndDoublesRoundTripExactly) {
+  CampaignSpec spec = SyntheticCampaign(10, 9408751927250898473ULL);
+  spec.threshold = 0.1000001;
+  spec.storms[1].intensity = 1.0 / 3.0;
+  std::ostringstream text;
+  WriteCampaignFile(text, spec);
+  std::istringstream in(text.str());
+  const util::Expected<CampaignSpec> parsed = ParseCampaignFile(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+  EXPECT_EQ(parsed.value().seed, 9408751927250898473ULL);
+  EXPECT_EQ(parsed.value().threshold, spec.threshold);
+  EXPECT_EQ(parsed.value().storms[1].intensity, spec.storms[1].intensity);
+}
+
 TEST(CampaignSpecFile, MinimalFileGetsDefaults) {
   std::istringstream in("campaign v1\ninstances 8\nend\n");
   const util::Expected<CampaignSpec> parsed = ParseCampaignFile(in);
@@ -182,47 +199,14 @@ TEST(CampaignSpec, ValidationCatchesBrokenKnobs) {
   }
 }
 
-// Malformed corpus: every tests/corpus/campaign file must be rejected
-// with the diagnostic pinned in its '# expect: <substring>' first line.
-// Adding a regression is dropping a file in the directory.
-
-struct CorpusCase {
-  std::filesystem::path path;
-  std::string expect;
-  std::string contents;
-};
-
-std::vector<CorpusCase> LoadCorpus() {
-  const std::filesystem::path dir =
-      std::filesystem::path(ACTG_TEST_CORPUS_DIR) / "campaign";
-  std::vector<CorpusCase> cases;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    CorpusCase c;
-    c.path = entry.path();
-    std::ifstream in(c.path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    c.contents = buffer.str();
-    const std::string marker = "# expect: ";
-    const std::size_t line_end = c.contents.find('\n');
-    std::string first = c.contents.substr(
-        0, line_end == std::string::npos ? c.contents.size() : line_end);
-    if (first.rfind(marker, 0) == 0) c.expect = first.substr(marker.size());
-    cases.push_back(std::move(c));
-  }
-  std::sort(cases.begin(), cases.end(),
-            [](const CorpusCase& a, const CorpusCase& b) {
-              return a.path.filename() < b.path.filename();
-            });
-  return cases;
-}
+// Malformed corpus (corpus_file.h): every tests/corpus/campaign file
+// must be rejected with the diagnostic pinned in its first line.
 
 TEST(CampaignMalformedCorpus, EveryFileIsRejectedWithItsPinnedDiagnostic) {
-  const std::vector<CorpusCase> cases = LoadCorpus();
+  const std::vector<corpus::Case> cases = corpus::Load("campaign");
   ASSERT_GE(cases.size(), 10u) << "corpus went missing";
-  for (const CorpusCase& c : cases) {
-    SCOPED_TRACE(c.path.filename().string());
+  for (const corpus::Case& c : cases) {
+    SCOPED_TRACE(c.name());
     ASSERT_FALSE(c.expect.empty())
         << "corpus file lacks a '# expect: <substring>' first line";
     std::istringstream in(c.contents);
@@ -545,6 +529,11 @@ TEST(CampaignCheckpoint, FingerprintTracksEveryKnob) {
   CampaignSpec quarantining = SmallSpec();
   quarantining.quarantine_cap = 4;
   EXPECT_NE(FingerprintSpec(SmallSpec()), FingerprintSpec(quarantining));
+  // A threshold that differs in the 7th significant digit is a different
+  // campaign; six printed digits used to give both one fingerprint.
+  CampaignSpec nudged = SmallSpec();
+  nudged.threshold = 0.1000001;
+  EXPECT_NE(FingerprintSpec(SmallSpec()), FingerprintSpec(nudged));
 }
 
 TEST(CampaignCheckpoint, SpecFingerprintIsPinned) {
@@ -734,39 +723,24 @@ TEST(CheckpointMalformedCorpus, EveryFileIsRejectedWithItsDiagnostic) {
   std::ostringstream shape;
   shape << "shards " << spec.shards << " instances " << spec.instances
         << " cells " << spec.CellCount();
-  const std::filesystem::path dir =
-      std::filesystem::path(ACTG_TEST_CORPUS_DIR) / "checkpoint";
   std::size_t cases = 0;
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file()) files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  for (const std::filesystem::path& path : files) {
-    SCOPED_TRACE(path.filename().string());
-    std::ifstream in(path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string contents = buffer.str();
-    const std::string marker = "# expect: ";
-    ASSERT_EQ(contents.rfind(marker, 0), 0u)
+  for (corpus::Case& c : corpus::Load("checkpoint")) {
+    SCOPED_TRACE(c.name());
+    ASSERT_FALSE(c.expect.empty())
         << "corpus file lacks a '# expect: <substring>' first line";
-    const std::string expect =
-        contents.substr(marker.size(),
-                        contents.find('\n') - marker.size());
     for (const auto& [from, to] :
          {std::pair<std::string, std::string>{"@FP@", fp.str()},
           {"@SHAPE@", shape.str()}}) {
-      for (std::size_t at = contents.find(from);
-           at != std::string::npos; at = contents.find(from)) {
-        contents.replace(at, from.size(), to);
+      for (std::size_t at = c.contents.find(from);
+           at != std::string::npos; at = c.contents.find(from)) {
+        c.contents.replace(at, from.size(), to);
       }
     }
-    std::istringstream is(contents);
+    std::istringstream is(c.contents);
     const util::Expected<CheckpointState> state =
         LoadCheckpoint(is, spec);
     ASSERT_FALSE(state.ok()) << "malformed checkpoint parsed";
-    EXPECT_NE(state.error().message().find(expect), std::string::npos)
+    EXPECT_NE(state.error().message().find(c.expect), std::string::npos)
         << "diagnostic was: " << state.error().message();
     EXPECT_NE(state.error().message().find("checkpoint line"),
               std::string::npos);

@@ -10,6 +10,7 @@
 #include "apps/common.h"
 #include "apps/fig1_example.h"
 #include "check/validator.h"
+#include "corpus_file.h"
 #include "ctg/activation.h"
 #include "experiments.h"
 #include "faults/injector.h"
@@ -116,6 +117,45 @@ TEST(FaultPlanText, MalformedInputIsAnErrorValue) {
   std::istringstream in("faults v1\nbogus\nend\n");
   EXPECT_NE(ParseFaultPlan(in).error().message().find("line 2"),
             std::string::npos);
+}
+
+// The seed used to read back through a double (rounded past 2^53), and
+// doubles were written with six significant digits.
+TEST(FaultPlanText, SeedAndDoublesRoundTripExactly) {
+  FaultPlan plan = FullPlan(0.123456789);
+  plan.seed = 9408751927250898473ULL;
+  plan.overrun.min_factor = 1.0000001;
+  plan.link.bandwidth_factor = 1.0 / 3.0;
+  std::ostringstream out;
+  WriteFaultPlan(out, plan);
+  std::istringstream in(out.str());
+  const util::Expected<FaultPlan> parsed = ParseFaultPlan(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+  EXPECT_EQ(parsed.value().seed, 9408751927250898473ULL);
+  EXPECT_EQ(parsed.value().intensity, plan.intensity);
+  EXPECT_EQ(parsed.value().overrun.min_factor, plan.overrun.min_factor);
+  EXPECT_EQ(parsed.value().link.bandwidth_factor,
+            plan.link.bandwidth_factor);
+  // Values that six digits hold keep their short text.
+  EXPECT_NE(out.str().find("dropout 0.05 3 2\n"), std::string::npos)
+      << out.str();
+}
+
+// Malformed corpus (corpus_file.h): every tests/corpus/faults file must
+// be rejected with the diagnostic pinned in its first line.
+TEST(FaultPlanMalformedCorpus, EveryFileIsRejectedWithItsPinnedDiagnostic) {
+  const std::vector<corpus::Case> cases = corpus::Load("faults");
+  ASSERT_GE(cases.size(), 6u) << "corpus went missing";
+  for (const corpus::Case& c : cases) {
+    SCOPED_TRACE(c.name());
+    ASSERT_FALSE(c.expect.empty())
+        << "corpus file lacks a '# expect: <substring>' first line";
+    std::istringstream in(c.contents);
+    const util::Error error = ParseFaultPlan(in).error();
+    EXPECT_FALSE(error.ok()) << "malformed input parsed successfully";
+    EXPECT_NE(error.message().find(c.expect), std::string::npos)
+        << "diagnostic was: " << error.message();
+  }
 }
 
 class InjectorFixture : public ::testing::Test {

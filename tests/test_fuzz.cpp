@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,6 +11,7 @@
 #include "apps/common.h"
 #include "check/fuzz.h"
 #include "check/validator.h"
+#include "corpus_file.h"
 #include "ctg/activation.h"
 #include "sched/dls.h"
 #include "sim/executor.h"
@@ -128,9 +130,29 @@ TEST(FuzzGenerator, SpecsAreDeterministicAndDiverse) {
   EXPECT_TRUE(saw_forkjoin);
 }
 
+/// Every fault-plan field of \p a and \p b, doubles bit for bit.
+void ExpectSamePlan(const faults::FaultPlan& a, const faults::FaultPlan& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(a.intensity), bits(b.intensity));
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(bits(a.overrun.probability), bits(b.overrun.probability));
+  EXPECT_EQ(bits(a.overrun.min_factor), bits(b.overrun.min_factor));
+  EXPECT_EQ(bits(a.overrun.max_factor), bits(b.overrun.max_factor));
+  EXPECT_EQ(bits(a.dropout.probability), bits(b.dropout.probability));
+  EXPECT_EQ(a.dropout.duration, b.dropout.duration);
+  EXPECT_EQ(bits(a.dropout.rerun_penalty), bits(b.dropout.rerun_penalty));
+  EXPECT_EQ(bits(a.link.probability), bits(b.link.probability));
+  EXPECT_EQ(bits(a.link.bandwidth_factor), bits(b.link.bandwidth_factor));
+  EXPECT_EQ(a.link.duration, b.link.duration);
+  EXPECT_EQ(bits(a.drift.max_flip_probability),
+            bits(b.drift.max_flip_probability));
+  EXPECT_EQ(a.drift.ramp_instances, b.drift.ramp_instances);
+}
+
 TEST(FuzzRepro, RoundTripPreservesTheCase) {
   const util::Random root(11);
-  for (std::uint64_t i = 0; i < 8; ++i) {
+  std::size_t with_faults = 0;
+  for (std::uint64_t i = 0; i < 24; ++i) {
     const FuzzCase original = Materialize(RandomSpec(root, i));
     std::stringstream ss;
     WriteRepro(ss, original);
@@ -149,10 +171,14 @@ TEST(FuzzRepro, RoundTripPreservesTheCase) {
     EXPECT_EQ(back.prob_seed, original.prob_seed);
     EXPECT_EQ(back.trace_instances, original.trace_instances);
     EXPECT_EQ(back.adaptive, original.adaptive);
+    EXPECT_EQ(back.reschedule_mode, original.reschedule_mode);
     EXPECT_EQ(back.with_faults, original.with_faults);
+    ExpectSamePlan(back.faults, original.faults);
+    with_faults += original.with_faults ? 1 : 0;
     // The replayed case must reproduce the original's verdict.
     EXPECT_EQ(RunCase(back).ok(), RunCase(original).ok());
   }
+  EXPECT_GT(with_faults, 0u) << "no case exercised the fault plan";
 }
 
 TEST(FuzzRepro, MalformedInputIsAnErrorNotACrash) {
@@ -257,10 +283,7 @@ TEST(FuzzCorpus, CommittedReprosReplayClean) {
     if (entry.path().extension() != ".fuzzcase") continue;
     std::ifstream is(entry.path());
     ASSERT_TRUE(is.good()) << entry.path();
-    while (is.peek() == '#') {
-      std::string skipped;
-      std::getline(is, skipped);
-    }
+    // The provenance comment above the header is part of the format.
     util::Expected<FuzzCase> c = ParseRepro(is);
     ASSERT_TRUE(c.ok()) << entry.path() << ": " << c.error().message();
     const Report report = RunCase(c.value());
@@ -269,6 +292,23 @@ TEST(FuzzCorpus, CommittedReprosReplayClean) {
     ++replayed;
   }
   EXPECT_GE(replayed, 3u) << "corpus unexpectedly empty: " << dir;
+}
+
+// Malformed corpus (corpus_file.h): every tests/corpus/fuzzcase file
+// must be rejected with the diagnostic pinned in its first line.
+TEST(FuzzcaseMalformedCorpus, EveryFileIsRejectedWithItsPinnedDiagnostic) {
+  const std::vector<corpus::Case> cases = corpus::Load("fuzzcase");
+  ASSERT_GE(cases.size(), 7u) << "corpus went missing";
+  for (const corpus::Case& c : cases) {
+    SCOPED_TRACE(c.name());
+    ASSERT_FALSE(c.expect.empty())
+        << "corpus file lacks a '# expect: <substring>' first line";
+    std::istringstream in(c.contents);
+    const util::Error error = ParseRepro(in).error();
+    EXPECT_FALSE(error.ok()) << "malformed input parsed successfully";
+    EXPECT_NE(error.message().find(c.expect), std::string::npos)
+        << "diagnostic was: " << error.message();
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "apps/cruise.h"
 #include "apps/fig1_example.h"
 #include "apps/mpeg.h"
+#include "corpus_file.h"
 #include "ctg/activation.h"
 #include "io/text_format.h"
 #include "tgff/random_ctg.h"
@@ -209,55 +210,17 @@ TEST(ExpectedParsing, ParseIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------
-// Malformed-input corpus. Every file under tests/corpus/io must fail to
-// parse, and its first line pins the diagnostic:
-//
-//   # expect: <substring of the error message>
-//
-// Files named ctg_* go through ParseCtg, platform_* through
-// ParsePlatform. Adding a regression is dropping a file in the
-// directory - no code change needed.
-
-struct CorpusCase {
-  std::filesystem::path path;
-  std::string expect;
-  std::string contents;
-};
-
-std::vector<CorpusCase> LoadCorpus() {
-  const std::filesystem::path dir =
-      std::filesystem::path(ACTG_TEST_CORPUS_DIR) / "io";
-  std::vector<CorpusCase> cases;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    CorpusCase c;
-    c.path = entry.path();
-    std::ifstream in(c.path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    c.contents = buffer.str();
-    const std::string marker = "# expect: ";
-    const std::size_t line_end = c.contents.find('\n');
-    std::string first = c.contents.substr(
-        0, line_end == std::string::npos ? c.contents.size() : line_end);
-    if (first.rfind(marker, 0) == 0) c.expect = first.substr(marker.size());
-    cases.push_back(std::move(c));
-  }
-  std::sort(cases.begin(), cases.end(),
-            [](const CorpusCase& a, const CorpusCase& b) {
-              return a.path.filename() < b.path.filename();
-            });
-  return cases;
-}
+// Malformed-input corpus (corpus_file.h). Files named ctg_* go through
+// ParseCtg, platform_* through ParsePlatform.
 
 TEST(MalformedCorpus, EveryFileIsRejectedWithItsPinnedDiagnostic) {
-  const std::vector<CorpusCase> cases = LoadCorpus();
+  const std::vector<corpus::Case> cases = corpus::Load("io");
   ASSERT_GE(cases.size(), 10u) << "corpus went missing";
-  for (const CorpusCase& c : cases) {
-    SCOPED_TRACE(c.path.filename().string());
+  for (const corpus::Case& c : cases) {
+    SCOPED_TRACE(c.name());
     ASSERT_FALSE(c.expect.empty())
         << "corpus file lacks a '# expect: <substring>' first line";
-    const std::string name = c.path.filename().string();
+    const std::string name = c.name();
     std::istringstream in(c.contents);
     util::Error error;
     if (name.rfind("ctg_", 0) == 0) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "check/validator.h"
+#include "corpus_file.h"
 #include "golden_file.h"
 #include "serve/admission.h"
 #include "serve/request.h"
@@ -124,6 +125,42 @@ TEST(ServeFormat, WriteParseRoundTrips) {
   EXPECT_EQ(first.str(), second.str());
 }
 
+// Seeds used to read back through a double: above 2^53 they came back
+// rounded (9408751927250898473 as 9408751927250898944), and doubles were
+// written with six significant digits.
+TEST(ServeFormat, SeedsAndDoublesRoundTripExactly) {
+  constexpr std::uint64_t kSeed = 9408751927250898473ULL;
+  FleetRequest fleet = SyntheticFleet(3, 4, kSeed);
+  fleet.tenants[1].threshold = 0.1000001;
+  fleet.config.budget_ms[2] = 1.0 / 3.0;
+  std::ostringstream text;
+  WriteServeFile(text, fleet);
+  std::istringstream is(text.str());
+  const util::Expected<FleetRequest> parsed = ParseServeFile(is);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+  const FleetRequest& back = parsed.value();
+  EXPECT_EQ(back.config.seed, kSeed);
+  ASSERT_EQ(back.tenants.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(back.tenants[i].seed, kSeed + i);
+    EXPECT_EQ(back.tenants[i].threshold, fleet.tenants[i].threshold);
+  }
+  EXPECT_EQ(back.config.budget_ms[2], fleet.config.budget_ms[2]);
+}
+
+// The duplicate check is one hash set, and still names the first repeat
+// in tenant order.
+TEST(ServeFormat, FirstDuplicateTenantInOrderIsReported) {
+  FleetRequest fleet = SyntheticFleet(5, 4, 1);
+  fleet.tenants[2].name = "t1";
+  fleet.tenants[4].name = "t0";
+  EXPECT_EQ(fleet.Validate().message(), "FleetRequest: duplicate tenant 't1'");
+  fleet.tenants[2].name = "t2";
+  EXPECT_EQ(fleet.Validate().message(), "FleetRequest: duplicate tenant 't0'");
+  fleet.tenants[4].name = "t4";
+  EXPECT_TRUE(fleet.Validate().ok());
+}
+
 TEST(ServeFormat, ParsesDirectivesAndTenantOptions) {
   std::istringstream is(
       "serve v1\n"
@@ -179,47 +216,14 @@ TEST(ServeFormat, DiagnosticsCarryLineNumbers) {
       << parsed.error().message();
 }
 
-// Malformed corpus: every tests/corpus/serve file must be rejected with
-// the diagnostic pinned in its '# expect: <substring>' first line.
-// Adding a regression is dropping a file in the directory.
-
-struct CorpusCase {
-  std::filesystem::path path;
-  std::string expect;
-  std::string contents;
-};
-
-std::vector<CorpusCase> LoadCorpus() {
-  const std::filesystem::path dir =
-      std::filesystem::path(ACTG_TEST_CORPUS_DIR) / "serve";
-  std::vector<CorpusCase> cases;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    CorpusCase c;
-    c.path = entry.path();
-    std::ifstream in(c.path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    c.contents = buffer.str();
-    const std::string marker = "# expect: ";
-    const std::size_t line_end = c.contents.find('\n');
-    std::string first = c.contents.substr(
-        0, line_end == std::string::npos ? c.contents.size() : line_end);
-    if (first.rfind(marker, 0) == 0) c.expect = first.substr(marker.size());
-    cases.push_back(std::move(c));
-  }
-  std::sort(cases.begin(), cases.end(),
-            [](const CorpusCase& a, const CorpusCase& b) {
-              return a.path.filename() < b.path.filename();
-            });
-  return cases;
-}
+// Malformed corpus (corpus_file.h): every tests/corpus/serve file must
+// be rejected with the diagnostic pinned in its first line.
 
 TEST(ServeMalformedCorpus, EveryFileIsRejectedWithItsPinnedDiagnostic) {
-  const std::vector<CorpusCase> cases = LoadCorpus();
+  const std::vector<corpus::Case> cases = corpus::Load("serve");
   ASSERT_GE(cases.size(), 8u) << "corpus went missing";
-  for (const CorpusCase& c : cases) {
-    SCOPED_TRACE(c.path.filename().string());
+  for (const corpus::Case& c : cases) {
+    SCOPED_TRACE(c.name());
     ASSERT_FALSE(c.expect.empty())
         << "corpus file lacks a '# expect: <substring>' first line";
     std::istringstream in(c.contents);

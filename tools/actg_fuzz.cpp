@@ -19,11 +19,11 @@
 /// a CI run reproduces locally with --cases 1 --seed S --start INDEX.
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,11 +109,6 @@ int RunReplay(const std::vector<std::string>& files) {
       status = 1;
       continue;
     }
-    // Skip leading comment lines (ShrinkAndDump prefixes provenance).
-    while (is.peek() == '#') {
-      std::string skipped;
-      std::getline(is, skipped);
-    }
     util::Expected<check::FuzzCase> c = check::ParseRepro(is);
     if (!c.ok()) {
       std::cerr << file << ": " << c.error().message() << "\n";
@@ -160,9 +155,8 @@ int main(int argc, char** argv) {
   cli::TakeFlag(argc, argv, "--start");
   cli::TakeFlag(argc, argv, "--out");
   std::vector<std::string> replay;
-  std::uint64_t emit_count = 0;
+  std::optional<std::size_t> emit_count;
   std::string emit_dir;
-  bool emit = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -179,8 +173,8 @@ int main(int argc, char** argv) {
       const char* n = next();
       const char* d = next();
       if (n == nullptr || d == nullptr) return Usage();
-      emit = true;
-      emit_count = std::strtoull(n, nullptr, 10);
+      emit_count = cli::ParseCount(n);
+      if (!emit_count) return Usage();
       emit_dir = d;
     } else {
       cli::Fail("actg_fuzz", "unknown argument '" + arg + "'", 2);
@@ -190,7 +184,7 @@ int main(int argc, char** argv) {
 
   try {
     if (!replay.empty()) return RunReplay(replay);
-    if (emit) return RunEmit(emit_count, emit_dir, seed, start);
+    if (emit_count) return RunEmit(*emit_count, emit_dir, seed, start);
     if (cases == 0) return Usage();
     return RunFuzz(cases, seed, start, out_dir);
   } catch (const std::exception& e) {

@@ -6,6 +6,7 @@
 
 #include "util/atomic_file.h"
 #include "util/error.h"
+#include "util/line_reader.h"
 
 namespace actg::cli {
 
@@ -40,14 +41,7 @@ std::uint64_t SeedFlag(int argc, char** argv, std::uint64_t fallback) {
 }
 
 std::optional<std::size_t> ParseCount(const std::string& token) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(token, &used);
-    if (used != token.size()) return std::nullopt;
-    return static_cast<std::size_t>(value);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  return util::ParseU64(token);
 }
 
 std::optional<std::string> TakeFlag(int& argc, char** argv,

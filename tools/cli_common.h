@@ -46,9 +46,11 @@ std::size_t CountFlag(int argc, char** argv, std::string_view flag,
 /// CountFlag("--seed") as a 64-bit seed.
 std::uint64_t SeedFlag(int argc, char** argv, std::uint64_t fallback);
 
-/// Strict non-negative integer parse of one token; nullopt on garbage
-/// or trailing characters (positional arguments, where a typo must not
-/// silently become a default).
+/// Strict non-negative integer parse of one token, the text formats'
+/// exact integer rule (util::ParseU64): nullopt on a sign ("-4"), a
+/// fraction or exponent, garbage, trailing characters or a value past
+/// 64 bits (positional arguments, where a typo must not silently become
+/// a default or wrap around).
 std::optional<std::size_t> ParseCount(const std::string& token);
 
 /// Removes the first `--flag value` / `--flag=value` from argv
